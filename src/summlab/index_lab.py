@@ -92,7 +92,7 @@ def summing_quotient(
     strategy: str = "direct",
     _weak_results: list[WeakNormResult] | None = None,
 ) -> QuotientSample:
-    """Mixed power sum divided by the product of the families' weak-q norms."""
+    """Mixed power sum over the product of the families' weak-q norms; ``threads`` is accepted, unused."""
     families = list(families)
     if _weak_results is None:
         _weak_results = [weak_norm(fam, q, budget) for fam in families]
@@ -101,7 +101,7 @@ def summing_quotient(
         if res.value == 0.0:
             raise DegenerateInputError("weak norm of an all-zero family: quotient undefined")
         denom *= res.value
-    num = mixed_power_sum(t, families, p, tuple_budget=tuple_budget, threads=threads)
+    num = mixed_power_sum(t, families, p, tuple_budget=tuple_budget)
     prov = Provenance(
         strategy=strategy,
         seed=budget.seed,
@@ -158,7 +158,8 @@ def maximize_quotient(
     Strategies run in a fixed order and ties resolve toward the earlier
     strategy; the random strategy perturbs one vector at a time, keeps
     the move if the quotient rises, and halves the step once a full
-    sweep fails.  Deterministic under a fixed budget seed.
+    sweep fails.  Deterministic under a fixed budget seed.  ``threads`` is
+    accepted and unused.
     """
     if n < 1:
         raise DomainError("family length must be >= 1")
@@ -183,7 +184,7 @@ def maximize_quotient(
                 map_obj, fams[0], p, q, budget, tuple_budget=tuple_budget, strategy=label, _weak_result=results[0]
             )
         return summing_quotient(
-            map_obj, fams, p, q, budget, tuple_budget=tuple_budget, threads=threads, strategy=label, _weak_results=results
+            map_obj, fams, p, q, budget, tuple_budget=tuple_budget, strategy=label, _weak_results=results
         )
 
     best: QuotientSample | None = None

@@ -1,11 +1,13 @@
 """Bounded multilinear maps and homogeneous polynomials.
 
 Two multilinear bodies: a dense coefficient tensor (shape d_1 x ... x
-d_m x d_out) and the diagonal outer-product map into a sup slice,
+d_m x d_out) and the structured outer-product map into a sup slice,
 
     T(x^(1), ..., x^(m)) = ( x^(1)_{j_1} ... x^(m)_{j_m} )_{j_1..j_m},
 
-whose operator norm is exactly 1.  Three polynomial bodies: a dense
+stored in O(1) on any m domain spaces of dimension n.  Its operator
+norm is exactly 1 because ||(x) x^(i)||_inf = prod ||x^(i)||_inf <=
+prod ||x^(i)||.  Three polynomial bodies: a dense
 symmetric tensor, and the two structured witness forms
 
     P(x) = sum_j |a_j|^(1/p) phi_j(x)^m y_j      (vector targets y_j)
@@ -14,10 +16,11 @@ symmetric tensor, and the two structured witness forms
 with the coefficient normalizations sum |a_j|^(r/p) = 1 resp.
 sum |a_j|^(1/p) = 1 enforced at construction.
 
-The mixed power sum enumerates all n^m argument tuples exactly;
-enumeration is partitioned on the leading index and accumulated with
-compensated (exact) summation so the result does not depend on the
-partitioning.
+The mixed power sum of the outer-product map is a closed form: the sum
+over tuples factorises into a product of per-slot sums.  Dense bodies
+enumerate all n^m argument tuples; enumeration is partitioned on the
+leading index and accumulated with compensated (exact) summation so
+the result does not depend on the partitioning.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import base64
 import json
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +77,7 @@ class DenseTensor:
 
 @dataclass(frozen=True, eq=False)
 class DiagonalC0:
-    """Outer-product map of order m on l_2^n, valued in a sup slice of dim n^m."""
+    """Outer-product map of order m on any domains of dimension n, valued in sup^(n^m); norm 1."""
 
     n: int
 
@@ -103,9 +105,8 @@ class MultilinearMap:
                 )
         else:
             n = self.body.n
-            for s in self.domain:
-                if s != lp(2.0, n):
-                    raise StructuralError("diagonal body requires every domain space to be l_2^n")
+            if any(s.dimension != n for s in self.domain):
+                raise StructuralError(f"diagonal body requires every domain space to have dimension {n}")
             if self.codomain != sup_slice(n**m):
                 raise StructuralError("diagonal body requires a sup-slice codomain of dimension n^m")
 
@@ -115,7 +116,11 @@ class MultilinearMap:
 
     def fingerprint(self) -> bytes:
         if isinstance(self.body, DiagonalC0):
-            return b"diag" + struct.pack("<qq", self.arity, self.body.n)
+            fp = b"diag" + struct.pack("<qq", self.arity, self.body.n)
+            # the l_2 form keeps its original bytes (and so its derived seeds)
+            if any(s != lp(2.0, self.body.n) for s in self.domain):
+                fp += repr(self.domain).encode()
+            return fp
         return b"denseT" + repr(self.body.coefficients.shape).encode() + self.body.coefficients.tobytes()
 
 
@@ -326,24 +331,21 @@ def _check_families(t: MultilinearMap, families) -> int:
     return lengths.pop()
 
 
-def _leading_chunks(n: int, block_rows: int):
-    for lo in range(0, n, block_rows):
-        yield lo, min(lo + block_rows, n)
-
-
 def mixed_power_sum(
     t: MultilinearMap,
     families,
     p: float,
     *,
     tuple_budget: int = DEFAULT_TUPLE_BUDGET,
-    threads: int = 1,
 ) -> float:
     """( sum over all n^m tuples of ||T(x_{k_1}, ..., x_{k_m})||^p )^(1/p).
 
-    Exact enumeration; the leading index is partitioned into chunks and
-    each chunk is reduced with exact (Shewchuk) summation, so the value
-    is independent of the partitioning.
+    Outer-product maps use the closed form
+    sum_tuples prod_i a_{i,k_i}^p = prod_i sum_k a_{i,k}^p with
+    a_{i,k} = ||x^(i)_k||_inf, each slot reduced with exact summation.
+    Dense maps are enumerated exactly; the leading index is partitioned
+    into chunks and each chunk is reduced with exact (Shewchuk)
+    summation, so the value is independent of the partitioning.
     """
     if p <= 0:
         raise DomainError(f"power sum requires p > 0, got {p}")
@@ -353,41 +355,21 @@ def mixed_power_sum(
     if float(n) ** m > tuple_budget:
         raise BudgetError(f"{n}^{m} tuples exceed the budget of {tuple_budget}")
 
-    d_out = t.codomain.dimension
     if isinstance(t.body, DiagonalC0):
-        # per-tuple sup norm of the outer product = product of row maxima;
-        # the n^m-dimensional output never gets materialized
-        maxima = [np.abs(fam.matrix).max(axis=1) for fam in families]
-        tail = None
-        for vec in maxima[1:]:
-            tail = vec if tail is None else np.multiply.outer(tail, vec)
+        total = 1.0
+        for fam in families:
+            total *= math.fsum((np.abs(fam.matrix).max(axis=1) ** p).tolist())
+        return total ** (1.0 / p)
 
-        def chunk_sum(lo: int, hi: int) -> float:
-            block = maxima[0][lo:hi]
-            if tail is not None:
-                block = np.multiply.outer(block, tail)
-            return math.fsum((block**p).ravel().tolist())
-
-        per_tuple = max(1, n ** (m - 1))
-    else:
-        mats = [fam.matrix for fam in families]
-        subs = [f"{_TUP_LETTERS[i]}{_DOM_LETTERS[i]}" for i in range(m)]
-        expr = ",".join(subs + ["".join(_DOM_LETTERS[:m]) + "o"]) + "->" + "".join(_TUP_LETTERS[:m]) + "o"
-
-        def chunk_sum(lo: int, hi: int) -> float:
-            block = np.einsum(expr, mats[0][lo:hi], *mats[1:], t.body.coefficients, optimize=True)
-            norms = coord_norm(t.codomain, block, axis=-1)
-            return math.fsum((norms**p).ravel().tolist())
-
-        per_tuple = max(1, n ** (m - 1) * d_out)
-
-    block_rows = max(1, _CHUNK_ELEMS // per_tuple)
-    ranges = list(_leading_chunks(n, block_rows))
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda r: chunk_sum(*r), ranges))
-    else:
-        partials = [chunk_sum(lo, hi) for lo, hi in ranges]
+    mats = [fam.matrix for fam in families]
+    subs = [f"{_TUP_LETTERS[i]}{_DOM_LETTERS[i]}" for i in range(m)]
+    expr = ",".join(subs + ["".join(_DOM_LETTERS[:m]) + "o"]) + "->" + "".join(_TUP_LETTERS[:m]) + "o"
+    block_rows = max(1, _CHUNK_ELEMS // max(1, n ** (m - 1) * t.codomain.dimension))
+    partials = []
+    for lo in range(0, n, block_rows):
+        block = np.einsum(expr, mats[0][lo : lo + block_rows], *mats[1:], t.body.coefficients, optimize=True)
+        norms = coord_norm(t.codomain, block, axis=-1)
+        partials.append(math.fsum((norms**p).ravel().tolist()))
     return math.fsum(partials) ** (1.0 / p)
 
 
@@ -582,7 +564,8 @@ def _basis_vector(space: SpaceDescriptor, index: int, sign: float = 1.0) -> Vect
 def operator_norm(obj, budget: SearchBudget = DEFAULT_BUDGET) -> OperatorNormResult:
     """Operator norm: exact where a closed form exists, else a searched lower bound.
 
-    Closed forms: the diagonal outer-product map (norm exactly 1);
+    Closed forms: the outer-product map on any domains (norm exactly 1,
+    attained at a tuple of first basis vectors);
     dense maps whose domains are all l_1 (the sup over products of l_1
     balls is attained at basis tuples); linear maps into sup-norm
     spaces (max dual norm of an output-coordinate functional); and

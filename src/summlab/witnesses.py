@@ -3,9 +3,11 @@
 Each constructor produces a map or polynomial together with the exact
 coefficient normalization its lower-bound argument needs, and verifies
 at construction time that the declared constraint holds, that the
-anchor functionals norm their anchors, that the operator norm stays
-below its closed-form cap, and that the anchor evaluations dominate
-|a_k|^(1/p) ||x_k||^m.
+anchor functionals norm their anchors, and that the anchor evaluations
+dominate |a_k|^(1/p) ||x_k||^m.  The polynomial witnesses also compare
+their operator norm with its closed-form cap, but that norm is a
+*searched lower bound*, so the comparison is a smoke check only: it
+cannot detect a violation the search misses.
 """
 
 from __future__ import annotations
@@ -117,6 +119,7 @@ def _anchor_functionals(space_in: SpaceDescriptor, anchors: VectorFamily) -> np.
 
 
 def _verify_witness(poly: HomogeneousPolynomial, anchors: VectorFamily, cap: float, budget: SearchBudget) -> None:
+    """Check the anchor floor; the cap check compares a searched lower bound of ||P||, a smoke check only."""
     est = operator_norm(poly, _verify_budget(budget))
     if est.value > cap + 1e-9:
         raise StructuralError(f"witness norm search reached {est.value}, above the cap {cap}")
@@ -134,8 +137,7 @@ def tensor_witness(m: int, n: int, tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> 
         raise DomainError("tensor witness needs m >= 1 and n >= 1")
     if float(n) ** m > tuple_budget:
         raise BudgetError(f"{n}^{m} output coordinates exceed the budget of {tuple_budget}")
-    domain = tuple(lp(2.0, n) for _ in range(m))
-    return MultilinearMap(domain, sup_slice(n**m), DiagonalC0(n))
+    return diagonal_product_map(m, n, lp(2.0, n))
 
 
 def cotype_witness(
@@ -205,13 +207,17 @@ def identity_witness(space: SpaceDescriptor) -> MultilinearMap:
 
 
 def witness_to_spec(obj, anchors: VectorFamily | None = None) -> dict:
-    """JSON spec {kind, m, p, n, space, anchors?} for a constructed witness."""
+    """JSON spec {kind, m, p?, n, space?, anchors?} for a constructed witness."""
     from .maps import CotypeWitnessBody, RealEvenWitnessBody
     from .spaces import space_to_json
 
     if isinstance(obj, MultilinearMap):
         if isinstance(obj.body, DiagonalC0):
-            return {"kind": "tensor", "m": obj.arity, "n": obj.body.n}
+            n = obj.body.n
+            if all(s == lp(2.0, n) for s in obj.domain):
+                return {"kind": "tensor", "m": obj.arity, "n": n}
+            if len(set(obj.domain)) == 1:
+                return {"kind": "outer_product", "m": obj.arity, "n": n, "space": space_to_json(obj.domain[0])}
         if obj.arity == 1 and obj.domain[0] == obj.codomain:
             a = obj.body.coefficients
             if a.shape[0] == a.shape[1] and bool(np.all(a == np.eye(a.shape[0]))):
@@ -247,14 +253,16 @@ def witness_to_spec(obj, anchors: VectorFamily | None = None) -> dict:
 def witness_from_spec(spec: dict, budget: SearchBudget = DEFAULT_BUDGET):
     """Rebuild a witness from its JSON spec.
 
-    Returns the map for "tensor"/"identity" kinds and a (polynomial,
-    anchors) pair for the anchored kinds.
+    Returns the map for "tensor"/"outer_product"/"identity" kinds and a
+    (polynomial, anchors) pair for the anchored kinds.
     """
     from .spaces import space_from_json
 
     kind = spec.get("kind")
     if kind == "tensor":
         return tensor_witness(int(spec["m"]), int(spec["n"]))
+    if kind == "outer_product":
+        return diagonal_product_map(int(spec["m"]), int(spec["n"]), space_from_json(spec["space"]))
     if kind == "identity":
         return identity_witness(space_from_json(spec["space"]))
     if kind in ("cotype", "real_even"):
@@ -272,11 +280,11 @@ def witness_from_spec(spec: dict, budget: SearchBudget = DEFAULT_BUDGET):
 
 
 def diagonal_product_map(m: int, n: int, domain_space: SpaceDescriptor) -> MultilinearMap:
-    """Dense outer-product map on m copies of a d = n domain space.
+    """Structured outer-product map on m copies of an n-dimensional domain space.
 
     Same coordinates as the diagonal witness but with an arbitrary
-    domain norm; on all-l_1 domains its operator norm has the exact
-    closed form max over basis tuples (= 1 here), which makes it the
+    domain norm, held as a ``DiagonalC0`` body in O(1) memory.  Its
+    operator norm is exactly 1 on every domain, which makes it the
     natural order-m instance for soundness checks on exact weak-norm
     paths.
     """
@@ -284,5 +292,4 @@ def diagonal_product_map(m: int, n: int, domain_space: SpaceDescriptor) -> Multi
         raise StructuralError("domain space dimension must equal n")
     if m < 1 or n < 1:
         raise DomainError("needs m >= 1 and n >= 1")
-    coeffs = np.eye(n**m).reshape((n,) * m + (n**m,))
-    return MultilinearMap(tuple(domain_space for _ in range(m)), sup_slice(n**m), DenseTensor(coeffs))
+    return MultilinearMap(tuple(domain_space for _ in range(m)), sup_slice(n**m), DiagonalC0(n))

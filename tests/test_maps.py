@@ -1,6 +1,7 @@
 """Map evaluation, power sums, operator norms."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -147,9 +148,41 @@ def test_mixed_power_sum_partition_independence(rng):
         for chunk in (1, 7, 64):
             maps_mod._CHUNK_ELEMS = chunk
             assert sl.mixed_power_sum(t, fams, 1.3) == pytest.approx(baseline, rel=1e-12)
-            assert sl.mixed_power_sum(t, fams, 1.3, threads=3) == pytest.approx(baseline, rel=1e-12)
     finally:
         maps_mod._CHUNK_ELEMS = old
+
+
+def test_outer_product_body_matches_dense_oracle(rng):
+    # the structured body against brute-force einsums over its dense n^(2m) copy
+    n, k, p = 3, 4, 1.7
+    fingerprints = set()
+    for m in (1, 2, 3):
+        dense = np.eye(n**m).reshape((n,) * m + (n**m,))
+        dom_subs = ",".join("abc"[i] for i in range(m)) + "," + "abc"[:m] + "o"
+        tup_subs = ",".join("uvw"[i] + "abc"[i] for i in range(m)) + "," + "abc"[:m] + "o->" + "uvw"[:m] + "o"
+        for dom in (sl.lp(1, n), sl.lp(1.5, n), sl.lp(2, n), sl.sup_slice(n)):
+            t = sl.diagonal_product_map(m, n, dom)
+            fams = [random_family(rng, dom, k) for _ in range(m)]
+            outputs = np.einsum(tup_subs, *(fam.matrix for fam in fams), dense)
+            want = float((np.abs(outputs).max(axis=-1) ** p).sum()) ** (1 / p)
+            assert sl.mixed_power_sum(t, fams, p) == pytest.approx(want, rel=1e-12)
+
+            xs = [_vec(dom, fam.matrix[0]) for fam in fams]
+            np.testing.assert_allclose(
+                sl.eval_multilinear(t, xs).coords, np.einsum(dom_subs, *(x.coords for x in xs), dense), rtol=1e-12
+            )
+
+            res = sl.operator_norm(t)
+            assert res.exact and res.value == 1.0
+            assert sl.eval_multilinear(t, list(res.certificate)).norm() == 1.0
+
+            with pytest.raises(BudgetError):
+                sl.mixed_power_sum(t, fams, p, tuple_budget=k**m - 1)
+            fingerprints.add(t.fingerprint())
+    # every (m, domain) pair derives its own seeds; the l_2 form keeps the witness bytes
+    assert len(fingerprints) == 12
+    assert sl.diagonal_product_map(2, n, sl.lp(2, n)).fingerprint() == sl.tensor_witness(2, n).fingerprint()
+    assert sl.tensor_witness(2, n).fingerprint() == b"diag" + struct.pack("<qq", 2, n)
 
 
 def test_mixed_power_sum_errors(rng):

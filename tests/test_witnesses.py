@@ -1,5 +1,7 @@
 """Witness constructors: normalizations, caps, anchor inequalities."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,15 @@ def test_witness_spec_roundtrip(rng):
     assert spec == {"kind": "tensor", "m": 2, "n": 3}
     t2 = witness_from_spec(spec)
     assert t2.domain == t.domain and t2.codomain == t.codomain
+
+    outer = sl.diagonal_product_map(3, 4, sl.lp(1.5, 4))
+    spec = witness_to_spec(outer)
+    assert spec["kind"] == "outer_product" and spec["m"] == 3 and spec["n"] == 4
+    outer2 = witness_from_spec(json.loads(json.dumps(spec)))
+    assert outer2.domain == outer.domain and outer2.fingerprint() == outer.fingerprint()
+    mixed = sl.MultilinearMap((sl.lp(1, 2), sl.sup_slice(2)), sl.sup_slice(4), sl.DiagonalC0(2))
+    with pytest.raises(StructuralError):
+        witness_to_spec(mixed)
 
     ident = sl.identity_witness(sl.lp(1, 4))
     spec = witness_to_spec(ident)
