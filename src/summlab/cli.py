@@ -157,7 +157,10 @@ def _run_slope_experiment(exp: dict, seed: int, threads: int, tuple_budget: int)
     cap_exp = checks.get("cap_exponent")
     cap_slack = float(checks.get("cap_slack", 1e-6))
     for n in n_grid:
-        map_obj, anchors = _instantiate_map(exp["map"], n, p, budget)
+        try:
+            map_obj, anchors = _instantiate_map(exp["map"], n, p, budget)
+        except (KeyError, OSError, TypeError, ValueError) as exc:
+            raise SummLabError(f"bad map spec {exp['map']!r}: {exc!r}") from exc
         map_order = map_obj.degree if hasattr(map_obj, "degree") else map_obj.arity
         best, trace = maximize_quotient(
             map_obj,
@@ -302,6 +305,11 @@ def run(config_path, output_dir, seed: int | None = None, threads: int | None = 
     except jsonschema.ValidationError as exc:
         print(f"config schema violation: {exc.message} (at {list(exc.absolute_path)})", file=sys.stderr)
         return 2
+    for i, exp in enumerate(config["experiments"]):
+        fitted = {"slope", "residual_max"} & exp.get("assert", {}).keys()
+        if exp["kind"] == "slope" and fitted and len(set(exp["n_grid"])) < 3:
+            print(f"config error: experiment {i} asserts {sorted(fitted)} on fewer than 3 distinct n", file=sys.stderr)
+            return 2
 
     if seed is None:
         seed = config.get("seed")

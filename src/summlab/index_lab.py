@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .maps import (
     poly_power_sum,
 )
 from .search import DEFAULT_BUDGET, SearchBudget, derive_seed
-from .spaces import coord_norm
+from .spaces import coord_norm, unit_rows
 from .weak_norms import VectorFamily, WeakNormResult, weak_norm
 
 # ---------------------------------------------------------------------------
@@ -217,9 +218,7 @@ def maximize_quotient(
             for start in range(random_starts):
                 fams = []
                 for space in domains:
-                    rows = rng.standard_normal((n, space.dimension))
-                    norms = np.atleast_1d(coord_norm(space, rows, axis=1))
-                    fams.append(VectorFamily(space, rows / norms[:, None]))
+                    fams.append(VectorFamily(space, unit_rows(space, rng.standard_normal((n, space.dimension)))))
                 label = f"random[{start}]"
                 current = evaluate(fams, label)
                 consider(current)
@@ -283,6 +282,29 @@ def _check_mpq(m: int, p: float, q: float) -> None:
         raise DomainError(f"exponents must be positive, got p = {p}, q = {q}")
 
 
+# (branch label, value function); the function raises where the bound makes no claim
+_Selection = tuple[str, Callable[[], float]]
+
+
+def _seam_branch(p: float, q: float, seam_points, *args) -> tuple[str, float]:
+    """Lower-bound branch letter and p_high: (c)/(d) split at p_high for q >= 2, else (a)/(b) at p_low."""
+    try:
+        p_low, p_high = seam_points(*args)
+    except ZeroDivisionError:  # only off the domain, which the value function reports
+        p_low = p_high = math.nan
+    if q >= 2.0:
+        return ("c" if p <= p_high else "d"), p_high
+    return ("a" if p <= p_low else "b"), p_high
+
+
+def _mult_upper(m: int, p: float, q: float) -> _Selection:
+    if q <= 2.0:
+        return "q<=2: m/p", lambda: mult_upper_branch(m, p, q, "low_q")
+    if p >= q:
+        return "q>=2, p>=q: mq/(2p)", lambda: mult_upper_branch(m, p, q, "p_ge_q")
+    return "q>=2, p<q: m(qp-2p+2q)/(2qp)", lambda: mult_upper_branch(m, p, q, "p_lt_q")
+
+
 def upper_bound_mult(m: int, p: float, q: float) -> float:
     """Universal upper bound on the order-m growth exponent at (p, q).
 
@@ -290,12 +312,7 @@ def upper_bound_mult(m: int, p: float, q: float) -> float:
     m(qp - 2p + 2q)/(2qp) for q >= 2 and p < q.  Continuous at p = q
     and at q = 2.
     """
-    _check_mpq(m, p, q)
-    if q <= 2.0:
-        return m / p
-    if p >= q:
-        return m * q / (2.0 * p)
-    return m * (q * p - 2.0 * p + 2.0 * q) / (2.0 * q * p)
+    return _mult_upper(m, p, q)[1]()
 
 
 def mult_upper_branch(m: int, p: float, q: float, which: str) -> float:
@@ -339,6 +356,32 @@ def pol_cotype_branch_value(branch: str, m: int, p: float, q: float, r: float) -
     raise StructuralError(f"unknown branch {branch!r}")
 
 
+_COTYPE_LABELS = {
+    "a": "(a) m/2",
+    "b": "(b) (mp+2)/(2p) - (mr+q)/(rq)",
+    "c": "(c) m/2",
+    "d": "(d) (r-p)/(pr)",
+}
+
+
+def _pol_cotype_lower(m: int, p: float, q: float, r: float) -> _Selection:
+    branch, p_high = _seam_branch(p, q, cotype_seam_points, m, q, r)
+
+    def value() -> float:
+        _check_mpq(m, p, q)
+        if r < 2.0:
+            raise DomainError(f"cotype parameter must satisfy r >= 2, got {r}")
+        if p >= r:
+            raise DomainError(f"requires p < r, got p = {p}, r = {r}")
+        if q < 1.0:
+            raise ValidityError(f"no claim for q < 1 (q = {q})")
+        if branch == "b" and p > p_high:
+            raise ValidityError(f"no claim for q < 2 and p > 2r/(mr+2) (p = {p})")
+        return pol_cotype_branch_value(branch, m, p, q, r)
+
+    return _COTYPE_LABELS[branch], value
+
+
 def lower_bound_pol_cotype(m: int, p: float, q: float, r: float) -> float:
     """Lower bound on the polynomial growth exponent into a cotype-r target.
 
@@ -347,23 +390,7 @@ def lower_bound_pol_cotype(m: int, p: float, q: float, r: float) -> float:
     p <= 2r/(mr+2): m/2; (d) q >= 2, 2r/(mr+2) < p < r: (r-p)/(pr).
     Adjacent branches agree at the breakpoints.
     """
-    _check_mpq(m, p, q)
-    if r < 2.0:
-        raise DomainError(f"cotype parameter must satisfy r >= 2, got {r}")
-    if p >= r:
-        raise DomainError(f"requires p < r, got p = {p}, r = {r}")
-    p_low, p_high = cotype_seam_points(m, q, r)
-    if q >= 2.0:
-        if p <= p_high:
-            return pol_cotype_branch_value("c", m, p, q, r)
-        return pol_cotype_branch_value("d", m, p, q, r)
-    if q >= 1.0:
-        if p <= p_low:
-            return pol_cotype_branch_value("a", m, p, q, r)
-        if p <= p_high:
-            return pol_cotype_branch_value("b", m, p, q, r)
-        raise ValidityError(f"no claim for q < 2 and p > 2r/(mr+2) (p = {p})")
-    raise ValidityError(f"no claim for q < 1 (q = {q})")
+    return _pol_cotype_lower(m, p, q, r)[1]()
 
 
 def real_even_seam_points(m: int, q: float) -> tuple[float, float]:
@@ -382,6 +409,32 @@ def pol_real_even_branch_value(branch: str, m: int, p: float, q: float) -> float
     raise StructuralError(f"unknown branch {branch!r}")
 
 
+_REAL_EVEN_LABELS = {
+    "a": "(a) m/2",
+    "b": "(b) (mp+2)/(2p) - (m+q)/q",
+    "c": "(c) m/2",
+    "d": "(d) (1-p)/p",
+}
+
+
+def _pol_real_even_lower(m: int, p: float, q: float) -> _Selection:
+    branch, p_high = _seam_branch(p, q, real_even_seam_points, m, q)
+
+    def value() -> float:
+        _check_mpq(m, p, q)
+        if m % 2 != 0:
+            raise DomainError(f"even degree required, got m = {m}")
+        if q < 1.0:
+            raise ValidityError(f"no claim for q < 1 (q = {q})")
+        if branch == "b" and p > p_high:
+            raise ValidityError(f"no claim for q < 2 and p > 2/(m+2) (p = {p})")
+        if branch == "d" and p >= 1.0:
+            raise ValidityError(f"no claim for q >= 2 and p >= 1 (p = {p})")
+        return pol_real_even_branch_value(branch, m, p, q)
+
+    return _REAL_EVEN_LABELS[branch], value
+
+
 def lower_bound_pol_real_even(m: int, p: float, q: float) -> float:
     """Lower bound on the scalar-valued even-degree growth exponent.
 
@@ -389,23 +442,7 @@ def lower_bound_pol_real_even(m: int, p: float, q: float) -> float:
     q/(m+q) <= p <= 2/(m+2): (mp+2)/(2p) - (m+q)/q; (c) q >= 2,
     p <= 2/(m+2): m/2; (d) q >= 2, 2/(m+2) < p < 1: (1-p)/p.
     """
-    _check_mpq(m, p, q)
-    if m % 2 != 0:
-        raise DomainError(f"even degree required, got m = {m}")
-    p_low, p_high = real_even_seam_points(m, q)
-    if q >= 2.0:
-        if p <= p_high:
-            return pol_real_even_branch_value("c", m, p, q)
-        if p < 1.0:
-            return pol_real_even_branch_value("d", m, p, q)
-        raise ValidityError(f"no claim for q >= 2 and p >= 1 (p = {p})")
-    if q >= 1.0:
-        if p <= p_low:
-            return pol_real_even_branch_value("a", m, p, q)
-        if p <= p_high:
-            return pol_real_even_branch_value("b", m, p, q)
-        raise ValidityError(f"no claim for q < 2 and p > 2/(m+2) (p = {p})")
-    raise ValidityError(f"no claim for q < 1 (q = {q})")
+    return _pol_real_even_lower(m, p, q)[1]()
 
 
 def seam_continuity_gaps(m: int, q: float, r: float | None = None) -> dict[str, float]:
@@ -542,28 +579,6 @@ class BoundEntry:
     note: str = ""
 
 
-def _mult_branch_label(p: float, q: float) -> str:
-    if q <= 2.0:
-        return "q<=2: m/p"
-    if p >= q:
-        return "q>=2, p>=q: mq/(2p)"
-    return "q>=2, p<q: m(qp-2p+2q)/(2qp)"
-
-
-def _cotype_branch_label(m: int, p: float, q: float, r: float) -> str:
-    p_low, p_high = cotype_seam_points(m, q, r)
-    if q >= 2.0:
-        return "(c) m/2" if p <= p_high else "(d) (r-p)/(pr)"
-    return "(a) m/2" if p <= p_low else "(b) (mp+2)/(2p) - (mr+q)/(rq)"
-
-
-def _real_even_branch_label(m: int, p: float, q: float) -> str:
-    p_low, p_high = real_even_seam_points(m, q)
-    if q >= 2.0:
-        return "(c) m/2" if p <= p_high else "(d) (1-p)/p"
-    return "(a) m/2" if p <= p_low else "(b) (mp+2)/(2p) - (m+q)/q"
-
-
 def bound_table(m: int, p: float, q: float, r: float | None = None) -> list[BoundEntry]:
     """Every applicable bound at (m, p, q[, r]), with validity flags."""
     entries: list[BoundEntry] = []
@@ -576,11 +591,11 @@ def bound_table(m: int, p: float, q: float, r: float | None = None) -> list[Boun
             return
         entries.append(BoundEntry(kind, m, p, q, r, branch, float(value), True, note))
 
-    attempt("mult_upper", _mult_branch_label(p, q), lambda: upper_bound_mult(m, p, q))
+    attempt("mult_upper", *_mult_upper(m, p, q))
     attempt("pol_upper", "1/p" if q <= 2 else "1/p + m(q-2)/(2q)", lambda: upper_bound_pol(m, p, q))
     if r is not None:
-        attempt("pol_lower_cotype", _cotype_branch_label(m, p, q, r), lambda: lower_bound_pol_cotype(m, p, q, r))
-    attempt("pol_lower_real_even", _real_even_branch_label(m, p, q), lambda: lower_bound_pol_real_even(m, p, q))
+        attempt("pol_lower_cotype", *_pol_cotype_lower(m, p, q, r))
+    attempt("pol_lower_real_even", *_pol_real_even_lower(m, p, q))
     if p == 2.0 and q == 2.0:
         attempt("exact", "l2_to_c0: m/2", lambda: exact_index("l2_to_c0", m=m).value)
     if q == 1.0:

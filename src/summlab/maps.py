@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, DomainError, StructuralError
-from .search import DEFAULT_BUDGET, SearchBudget, derive_seed, quasi_random_directions
+from .search import DEFAULT_BUDGET, SearchBudget, derive_seed, gradient_step, multistart_ascent, quasi_random_directions
 from .spaces import (
     Family,
     SpaceDescriptor,
@@ -43,7 +43,9 @@ from .spaces import (
     dual_coord_norm,
     linear_argmax,
     lp,
+    norming_rows,
     sup_slice,
+    unit_rows,
 )
 from .weak_norms import VectorFamily
 
@@ -262,6 +264,27 @@ class HomogeneousPolynomial:
 # ---------------------------------------------------------------------------
 
 
+def _contract(coefficients: np.ndarray, mats, letters: str, u: np.ndarray | None = None) -> np.ndarray:
+    """einsum of a coefficient tensor with one (k_i, d_i) matrix per domain axis i.
+
+    ``letters[i]`` names matrix i's row index: one shared letter gives a batch,
+    distinct letters every tuple.  A ``None`` matrix leaves its axis free;
+    ``u`` (batch x d_out) contracts the output axis.
+    """
+    dom = _DOM_LETTERS[: len(mats)]
+    kept = [i for i, mat in enumerate(mats) if mat is not None]
+    subs = [letters[i] + dom[i] for i in kept] + [dom + "o"]
+    operands = [mats[i] for i in kept] + [coefficients]
+    free = "".join(dom[i] for i in range(len(mats)) if mats[i] is None)
+    if u is None:
+        out = "".join(dict.fromkeys(letters[i] for i in kept)) + free + "o"
+    else:
+        subs.append(letters[0] + "o")
+        operands.append(u)
+        out = letters[0] + free
+    return np.einsum(",".join(subs) + "->" + out, *operands, optimize=True)
+
+
 def eval_multilinear(t: MultilinearMap, args) -> Vector:
     """Pointwise evaluation T(x^(1), ..., x^(m))."""
     args = list(args)
@@ -302,10 +325,7 @@ def _poly_outputs(p: HomogeneousPolynomial, rows: np.ndarray) -> np.ndarray:
     """P applied to every row of an (k, d) matrix -> (k, d_out)."""
     body = p.body
     if isinstance(body, DenseSymmetric):
-        m = p.degree
-        subs = [f"k{_DOM_LETTERS[i]}" for i in range(m)]
-        expr = ",".join(subs + ["".join(_DOM_LETTERS[:m]) + "o"]) + "->ko"
-        return np.einsum(expr, *([rows] * m), body.coefficients, optimize=True)
+        return _contract(body.coefficients, [rows] * p.degree, "k" * p.degree)
     g = rows @ body.functionals.T
     terms = body.weights * g**p.degree
     if isinstance(body, CotypeWitnessBody):
@@ -362,12 +382,10 @@ def mixed_power_sum(
         return total ** (1.0 / p)
 
     mats = [fam.matrix for fam in families]
-    subs = [f"{_TUP_LETTERS[i]}{_DOM_LETTERS[i]}" for i in range(m)]
-    expr = ",".join(subs + ["".join(_DOM_LETTERS[:m]) + "o"]) + "->" + "".join(_TUP_LETTERS[:m]) + "o"
     block_rows = max(1, _CHUNK_ELEMS // max(1, n ** (m - 1) * t.codomain.dimension))
     partials = []
     for lo in range(0, n, block_rows):
-        block = np.einsum(expr, mats[0][lo : lo + block_rows], *mats[1:], t.body.coefficients, optimize=True)
+        block = _contract(t.body.coefficients, [mats[0][lo : lo + block_rows], *mats[1:]], _TUP_LETTERS[:m])
         norms = coord_norm(t.codomain, block, axis=-1)
         partials.append(math.fsum((norms**p).ravel().tolist()))
     return math.fsum(partials) ** (1.0 / p)
@@ -410,45 +428,6 @@ class OperatorNormResult:
     exact: bool
 
 
-def _norming_rows(space: SpaceDescriptor, rows: np.ndarray) -> np.ndarray:
-    """Row-wise norming-functional coordinates (zero rows get e_1)."""
-    out = np.zeros_like(rows)
-    norms = np.atleast_1d(coord_norm(space, rows, axis=1)).astype(float)
-    dead = norms == 0.0
-    if space.is_sup:
-        idx = np.argmax(np.abs(rows), axis=1)
-        out[np.arange(rows.shape[0]), idx] = np.where(rows[np.arange(rows.shape[0]), idx] >= 0, 1.0, -1.0)
-    elif space.exponent == 1.0:
-        out = np.sign(rows)
-    else:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.sign(rows) * (np.abs(rows) / np.where(norms == 0.0, 1.0, norms)[:, None]) ** (
-                space.exponent - 1.0
-            )
-    out[dead] = 0.0
-    out[dead, 0] = 1.0
-    return out
-
-
-def _linear_argmax_rows(space: SpaceDescriptor, c: np.ndarray) -> np.ndarray:
-    """Row-wise unit vectors maximizing <c_r, x> over the unit ball."""
-    out = np.empty_like(c)
-    for r in range(c.shape[0]):
-        out[r] = linear_argmax(space, c[r])
-    return out
-
-
-def _unit_rows(space: SpaceDescriptor, rows: np.ndarray) -> np.ndarray:
-    norms = np.atleast_1d(coord_norm(space, rows, axis=1)).astype(float)
-    dead = norms == 0.0
-    if np.any(dead):
-        rows = rows.copy()
-        rows[dead] = 0.0
-        rows[dead, 0] = 1.0
-        norms = np.atleast_1d(coord_norm(space, rows, axis=1)).astype(float)
-    return rows / norms[:, None]
-
-
 def _sphere_starts(space: SpaceDescriptor, count: int, seed: int, offset: int = 0) -> np.ndarray:
     d = space.dimension
     rows = np.zeros((count, d))
@@ -457,50 +436,32 @@ def _sphere_starts(space: SpaceDescriptor, count: int, seed: int, offset: int = 
         rows[r, (r + offset) % d] = 1.0
     if count > n_basis:
         rows[n_basis:] = quasi_random_directions(count - n_basis, d, seed)
-    return _unit_rows(space, rows)
-
-
-def _batch_multilinear_outputs(t: MultilinearMap, xs: list[np.ndarray]) -> np.ndarray:
-    m = t.arity
-    subs = [f"r{_DOM_LETTERS[i]}" for i in range(m)]
-    expr = ",".join(subs + ["".join(_DOM_LETTERS[:m]) + "o"]) + "->ro"
-    return np.einsum(expr, *xs, t.body.coefficients, optimize=True)
-
-
-def _batch_slot_coefficients(t: MultilinearMap, xs: list[np.ndarray], slot: int, u: np.ndarray) -> np.ndarray:
-    m = t.arity
-    subs = [f"r{_DOM_LETTERS[i]}" for i in range(m) if i != slot]
-    expr = ",".join(subs + ["".join(_DOM_LETTERS[:m]) + "o", "ro"]) + f"->r{_DOM_LETTERS[slot]}"
-    mats = [xs[i] for i in range(m) if i != slot]
-    return np.einsum(expr, *mats, t.body.coefficients, u, optimize=True)
+    return unit_rows(space, rows)
 
 
 def _search_multilinear_norm(t: MultilinearMap, budget: SearchBudget) -> OperatorNormResult:
+    """Block ascent: each slot in turn is set to the linear argmax against the norming rows of the output."""
     seed = derive_seed(budget.seed, "operator_norm", t.fingerprint())
-    r = budget.restarts
-    xs = [_sphere_starts(s, r, derive_seed(seed, f"slot{i}"), offset=i) for i, s in enumerate(t.domain)]
-    y = _batch_multilinear_outputs(t, xs)
-    f = np.atleast_1d(coord_norm(t.codomain, y, axis=1)).astype(float)
-    best_prev = float(f.max())
-    stall = 0
-    for _ in range(budget.max_iter):
-        u = _norming_rows(t.codomain, y)
-        for i in range(t.arity):
-            c = _batch_slot_coefficients(t, xs, i, u)
-            xs[i] = _linear_argmax_rows(t.domain[i], c)
-        y = _batch_multilinear_outputs(t, xs)
-        f = np.atleast_1d(coord_norm(t.codomain, y, axis=1)).astype(float)
-        best = float(f.max())
-        if best <= best_prev * (1.0 + budget.rel_tol):
-            stall += 1
-        else:
-            stall = 0
-        best_prev = best
-        if stall >= 2:
-            break
-    i = int(np.argmax(f))
-    cert = tuple(Vector(s, xs[j][i]) for j, s in enumerate(t.domain))
-    return OperatorNormResult(float(f[i]), cert, exact=False)
+    m = t.arity
+    cuts = np.cumsum([s.dimension for s in t.domain])[:-1]
+    starts = np.hstack(
+        [_sphere_starts(s, budget.restarts, derive_seed(seed, f"slot{i}"), offset=i) for i, s in enumerate(t.domain)]
+    )
+
+    def objective(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = _contract(t.body.coefficients, np.hsplit(rows, cuts), "r" * m)
+        return coord_norm(t.codomain, y, axis=1), y
+
+    def propose(rows: np.ndarray, y: np.ndarray, step: np.ndarray) -> np.ndarray:
+        xs = np.hsplit(rows, cuts)
+        u = norming_rows(t.codomain, y)
+        for i, s in enumerate(t.domain):
+            c = _contract(t.body.coefficients, [None if j == i else xs[j] for j in range(m)], "r" * m, u)
+            xs[i] = linear_argmax(s, c)
+        return np.hstack(xs)
+
+    value, row = multistart_ascent(starts, objective, propose, budget)
+    return OperatorNormResult(value, tuple(Vector(s, x) for s, x in zip(t.domain, np.hsplit(row, cuts))), exact=False)
 
 
 def _batch_poly_gradients(p: HomogeneousPolynomial, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -509,10 +470,7 @@ def _batch_poly_gradients(p: HomogeneousPolynomial, x: np.ndarray, u: np.ndarray
     if isinstance(body, DenseSymmetric):
         grad = np.zeros_like(x)
         for slot in range(m):
-            subs = [f"r{_DOM_LETTERS[i]}" for i in range(m) if i != slot]
-            expr = ",".join(subs + ["".join(_DOM_LETTERS[:m]) + "o", "ro"]) + f"->r{_DOM_LETTERS[slot]}"
-            mats = [x] * (m - 1)
-            grad += np.einsum(expr, *mats, body.coefficients, u, optimize=True)
+            grad += _contract(body.coefficients, [None if i == slot else x for i in range(m)], "r" * m, u)
         return grad
     g = x @ body.functionals.T
     if isinstance(body, CotypeWitnessBody):
@@ -524,35 +482,18 @@ def _batch_poly_gradients(p: HomogeneousPolynomial, x: np.ndarray, u: np.ndarray
 
 
 def _search_polynomial_norm(p: HomogeneousPolynomial, budget: SearchBudget) -> OperatorNormResult:
+    """Normalised gradient ascent of ||P(x)|| on the unit sphere of the domain."""
     seed = derive_seed(budget.seed, "operator_norm", p.fingerprint())
-    x = _sphere_starts(p.domain, budget.restarts, seed)
-    y = _poly_outputs(p, x)
-    f = np.atleast_1d(coord_norm(p.codomain, y, axis=1)).astype(float)
-    step = np.full(x.shape[0], 1.0)
-    best_prev = float(f.max())
-    stall = 0
-    for _ in range(budget.max_iter):
-        u = _norming_rows(p.codomain, y)
-        g = _batch_poly_gradients(p, x, u)
-        gn = np.linalg.norm(g, axis=1)
-        gn[gn == 0.0] = 1.0
-        trial = _unit_rows(p.domain, x + (step / gn)[:, None] * g)
-        ft = np.atleast_1d(coord_norm(p.codomain, _poly_outputs(p, trial), axis=1)).astype(float)
-        improved = ft > f
-        x[improved] = trial[improved]
-        f[improved] = ft[improved]
-        step[~improved] *= 0.5
-        y = _poly_outputs(p, x)
-        best = float(f.max())
-        if best <= best_prev * (1.0 + budget.rel_tol):
-            stall += 1
-        else:
-            stall = 0
-        best_prev = best
-        if stall >= 3 or float(step.max()) < 1e-16:
-            break
-    i = int(np.argmax(f))
-    return OperatorNormResult(float(f[i]), (Vector(p.domain, x[i]),), exact=False)
+
+    def objective(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = _poly_outputs(p, rows)
+        return coord_norm(p.codomain, y, axis=1), y
+
+    def propose(x: np.ndarray, y: np.ndarray, step: np.ndarray) -> np.ndarray:
+        return gradient_step(p.domain, x, _batch_poly_gradients(p, x, norming_rows(p.codomain, y)), step)
+
+    value, row = multistart_ascent(_sphere_starts(p.domain, budget.restarts, seed), objective, propose, budget)
+    return OperatorNormResult(value, (Vector(p.domain, row),), exact=False)
 
 
 def _basis_vector(space: SpaceDescriptor, index: int, sign: float = 1.0) -> Vector:

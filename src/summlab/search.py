@@ -5,6 +5,7 @@ Every stochastic search in the package derives its RNG seed from
 bit-reproducible and independent of call order.  Family payloads are
 canonicalized (rows sorted lexicographically) before hashing, which
 makes the derived seed invariant under permutations of a family.
+Every searched norm runs through :func:`multistart_ascent`.
 """
 
 from __future__ import annotations
@@ -13,10 +14,13 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
 from scipy.stats import qmc
+
+from .spaces import SpaceDescriptor, unit_rows
 
 
 @dataclass(frozen=True)
@@ -93,3 +97,47 @@ def quasi_random_directions(count: int, dim: int, seed: int) -> np.ndarray:
     dead = ~np.any(g, axis=1)
     g[dead, 0] = 1.0
     return g
+
+
+def multistart_ascent(
+    starts: np.ndarray,
+    objective: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    propose: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    budget: SearchBudget,
+) -> tuple[float, np.ndarray]:
+    """Monotone ascent from every start row; returns (best value, its row), a lower bound of the sup.
+
+    ``objective(rows)`` gives row values and per-row data for
+    ``propose(rows, data, step)``.  A row takes its trial (and the trial's
+    data) only where the value rises, and halves its step otherwise.  Stops
+    after 3 iterations with the best value stalled within ``budget.rel_tol``,
+    once every step is below 1e-16, or at ``budget.max_iter``.  Ties go to
+    the lowest start index.
+    """
+    x = np.array(starts, dtype=float)
+    f, data = objective(x)
+    step = np.full(x.shape[0], 1.0)
+    best_prev = float(f.max())
+    stall = 0
+    for _ in range(budget.max_iter):
+        trial = propose(x, data, step)
+        ft, dt = objective(trial)
+        improved = ft > f
+        x[improved] = trial[improved]
+        f[improved] = ft[improved]
+        data[improved] = dt[improved]
+        step[~improved] *= 0.5
+        best = float(f.max())
+        stall = stall + 1 if best <= best_prev * (1.0 + budget.rel_tol) else 0
+        best_prev = best
+        if stall >= 3 or float(step.max()) < 1e-16:
+            break
+    i = int(np.argmax(f))  # first maximum: lowest-start-index tie-break
+    return float(f[i]), x[i]
+
+
+def gradient_step(space: SpaceDescriptor, rows: np.ndarray, grad: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Move each row ``step`` along its l_2-normalised gradient, then back onto the unit sphere of ``space``."""
+    gn = np.linalg.norm(grad, axis=1)
+    gn[gn == 0.0] = 1.0
+    return unit_rows(space, rows + (step / gn)[:, None] * grad)

@@ -207,50 +207,62 @@ def norming_functional(space: SpaceDescriptor, v: Vector) -> Functional:
     """
     if v.space != space:
         raise StructuralError(f"vector lives in {v.space}, not {space}")
-    a = v.coords
-    nv = v.norm()
-    if nv == 0.0:
+    if v.norm() == 0.0:
         raise DegenerateInputError("zero vector has no norming functional")
+    return Functional(space, norming_rows(space, v.coords[None, :])[0])
+
+
+def norming_rows(space: SpaceDescriptor, rows: np.ndarray) -> np.ndarray:
+    """Row-wise coordinates of :func:`norming_functional`; zero rows get e_1."""
+    rows = np.array(rows, dtype=float)
+    rows[~np.any(rows, axis=1), 0] = 1.0  # e_1 is its own norming functional in every space
     if space.is_sup:
-        i0 = int(np.argmax(np.abs(a)))  # argmax takes the first maximizer
-        phi = np.zeros(space.dimension)
-        phi[i0] = 1.0 if a[i0] >= 0 else -1.0
-        return Functional(space, phi)
-    p = space.exponent
-    if p == 1.0:
-        phi = np.sign(a)
-        return Functional(space, phi)
-    phi = np.sign(a) * (np.abs(a) / nv) ** (p - 1.0)
-    return Functional(space, phi)
+        return _signed_peak_rows(rows)
+    if space.exponent == 1.0:
+        return np.sign(rows)
+    return np.sign(rows) * (np.abs(rows) / coord_norm(space, rows, axis=1)[:, None]) ** (space.exponent - 1.0)
+
+
+def unit_rows(space: SpaceDescriptor, rows: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm in ``space``; zero rows become e_1."""
+    rows = np.array(rows, dtype=float)
+    rows[~np.any(rows, axis=1), 0] = 1.0
+    return rows / coord_norm(space, rows, axis=1)[:, None]
+
+
+def _signed_peak_rows(rows: np.ndarray) -> np.ndarray:
+    """+/- e_i at each row's largest |coordinate| (first maximizer), signed like it."""
+    out = np.zeros_like(rows)
+    at = (np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1))
+    out[at] = np.where(rows[at] >= 0, 1.0, -1.0)
+    return out
 
 
 def linear_argmax(space: SpaceDescriptor, c: np.ndarray) -> np.ndarray:
     """Unit-norm coordinates x maximizing <c, x> over the unit ball of ``space``.
 
-    The maximum value is the dual norm of ``c``.  Ties for sup-norm duals
-    (l_1-ball argmax) break toward the lowest index.  For c = 0 returns e_1.
+    Works row-wise along the last axis of ``c``.  The maximum value is
+    the dual norm of ``c``.  Ties for sup-norm duals (l_1-ball argmax)
+    break toward the lowest index.  For c = 0 returns e_1.
     """
     c = np.asarray(c, dtype=float)
-    if c.shape != (space.dimension,):
+    if c.shape[-1:] != (space.dimension,):
         raise StructuralError(f"expected {space.dimension} coefficients, got shape {c.shape}")
-    if not np.any(c):
-        x = np.zeros(space.dimension)
-        x[0] = 1.0
-        return x
+    rows = c.reshape(-1, space.dimension)
     if space.is_sup:
-        s = np.sign(c)
-        s[s == 0.0] = 1.0
-        return s
-    p = space.exponent
-    if p == 1.0:
-        i0 = int(np.argmax(np.abs(c)))
-        x = np.zeros(space.dimension)
-        x[i0] = 1.0 if c[i0] >= 0 else -1.0
-        return x
-    q = dual_exponent(p)
-    m = np.abs(c).max()
-    x = np.sign(c) * (np.abs(c) / m) ** (q - 1.0)
-    return x / coord_norm(space, x)
+        x = np.sign(rows)
+        x[x == 0.0] = 1.0
+    elif space.exponent == 1.0:
+        x = _signed_peak_rows(rows)
+    else:
+        top = np.abs(rows).max(axis=1, keepdims=True)
+        x = np.sign(rows) * (np.abs(rows) / np.where(top > 0.0, top, 1.0)) ** (dual_exponent(space.exponent) - 1.0)
+        norms = coord_norm(space, x, axis=1)
+        x = x / np.where(norms > 0.0, norms, 1.0)[:, None]
+    dead = ~np.any(rows, axis=1)
+    x[dead] = 0.0
+    x[dead, 0] = 1.0
+    return x.reshape(c.shape)
 
 
 def space_to_json(space: SpaceDescriptor) -> dict:

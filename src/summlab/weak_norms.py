@@ -21,15 +21,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DomainError, StructuralError
-from .search import DEFAULT_BUDGET, SearchBudget, canonical_rows, derive_seed, quasi_random_directions
+from .search import (
+    DEFAULT_BUDGET,
+    SearchBudget,
+    canonical_rows,
+    derive_seed,
+    gradient_step,
+    multistart_ascent,
+    quasi_random_directions,
+)
 from .spaces import (
     Family,
     Functional,
     SpaceDescriptor,
     Vector,
     coord_norm,
-    dual_coord_norm,
+    dual_exponent_of,
+    lp,
     norming_functional,
+    norming_rows,
+    unit_rows,
 )
 
 _VERTEX_MAX_DIM = 20
@@ -183,81 +194,43 @@ def _single_vector_path(family: VectorFamily, q: float) -> WeakNormResult:
     return _finish(family, q, v.norm(), phi.coords, exact=True)
 
 
-def _dual_normalize_rows(space: SpaceDescriptor, rows: np.ndarray) -> np.ndarray:
-    norms = np.atleast_1d(dual_coord_norm(space, rows, axis=1)).astype(float)
-    dead = norms == 0.0
-    if np.any(dead):
-        rows = rows.copy()
-        rows[dead, 0] = 1.0
-        norms = np.atleast_1d(dual_coord_norm(space, rows, axis=1)).astype(float)
-    return rows / norms[:, None]
-
-
-def _objective_rows(x: np.ndarray, phis: np.ndarray, q: float) -> np.ndarray:
-    y = np.abs(phis @ x.T)
-    return (y**q).sum(axis=1) ** (1.0 / q)
-
-
-def _ascent_rows(x: np.ndarray, phis: np.ndarray, q: float) -> np.ndarray:
-    # Gradient of the smooth objective for q > 1, subgradient for q = 1,
-    # almost-everywhere gradient for q < 1 (zero pairings contribute 0).
-    y = phis @ x.T
-    a = np.abs(y)
-    with np.errstate(divide="ignore"):
-        w = np.where(a > 0.0, a ** (q - 1.0), 0.0) * np.sign(y)
-    return w @ x
-
-
 def weak_norm_search(family: VectorFamily, q: float, budget: SearchBudget = DEFAULT_BUDGET) -> WeakNormResult:
     """Multistart projected ascent over the dual unit ball (lower bound).
 
     Restarts seed from the norming functionals of every family member
     (which guarantees the result is at least max_k ||x_k||), one
-    spectral start, and quasi-random dual-sphere points; steps halve on
-    failure and the run stops once the best value stalls below the
-    budget's relative tolerance.
+    spectral start, and quasi-random dual-sphere points; each restart
+    then climbs by normalised (sub)gradient steps in
+    :func:`~summlab.search.multistart_ascent`.
     """
     if q <= 0.0:
         raise DomainError(f"weak norm requires q > 0, got {q}")
     space = family.space
+    dual = lp(dual_exponent_of(space), space.dimension)
     x = family.matrix
     seed = derive_seed(budget.seed, "weak_norm", repr(space), float(q), canonical_rows(x))
 
-    starts = []
-    for row in x:
-        if np.any(row):
-            starts.append(norming_functional(space, Vector(space, row)).coords)
+    starts = [norming_rows(space, x[np.any(x, axis=1)])]
     _, _, vh = np.linalg.svd(canonical_rows(x), full_matrices=False)
-    starts.append(vh[0])
-    fill = max(0, budget.restarts - len(starts))
+    starts.append(vh[:1])
+    fill = max(0, budget.restarts - starts[0].shape[0] - 1)
     if fill:
-        starts.extend(quasi_random_directions(fill, space.dimension, seed))
-    phis = _dual_normalize_rows(space, np.vstack(starts))
+        starts.append(quasi_random_directions(fill, space.dimension, seed))
 
-    f = _objective_rows(x, phis, q)
-    step = np.full(phis.shape[0], 1.0)
-    best_prev = float(f.max())
-    stall = 0
-    for _ in range(budget.max_iter):
-        g = _ascent_rows(x, phis, q)
-        gn = np.linalg.norm(g, axis=1)
-        gn[gn == 0.0] = 1.0
-        trial = _dual_normalize_rows(space, phis + (step / gn)[:, None] * g)
-        ft = _objective_rows(x, trial, q)
-        improved = ft > f
-        phis[improved] = trial[improved]
-        f[improved] = ft[improved]
-        step[~improved] *= 0.5
-        best = float(f.max())
-        if best <= best_prev * (1.0 + budget.rel_tol):
-            stall += 1
-        else:
-            stall = 0
-        best_prev = best
-        if stall >= 3 or float(step.max()) < 1e-16:
-            break
-    i = int(np.argmax(f))  # first maximum: lowest-restart-index tie-break
-    return _finish(family, q, float(f[i]), phis[i], exact=False)
+    def objective(phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = phis @ x.T
+        return (np.abs(y) ** q).sum(axis=1) ** (1.0 / q), y
+
+    def propose(phis: np.ndarray, y: np.ndarray, step: np.ndarray) -> np.ndarray:
+        # Gradient of the smooth objective for q > 1, subgradient for q = 1,
+        # almost-everywhere gradient for q < 1 (zero pairings contribute 0).
+        a = np.abs(y)
+        with np.errstate(divide="ignore"):
+            w = np.where(a > 0.0, a ** (q - 1.0), 0.0) * np.sign(y)
+        return gradient_step(dual, phis, w @ x, step)
+
+    value, phi = multistart_ascent(unit_rows(dual, np.vstack(starts)), objective, propose, budget)
+    return _finish(family, q, value, phi, exact=False)
 
 
 def weak_norm(family: VectorFamily, q: float, budget: SearchBudget = DEFAULT_BUDGET) -> WeakNormResult:

@@ -30,7 +30,7 @@ from .maps import (
     operator_norm,
 )
 from .search import DEFAULT_BUDGET, SearchBudget
-from .spaces import SpaceDescriptor, Vector, coord_norm, lp, norming_functional, real_line, sup_slice
+from .spaces import SpaceDescriptor, coord_norm, lp, norming_rows, real_line, sup_slice
 from .weak_norms import VectorFamily
 
 _VERIFY_BUDGET_RESTARTS = 16
@@ -108,14 +108,11 @@ def _resolve_anchors(space_in: SpaceDescriptor, n: int, anchors) -> VectorFamily
 
 
 def _anchor_functionals(space_in: SpaceDescriptor, anchors: VectorFamily) -> np.ndarray:
-    rows = []
-    for k in range(anchors.n):
-        v = Vector(space_in, anchors.matrix[k])
-        phi = norming_functional(space_in, v)
-        if abs(phi(v) - v.norm()) > 1e-12 * max(1.0, v.norm()):
-            raise StructuralError("anchor functional does not norm its anchor")
-        rows.append(phi.coords)
-    return np.vstack(rows)
+    phis = norming_rows(space_in, anchors.matrix)
+    norms = anchors.norms()
+    if np.any(np.abs((phis * anchors.matrix).sum(axis=1) - norms) > 1e-12 * np.maximum(1.0, norms)):
+        raise StructuralError("anchor functional does not norm its anchor")
+    return phis
 
 
 def _verify_witness(poly: HomogeneousPolynomial, anchors: VectorFamily, cap: float, budget: SearchBudget) -> None:

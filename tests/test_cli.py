@@ -81,6 +81,30 @@ def test_schema_violation_exit_2(tmp_path, capsys):
     assert run(cfg, tmp_path / "out") == 2
 
 
+_SLOPE = {"kind": "slope", "p": 2, "q": 2, "n_grid": [2, 4, 8]}
+
+
+@pytest.mark.parametrize(
+    "experiment, message",
+    [
+        (
+            {**_SLOPE, "map": {"kind": "dense", "shape": [2, 2], "data": [1, 0, 0, 1], "codomain": {"family": "lp", "p": 2, "dim": 2}}},
+            "bad map spec",
+        ),
+        ({**_SLOPE, "map": {"kind": "tensor", "m": "two"}}, "bad map spec"),
+        ({**_SLOPE, "map": {"kind": "dense", "container": "no-such-file.json", "domain": [], "codomain": {}}}, "bad map spec"),
+        ({**_SLOPE, "map": {"kind": "tensor", "m": 1}, "n_grid": [2, 4], "assert": {"slope": 0.5}}, "fewer than 3 distinct n"),
+    ],
+    ids=["dense-without-domain", "non-integer-order", "missing-container", "slope-on-two-n"],
+)
+def test_malformed_experiment_exit_2(tmp_path, capsys, experiment, message):
+    # exit 2 from main itself: the error never escapes as a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiments": [experiment]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_assertion_failure_exit_1(tmp_path, capsys):
     cfg = tmp_path / "fail.json"
     cfg.write_text(

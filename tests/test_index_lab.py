@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 import summlab as sl
 from summlab.errors import DegenerateInputError, DomainError, StructuralError, ValidityError
-from summlab.index_lab import mult_upper_branch, pol_cotype_branch_value
+from summlab.index_lab import (
+    cotype_seam_points,
+    mult_upper_branch,
+    pol_cotype_branch_value,
+    pol_real_even_branch_value,
+    real_even_seam_points,
+)
 
 
 def _basis(n):
@@ -352,3 +358,36 @@ def test_bound_table_assembly():
     assert cot.valid and cot.value == pytest.approx(1.0)
     even = next(e for e in entries if e.kind == "pol_lower_real_even")
     assert even.valid and even.value == pytest.approx(1.0)
+
+    # off the domain a seam formula divides by zero; the table still assembles
+    assert not any(e.valid for e in sl.bound_table(0, 0.5, 0.0, 2.0))
+
+
+_MULT_BRANCH_KEYS = {
+    "q<=2: m/p": "low_q",
+    "q>=2, p>=q: mq/(2p)": "p_ge_q",
+    "q>=2, p<q: m(qp-2p+2q)/(2qp)": "p_lt_q",
+}
+
+
+def test_bound_table_values_follow_their_branch_labels():
+    seen = set()
+    for m in (1, 2, 3, 4):
+        for q in (1.0, 1.5, 2.0, 3.0, 4.0):
+            for r in (2.0, 3.0, 4.0):
+                seams = {q, 2.0, *cotype_seam_points(m, q, r), *real_even_seam_points(m, q)}
+                for p in sorted({0.2, 0.5, 0.9, 1.5, 2.5} | seams):
+                    for e in sl.bound_table(m, p, q, r):
+                        if not e.valid:
+                            continue
+                        if e.kind == "mult_upper":
+                            raw = mult_upper_branch(m, p, q, _MULT_BRANCH_KEYS[e.branch])
+                        elif e.kind == "pol_lower_cotype":
+                            raw = pol_cotype_branch_value(e.branch[1], m, p, q, r)
+                        elif e.kind == "pol_lower_real_even":
+                            raw = pol_real_even_branch_value(e.branch[1], m, p, q)
+                        else:
+                            continue
+                        assert e.value == raw, (e.kind, e.branch, m, p, q, r)
+                        seen.add((e.kind, e.branch))
+    assert len(seen) == 3 + 4 + 4  # every branch of the three tables was hit
