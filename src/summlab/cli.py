@@ -20,8 +20,10 @@ import math
 import os
 import re
 import sys
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import jsonschema
 import numpy as np
@@ -35,14 +37,111 @@ from .search import SearchBudget
 from .spaces import space_from_json
 from .witnesses import cotype_witness, diagonal_product_map, identity_witness, real_even_witness, tensor_witness
 
+_POSITIVE = {"type": "integer", "minimum": 1}
+_NUMBER = {"type": "number"}
+_STRING = {"type": "string"}
 _SPACE_SCHEMA = {
     "type": "object",
     "required": ["family"],
+    "additionalProperties": False,
     "properties": {
         "family": {"enum": ["lp", "sup"]},
         "p": {"anyOf": [{"type": "number"}, {"const": "inf"}]},
         "dim": {"anyOf": [{"type": "integer", "minimum": 1}, {"const": "n"}]},
     },
+    "if": {"properties": {"family": {"const": "lp"}}},
+    "then": {"required": ["p"]},
+}
+_L1 = {"family": "lp", "p": 1, "dim": "n"}
+_L2 = {"family": "lp", "p": 2, "dim": "n"}
+EXPERIMENT_P = "the experiment's p"  # default of witness_p
+
+
+class MapKind(NamedTuple):
+    """One map kind of the config.
+
+    ``keys`` maps each key to (JSON schema, default or None); ``build(args,
+    n, budget)`` gets the spec with its defaults filled in and returns (map,
+    anchor families or None); ``schema`` constrains several keys at once.
+    """
+
+    keys: dict
+    build: Callable
+    schema: dict = {}
+
+
+def _space(spec: dict, n: int):
+    """The space of a space spec at grid point n; a "dim" of "n" or no "dim" means n."""
+    return space_from_json({**spec, "dim": n} if spec.get("dim", "n") == "n" else spec)
+
+
+def _build_dense(a: dict, n: int, budget: SearchBudget):
+    coeffs = load_dense_container(a["container"]) if "container" in a else dense_container_to_array(a)
+    domain = tuple(_space(s, n) for s in a["domain"])
+    return MultilinearMap(domain, _space(a["codomain"], n), DenseTensor(coeffs)), None
+
+
+# The builders look the witness constructors up in this module's globals at
+# call time, so wrapping ``summlab.cli.<constructor>`` reaches every build.
+MAP_KINDS = {
+    "tensor": MapKind({"m": (_POSITIVE, 1)}, lambda a, n, budget: (tensor_witness(int(a["m"]), n), None)),
+    "identity": MapKind(
+        {"space": (_SPACE_SCHEMA, _L2)}, lambda a, n, budget: (identity_witness(_space(a["space"], n)), None)
+    ),
+    "outer_product": MapKind(
+        {"m": (_POSITIVE, 2), "space": (_SPACE_SCHEMA, _L1)},
+        lambda a, n, budget: (diagonal_product_map(int(a["m"]), n, _space(a["space"], n)), None),
+    ),
+    "cotype": MapKind(
+        {"m": (_POSITIVE, 2), "witness_p": (_NUMBER, EXPERIMENT_P), "space": (_SPACE_SCHEMA, _L2), "target_r": (_NUMBER, 2.0)},
+        lambda a, n, budget: cotype_witness(
+            int(a["m"]), float(a["witness_p"]), _space(a["space"], n), float(a["target_r"]), n, budget=budget
+        ),
+    ),
+    "real_even": MapKind(
+        {"m": (_POSITIVE, 2), "witness_p": (_NUMBER, EXPERIMENT_P), "space": (_SPACE_SCHEMA, _L2)},
+        lambda a, n, budget: real_even_witness(int(a["m"]), float(a["witness_p"]), _space(a["space"], n), n, budget=budget),
+    ),
+    "dense": MapKind(
+        {
+            "container": (_STRING, None),
+            "shape": ({"type": "array", "minItems": 1, "items": _POSITIVE}, None),
+            "data": ({"type": "array", "items": _NUMBER}, None),
+            "data_b64": (_STRING, None),
+            "domain": ({"type": "array", "minItems": 1, "items": _SPACE_SCHEMA}, None),
+            "codomain": (_SPACE_SCHEMA, None),
+        },
+        _build_dense,
+        {
+            "required": ["domain", "codomain"],
+            "anyOf": [{"required": ["container"]}, {"required": ["shape", "data"]}, {"required": ["shape", "data_b64"]}],
+        },
+    ),
+}
+
+
+def _build_map(spec: dict, n: int, p: float, budget: SearchBudget):
+    """Build the map for one grid point; returns (map, anchor_families_or_None)."""
+    kind = MAP_KINDS[spec["kind"]]
+    defaults = {k: p if d is EXPERIMENT_P else d for k, (_, d) in kind.keys.items() if d is not None}
+    return kind.build({**defaults, **spec}, n, budget)
+
+
+_MAP_SCHEMA = {
+    "type": "object",
+    "required": ["kind"],
+    "properties": {"kind": {"enum": list(MAP_KINDS)}},
+    "allOf": [
+        {
+            "if": {"properties": {"kind": {"const": name}}, "required": ["kind"]},
+            "then": {
+                "properties": {"kind": True, **{key: schema for key, (schema, _) in kind.keys.items()}},
+                "additionalProperties": False,
+                **kind.schema,
+            },
+        }
+        for name, kind in MAP_KINDS.items()
+    ],
 }
 
 CONFIG_SCHEMA = {
@@ -55,6 +154,7 @@ CONFIG_SCHEMA = {
             "items": {
                 "type": "object",
                 "required": ["kind"],
+                "additionalProperties": False,
                 "allOf": [
                     {
                         "if": {"properties": {"kind": {"const": "slope"}}},
@@ -68,14 +168,18 @@ CONFIG_SCHEMA = {
                 "properties": {
                     "name": {"type": "string"},
                     "kind": {"enum": ["slope", "oracle", "bounds"]},
-                    "map": {"type": "object"},
+                    "map": _MAP_SCHEMA,
                     "p": {"type": "number"},
                     "q": {"type": "number"},
                     "n_grid": {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 1}},
                     "strategies": {"type": "array", "items": {"enum": ["basis", "anchor", "random"]}},
                     "random_starts": {"type": "integer", "minimum": 0},
                     "sweeps": {"type": "integer", "minimum": 0},
-                    "assert": {"type": "object"},
+                    "assert": {
+                        "type": "object",
+                        "additionalProperties": False,
+                        "properties": dict.fromkeys(("slope", "slope_tol", "residual_max", "cap_exponent", "cap_slack"), _NUMBER),
+                    },
                     "check": {"enum": ["hilbert_identity", "identity_growth", "identity_cap"]},
                     "d": {"anyOf": [{"type": "integer"}, {"type": "array", "items": {"type": "integer"}}]},
                     "m": {"anyOf": [{"type": "integer"}, {"type": "array", "items": {"type": "integer"}}]},
@@ -88,53 +192,8 @@ CONFIG_SCHEMA = {
     },
 }
 
-
-def _space_from_spec(spec: dict, n: int):
-    spec = dict(spec)
-    if spec.get("dim") == "n" or "dim" not in spec:
-        spec["dim"] = n
-    return space_from_json(spec)
-
-
-def _instantiate_map(spec: dict, n: int, p: float, budget: SearchBudget):
-    """Build the map for one grid point; returns (map, anchor_families_or_None)."""
-    kind = spec.get("kind")
-    if kind == "tensor":
-        return tensor_witness(int(spec.get("m", 1)), n), None
-    if kind == "identity":
-        space = _space_from_spec(spec.get("space", {"family": "lp", "p": 2, "dim": "n"}), n)
-        return identity_witness(space), None
-    if kind == "outer_product":
-        space = _space_from_spec(spec.get("space", {"family": "lp", "p": 1, "dim": "n"}), n)
-        return diagonal_product_map(int(spec.get("m", 2)), n, space), None
-    if kind == "cotype":
-        space = _space_from_spec(spec.get("space", {"family": "lp", "p": 2, "dim": "n"}), n)
-        poly, anchors = cotype_witness(
-            int(spec.get("m", 2)),
-            float(spec.get("witness_p", p)),
-            space,
-            float(spec.get("target_r", 2.0)),
-            n,
-            budget=budget,
-        )
-        return poly, anchors
-    if kind == "real_even":
-        space = _space_from_spec(spec.get("space", {"family": "lp", "p": 2, "dim": "n"}), n)
-        poly, anchors = real_even_witness(
-            int(spec.get("m", 2)), float(spec.get("witness_p", p)), space, n, budget=budget
-        )
-        return poly, anchors
-    if kind == "dense":
-        if "container" in spec:
-            coeffs = load_dense_container(spec["container"])
-        elif "data" in spec or "data_b64" in spec:
-            coeffs = dense_container_to_array(spec)
-        else:
-            raise SummLabError("dense map spec needs 'container' or inline payload")
-        domain = tuple(space_from_json(s) for s in spec["domain"])
-        codomain = space_from_json(spec["codomain"])
-        return MultilinearMap(domain, codomain, DenseTensor(coeffs)), None
-    raise SummLabError(f"unknown map kind {kind!r}")
+# built once: jsonschema.validate would re-check the schema itself on every run
+_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 
 def _as_list(value):
@@ -143,7 +202,10 @@ def _as_list(value):
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
-def _run_slope_experiment(exp: dict, seed: int, threads: int, tuple_budget: int) -> dict:
+def _run_slope_experiment(exp: dict, seed: int, threads: int, tuple_budget: int, root: Path) -> dict:
+    map_spec = exp["map"]
+    if "container" in map_spec:  # relative to the config file; results echo the path as written
+        map_spec = {**map_spec, "container": str(root / map_spec["container"])}
     p = float(exp["p"])
     q = float(exp["q"])
     n_grid = [int(n) for n in exp["n_grid"]]
@@ -158,7 +220,7 @@ def _run_slope_experiment(exp: dict, seed: int, threads: int, tuple_budget: int)
     cap_slack = float(checks.get("cap_slack", 1e-6))
     for n in n_grid:
         try:
-            map_obj, anchors = _instantiate_map(exp["map"], n, p, budget)
+            map_obj, anchors = _build_map(map_spec, n, p, budget)
         except (KeyError, OSError, TypeError, ValueError) as exc:
             raise SummLabError(f"bad map spec {exp['map']!r}: {exc!r}") from exc
         map_order = map_obj.degree if hasattr(map_obj, "degree") else map_obj.arity
@@ -179,7 +241,10 @@ def _run_slope_experiment(exp: dict, seed: int, threads: int, tuple_budget: int)
         samples.append(best)
         trace_rows.append(len(trace))
         if cap_exp is not None:
-            cap = float(n) ** float(cap_exp) * (1.0 + cap_slack)
+            try:
+                cap = float(n) ** float(cap_exp) * (1.0 + cap_slack)
+            except OverflowError:  # a cap beyond the float range bounds nothing
+                cap = math.inf
             for s in trace:
                 if not s.family_descriptor.conservative and s.quotient > cap:
                     cap_violation = {"n": n, "quotient": s.quotient, "cap": cap}
@@ -300,10 +365,9 @@ def run(config_path, output_dir, seed: int | None = None, threads: int | None = 
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        print(f"config schema violation: {exc.message} (at {list(exc.absolute_path)})", file=sys.stderr)
+    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(config))
+    if error is not None:
+        print(f"config schema violation: {error.message} (at {list(error.absolute_path)})", file=sys.stderr)
         return 2
     for i, exp in enumerate(config["experiments"]):
         fitted = {"slope", "residual_max"} & exp.get("assert", {}).keys()
@@ -314,7 +378,12 @@ def run(config_path, output_dir, seed: int | None = None, threads: int | None = 
     if seed is None:
         seed = config.get("seed")
     if seed is None:
-        seed = int(os.environ.get("SUMMLAB_SEED", "42"))
+        env_seed = os.environ.get("SUMMLAB_SEED", "42")
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            print(f"config error: SUMMLAB_SEED={env_seed!r} is not an integer", file=sys.stderr)
+            return 2
     threads = threads or os.cpu_count() or 1
 
     out = Path(output_dir)
@@ -324,7 +393,7 @@ def run(config_path, output_dir, seed: int | None = None, threads: int | None = 
     def execute(exp: dict) -> dict:
         kind = exp["kind"]
         if kind == "slope":
-            return _run_slope_experiment(exp, seed, threads, tuple_budget)
+            return _run_slope_experiment(exp, seed, threads, tuple_budget, Path(config_path).parent)
         if kind == "oracle":
             return _run_oracle_experiment(exp, seed)
         return _run_bounds_experiment(exp)

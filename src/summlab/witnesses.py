@@ -203,79 +203,6 @@ def identity_witness(space: SpaceDescriptor) -> MultilinearMap:
     return MultilinearMap((space,), space, DenseTensor(np.eye(d)))
 
 
-def witness_to_spec(obj, anchors: VectorFamily | None = None) -> dict:
-    """JSON spec {kind, m, p?, n, space?, anchors?} for a constructed witness."""
-    from .maps import CotypeWitnessBody, RealEvenWitnessBody
-    from .spaces import space_to_json
-
-    if isinstance(obj, MultilinearMap):
-        if isinstance(obj.body, DiagonalC0):
-            n = obj.body.n
-            if all(s == lp(2.0, n) for s in obj.domain):
-                return {"kind": "tensor", "m": obj.arity, "n": n}
-            if len(set(obj.domain)) == 1:
-                return {"kind": "outer_product", "m": obj.arity, "n": n, "space": space_to_json(obj.domain[0])}
-        if obj.arity == 1 and obj.domain[0] == obj.codomain:
-            a = obj.body.coefficients
-            if a.shape[0] == a.shape[1] and bool(np.all(a == np.eye(a.shape[0]))):
-                return {"kind": "identity", "space": space_to_json(obj.domain[0])}
-        raise StructuralError("only witness-form maps serialize to a spec")
-    body = obj.body
-    if isinstance(body, CotypeWitnessBody):
-        spec = {
-            "kind": "cotype",
-            "m": obj.degree,
-            "p": body.p,
-            "n": int(body.a.shape[0]),
-            "space": space_to_json(obj.domain),
-            "target_r": obj.codomain.exponent,
-        }
-    elif isinstance(body, RealEvenWitnessBody):
-        spec = {
-            "kind": "real_even",
-            "m": obj.degree,
-            "p": body.p,
-            "n": int(body.a.shape[0]),
-            "space": space_to_json(obj.domain),
-        }
-    else:
-        raise StructuralError("dense polynomials have no witness spec")
-    if anchors is None:
-        spec["anchors"] = "basis"
-    else:
-        spec["anchors"] = {"custom": anchors.matrix.tolist()}
-    return spec
-
-
-def witness_from_spec(spec: dict, budget: SearchBudget = DEFAULT_BUDGET):
-    """Rebuild a witness from its JSON spec.
-
-    Returns the map for "tensor"/"outer_product"/"identity" kinds and a
-    (polynomial, anchors) pair for the anchored kinds.
-    """
-    from .spaces import space_from_json
-
-    kind = spec.get("kind")
-    if kind == "tensor":
-        return tensor_witness(int(spec["m"]), int(spec["n"]))
-    if kind == "outer_product":
-        return diagonal_product_map(int(spec["m"]), int(spec["n"]), space_from_json(spec["space"]))
-    if kind == "identity":
-        return identity_witness(space_from_json(spec["space"]))
-    if kind in ("cotype", "real_even"):
-        space = space_from_json(spec["space"])
-        n = int(spec["n"])
-        anchors = spec.get("anchors", "basis")
-        if isinstance(anchors, dict):
-            anchors = VectorFamily(space, np.asarray(anchors["custom"], dtype=float))
-        if kind == "cotype":
-            return cotype_witness(
-                int(spec["m"]), float(spec["p"]), space, float(spec["target_r"]), n, anchors=anchors, budget=budget
-            )
-        return real_even_witness(int(spec["m"]), float(spec["p"]), space, n, anchors=anchors, budget=budget)
-    raise StructuralError(f"unknown witness kind {kind!r}")
-
-
 def diagonal_product_map(m: int, n: int, domain_space: SpaceDescriptor) -> MultilinearMap:
     """Structured outer-product map on m copies of an n-dimensional domain space.
 

@@ -1,12 +1,17 @@
 """Config execution, persistence, reproducibility, exit codes."""
 
 import json
+import tempfile
 from importlib import resources
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from summlab.cli import main, print_bounds, run
+from summlab.cli import CONFIG_SCHEMA, EXPERIMENT_P, MAP_KINDS, main, print_bounds, run
 
 
 def _bundled(name):
@@ -61,6 +66,11 @@ def test_bit_reproducibility(tmp_path):
     assert (tmp_path / "a" / "slopes.csv").read_bytes() == (tmp_path / "b" / "slopes.csv").read_bytes()
 
 
+def test_config_schema_is_a_valid_schema():
+    # run() validates with a prebuilt validator, which does not check the schema itself
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
 def test_schema_violation_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"experiments": [{"kind": "nope"}]}))
@@ -82,20 +92,42 @@ def test_schema_violation_exit_2(tmp_path, capsys):
 
 
 _SLOPE = {"kind": "slope", "p": 2, "q": 2, "n_grid": [2, 4, 8]}
+_SPACE_2 = {"family": "lp", "p": 2, "dim": 2}
 
 
 @pytest.mark.parametrize(
     "experiment, message",
     [
         (
-            {**_SLOPE, "map": {"kind": "dense", "shape": [2, 2], "data": [1, 0, 0, 1], "codomain": {"family": "lp", "p": 2, "dim": 2}}},
+            {**_SLOPE, "map": {"kind": "dense", "shape": [2, 2], "data": [1, 0, 0, 1], "codomain": _SPACE_2}},
+            "config schema violation",
+        ),
+        ({**_SLOPE, "map": {"kind": "tensor", "m": "two"}}, "config schema violation"),
+        (
+            {**_SLOPE, "map": {"kind": "dense", "container": "no-such-file.json", "domain": [_SPACE_2], "codomain": _SPACE_2}},
             "bad map spec",
         ),
-        ({**_SLOPE, "map": {"kind": "tensor", "m": "two"}}, "bad map spec"),
-        ({**_SLOPE, "map": {"kind": "dense", "container": "no-such-file.json", "domain": [], "codomain": {}}}, "bad map spec"),
         ({**_SLOPE, "map": {"kind": "tensor", "m": 1}, "n_grid": [2, 4], "assert": {"slope": 0.5}}, "fewer than 3 distinct n"),
+        ({**_SLOPE, "p": 0.5, "map": {"kind": "cotype", "m": 2, "targetr": 3}}, "'targetr' was unexpected"),
+        ({**_SLOPE, "map": {"kind": "tensor", "m": 2.5}}, "is not of type 'integer'"),
+        ({**_SLOPE, "map": {"kind": "tensor", "m": 1}, "assert": {"slope": "x"}}, "is not of type 'number'"),
+        ({**_SLOPE, "map": {"kind": "tensor", "m": 1}, "assert": {"cap_exponent": "x"}}, "is not of type 'number'"),
+        (
+            {**_SLOPE, "map": {"kind": "identity", "space": {"family": "lp", "p": 2, "dimension": 4}}},
+            "'dimension' was unexpected",
+        ),
     ],
-    ids=["dense-without-domain", "non-integer-order", "missing-container", "slope-on-two-n"],
+    ids=[
+        "dense-without-domain",
+        "non-integer-order",
+        "missing-container",
+        "slope-on-two-n",
+        "misspelt-key",
+        "fractional-order",
+        "non-numeric-slope",
+        "non-numeric-cap",
+        "unknown-space-key",
+    ],
 )
 def test_malformed_experiment_exit_2(tmp_path, capsys, experiment, message):
     # exit 2 from main itself: the error never escapes as a traceback
@@ -103,6 +135,8 @@ def test_malformed_experiment_exit_2(tmp_path, capsys, experiment, message):
     cfg.write_text(json.dumps({"experiments": [experiment]}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
     assert message in capsys.readouterr().err
+    # ingest errors stop the run before the output directory, or any experiment, exists
+    assert (tmp_path / "out").exists() == (message == "bad map spec")
 
 
 def test_assertion_failure_exit_1(tmp_path, capsys):
@@ -142,7 +176,7 @@ def test_misconfigured_map_exit_2(tmp_path, capsys):
         )
     )
     assert run(cfg, tmp_path / "out") == 2
-    assert "unknown map kind" in capsys.readouterr().err
+    assert "'mystery' is not one of" in capsys.readouterr().err
 
 
 def test_all_map_kinds_execute(tmp_path):
@@ -211,7 +245,26 @@ def test_all_map_kinds_execute(tmp_path):
     assert any(s["strategy"] in ("basis", "anchor") for s in by_name["cotype-wit"]["samples"])
 
 
-def test_seed_resolution_env(tmp_path, monkeypatch):
+def test_map_builders_call_the_module_constructors(tmp_path, monkeypatch):
+    # the builders look the constructors up in summlab.cli at call time, so
+    # wrapping a module-level name (as a tracer does) sees every build
+    import summlab.cli as cli
+
+    names = ("tensor_witness", "identity_witness", "diagonal_product_map", "cotype_witness", "real_even_witness")
+    calls = []
+    for name in names:
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    kinds = [{"kind": k} for k in ("tensor", "identity", "outer_product")]
+    kinds += [{"kind": "cotype", "witness_p": 0.5}, {"kind": "real_even", "witness_p": 0.5}]
+    experiments = [{**_SLOPE, "map": spec, "n_grid": [2], "random_starts": 0, "sweeps": 0} for spec in kinds]
+    cfg = tmp_path / "kinds.json"
+    cfg.write_text(json.dumps({"experiments": experiments}))
+    assert run(cfg, tmp_path / "out", threads=1) == 0
+    assert calls == list(names)
+
+
+def test_seed_resolution_env(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "noseed.json"
     cfg.write_text(json.dumps({"experiments": []}))
     monkeypatch.setenv("SUMMLAB_SEED", "99")
@@ -220,6 +273,30 @@ def test_seed_resolution_env(tmp_path, monkeypatch):
     # an explicit flag wins over the environment
     run(cfg, tmp_path / "o2", seed=5)
     assert json.loads((tmp_path / "o2" / "results.json").read_text())["seed"] == 5
+    # an unparsable seed is a config error, not a traceback
+    monkeypatch.setenv("SUMMLAB_SEED", "abc")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o3")]) == 2
+    assert "SUMMLAB_SEED" in capsys.readouterr().err
+
+
+def test_container_path_relative_to_config(tmp_path, monkeypatch):
+    from summlab.maps import array_to_dense_container
+
+    config_dir, elsewhere = tmp_path / "configs", tmp_path / "elsewhere"
+    config_dir.mkdir()
+    elsewhere.mkdir()
+    (config_dir / "eye.json").write_text(json.dumps(array_to_dense_container(np.eye(2))))
+    spec = {"kind": "dense", "container": "eye.json", "domain": [_SPACE_2], "codomain": _SPACE_2}
+    experiment = {**_SLOPE, "map": spec, "random_starts": 0, "sweeps": 0}
+    (config_dir / "cfg.json").write_text(json.dumps({"experiments": [experiment]}))
+    monkeypatch.chdir(elsewhere)
+    assert main(["run", "--config", "../configs/cfg.json", "--out", "out", "--threads", "1"]) == 0
+    results = json.loads((elsewhere / "out" / "results.json").read_text())
+    assert results["experiments"][0]["map"]["container"] == "eye.json"
+    # an absolute path is opened as written
+    spec["container"] = str(config_dir / "eye.json")
+    (elsewhere / "abs.json").write_text(json.dumps({"experiments": [experiment]}))
+    assert main(["run", "--config", "abs.json", "--out", "out-abs", "--threads", "1"]) == 0
 
 
 def test_bounds_experiment_csv(tmp_path):
@@ -257,3 +334,55 @@ def test_main_entrypoint(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiments": []}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "1"]) == 0
+
+
+# Fuzzing the exit-code contract: map specs drawn from MAP_KINDS with dropped
+# keys, mistyped values, unknown keys and bad assert objects.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats(-2, 5) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+_SPACES = st.fixed_dictionaries(
+    {"family": st.sampled_from(["lp", "sup"])},
+    optional={"p": st.sampled_from([1, 1.5, 2, 3, "inf"]), "dim": st.sampled_from(["n", 2, 4])},
+)
+_DENSE = {"shape": [2, 2], "data": [1.0, 0.5, 0.0, 1.0], "domain": [_SPACE_2], "codomain": _SPACE_2}
+_ASSERT_KEYS = ["slope", "slope_tol", "residual_max", "cap_exponent", "cap_slack"]
+
+
+@st.composite
+def _fuzzed_experiments(draw):
+    name = draw(st.sampled_from(list(MAP_KINDS)))
+    spec = {"kind": name}
+    for key, (_, default) in MAP_KINDS[name].keys.items():
+        typical = [v for v in (default, _DENSE.get(key)) if v is not None and v is not EXPERIMENT_P]
+        value = st.sampled_from(typical) if typical else st.floats(0.1, 4)
+        if draw(st.booleans()):
+            spec[key] = draw(st.one_of(value, st.integers(-1, 4), st.floats(-1, 4), _SPACES, _JSON))
+    spec.update(draw(st.dictionaries(st.text(min_size=1, max_size=6), _JSON, max_size=2)))
+    experiment = {
+        "kind": "slope",
+        "map": spec,
+        "p": draw(st.sampled_from([0.5, 1, 2])),
+        "q": draw(st.sampled_from([1, 2, 3])),
+        "n_grid": draw(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=3)),
+        "random_starts": 0,
+        "sweeps": 0,
+    }
+    if draw(st.booleans()):
+        keys = st.sampled_from(_ASSERT_KEYS + ["slop"])
+        experiment["assert"] = draw(st.dictionaries(keys, st.floats() | _JSON, max_size=3) | _JSON)
+    return experiment
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fuzzed_experiments())
+# n ** 1e308 overflows a float
+@example({**_SLOPE, "map": {"kind": "tensor"}, "random_starts": 0, "sweeps": 0, "assert": {"cap_exponent": 1e308}})
+def test_fuzzed_map_specs_keep_exit_contract(experiment):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps({"experiments": [experiment]}))
+        code = main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out"), "--threads", "1"])
+    assert code in (0, 1, 2)

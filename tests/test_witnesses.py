@@ -1,7 +1,5 @@
 """Witness constructors: normalizations, caps, anchor inequalities."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -120,43 +118,3 @@ def test_identity_witness_quotients():
 def test_diagonal_product_map_shape_check():
     with pytest.raises(StructuralError):
         sl.diagonal_product_map(2, 3, sl.lp(1, 4))
-
-
-def test_witness_spec_roundtrip(rng):
-    from summlab.witnesses import witness_from_spec, witness_to_spec
-
-    t = sl.tensor_witness(2, 3)
-    spec = witness_to_spec(t)
-    assert spec == {"kind": "tensor", "m": 2, "n": 3}
-    t2 = witness_from_spec(spec)
-    assert t2.domain == t.domain and t2.codomain == t.codomain
-
-    outer = sl.diagonal_product_map(3, 4, sl.lp(1.5, 4))
-    spec = witness_to_spec(outer)
-    assert spec["kind"] == "outer_product" and spec["m"] == 3 and spec["n"] == 4
-    outer2 = witness_from_spec(json.loads(json.dumps(spec)))
-    assert outer2.domain == outer.domain and outer2.fingerprint() == outer.fingerprint()
-    mixed = sl.MultilinearMap((sl.lp(1, 2), sl.sup_slice(2)), sl.sup_slice(4), sl.DiagonalC0(2))
-    with pytest.raises(StructuralError):
-        witness_to_spec(mixed)
-
-    ident = sl.identity_witness(sl.lp(1, 4))
-    spec = witness_to_spec(ident)
-    assert spec["kind"] == "identity"
-    assert witness_from_spec(spec).domain == ident.domain
-
-    poly, anchors = sl.cotype_witness(2, 0.5, sl.lp(2, 4), 2.5, 4)
-    spec = witness_to_spec(poly, anchors=None)
-    assert spec["anchors"] == "basis" and spec["target_r"] == 2.5
-    poly2, anchors2 = witness_from_spec(spec)
-    np.testing.assert_array_equal(poly2.body.a, poly.body.a)
-    np.testing.assert_array_equal(anchors2.matrix, anchors.matrix)
-
-    rows = rng.standard_normal((3, 4))
-    rows /= np.atleast_1d(coord_norm(sl.lp(2, 4), rows, axis=1))[:, None]
-    custom = sl.VectorFamily(sl.lp(2, 4), rows)
-    peven, _ = sl.real_even_witness(2, 0.4, sl.lp(2, 4), 3, anchors=custom)
-    spec = witness_to_spec(peven, anchors=custom)
-    poly3, anchors3 = witness_from_spec(spec)
-    np.testing.assert_allclose(anchors3.matrix, custom.matrix)
-    np.testing.assert_allclose(poly3.body.functionals, peven.body.functionals)
