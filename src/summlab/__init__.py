@@ -41,14 +41,13 @@ from .weak_norms import (
     weak_norm_vertex_oracle,
 )
 from .maps import (
-    CotypeWitnessBody,
     DenseSymmetric,
     DenseTensor,
     DiagonalC0,
     HomogeneousPolynomial,
     MultilinearMap,
     OperatorNormResult,
-    RealEvenWitnessBody,
+    WitnessBody,
     eval_multilinear,
     eval_polynomial,
     mixed_power_sum,
@@ -56,8 +55,6 @@ from .maps import (
     poly_power_sum,
 )
 from .witnesses import (
-    CoefficientRule,
-    WitnessCoefficients,
     cotype_witness,
     diagonal_product_map,
     identity_witness,

@@ -1,9 +1,10 @@
 """Experiment runner: config ingestion, suite execution, report persistence.
 
-A run executes the experiments declared in one JSON config and writes
-results.json (byte-reproducible for a fixed config/seed/thread count),
-bounds.csv, slopes.csv, and per-experiment plot-data files with two
-columns log n / log quotient.  Timestamps and environment info go to a
+A run builds the maps of every experiment declared in one JSON config,
+then runs the experiments serially and writes results.json
+(byte-reproducible for a fixed config and seed), bounds.csv, slopes.csv,
+and per-experiment plot-data files with two columns log n / log
+quotient.  Timestamps and environment info go to a
 separate metadata.json so results.json stays comparable across runs.
 
 Exit codes: 0 all declared assertions pass; 1 assertion failure;
@@ -21,7 +22,6 @@ import os
 import re
 import sys
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -202,10 +202,20 @@ def _as_list(value):
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
-def _run_slope_experiment(exp: dict, seed: int, threads: int, tuple_budget: int, root: Path) -> dict:
+def _build_grid(exp: dict, seed: int, root: Path) -> list:
+    """(map, anchor families or None) for every grid point of a slope experiment."""
     map_spec = exp["map"]
     if "container" in map_spec:  # relative to the config file; results echo the path as written
         map_spec = {**map_spec, "container": str(root / map_spec["container"])}
+    p = float(exp["p"])
+    budget = SearchBudget(seed=seed)
+    try:
+        return [_build_map(map_spec, int(n), p, budget) for n in exp["n_grid"]]
+    except (KeyError, OSError, TypeError, ValueError) as exc:
+        raise SummLabError(f"bad map spec {exp['map']!r}: {exc!r}") from exc
+
+
+def _run_slope_experiment(exp: dict, built: list, seed: int, tuple_budget: int) -> dict:
     p = float(exp["p"])
     q = float(exp["q"])
     n_grid = [int(n) for n in exp["n_grid"]]
@@ -218,11 +228,7 @@ def _run_slope_experiment(exp: dict, seed: int, threads: int, tuple_budget: int,
     checks = exp.get("assert", {})
     cap_exp = checks.get("cap_exponent")
     cap_slack = float(checks.get("cap_slack", 1e-6))
-    for n in n_grid:
-        try:
-            map_obj, anchors = _build_map(map_spec, n, p, budget)
-        except (KeyError, OSError, TypeError, ValueError) as exc:
-            raise SummLabError(f"bad map spec {exp['map']!r}: {exc!r}") from exc
+    for n, (map_obj, anchors) in zip(n_grid, built):
         map_order = map_obj.degree if hasattr(map_obj, "degree") else map_obj.arity
         best, trace = maximize_quotient(
             map_obj,
@@ -235,7 +241,6 @@ def _run_slope_experiment(exp: dict, seed: int, threads: int, tuple_budget: int,
             random_starts=int(exp.get("random_starts", 2)),
             sweeps=int(exp.get("sweeps", 8)),
             tuple_budget=tuple_budget,
-            threads=threads,
             return_trace=True,
         )
         samples.append(best)
@@ -352,17 +357,21 @@ def _run_bounds_experiment(exp: dict) -> dict:
     return {"kind": "bounds", "name": exp.get("name", "bounds"), "rows": rows, "passed": True}
 
 
+def _reject_non_finite(token: str):
+    raise ValueError(f"non-finite number {token} is not allowed")
+
+
 def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", text).strip("-") or "experiment"
 
 
 def run(config_path, output_dir, seed: int | None = None, threads: int | None = None,
         tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> int:
-    """Execute a config; returns the process exit code."""
+    """Execute a config; returns the process exit code.  ``threads`` is accepted and unused: runs are serial."""
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            config = json.load(fh, parse_constant=_reject_non_finite)
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(config))
@@ -384,27 +393,23 @@ def run(config_path, output_dir, seed: int | None = None, threads: int | None = 
         except ValueError:
             print(f"config error: SUMMLAB_SEED={env_seed!r} is not an integer", file=sys.stderr)
             return 2
-    threads = threads or os.cpu_count() or 1
 
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "plotdata").mkdir(exist_ok=True)
-
-    def execute(exp: dict) -> dict:
+    def execute(exp: dict, built) -> dict:
         kind = exp["kind"]
         if kind == "slope":
-            return _run_slope_experiment(exp, seed, threads, tuple_budget, Path(config_path).parent)
+            return _run_slope_experiment(exp, built, seed, tuple_budget)
         if kind == "oracle":
             return _run_oracle_experiment(exp, seed)
         return _run_bounds_experiment(exp)
 
     experiments = config["experiments"]
+    out = Path(output_dir)
     try:
-        if threads > 1 and len(experiments) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                records = list(pool.map(execute, experiments))
-        else:
-            records = [execute(exp) for exp in experiments]
+        # every map is built first: a spec that only its constructor rejects stops the run before any output
+        grids = [_build_grid(exp, seed, Path(config_path).parent) if exp["kind"] == "slope" else None for exp in experiments]
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "plotdata").mkdir(exist_ok=True)
+        records = [execute(exp, built) for exp, built in zip(experiments, grids)]
     except SummLabError as exc:
         print(f"experiment configuration error: {exc}", file=sys.stderr)
         return 2
@@ -415,7 +420,6 @@ def run(config_path, output_dir, seed: int | None = None, threads: int | None = 
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "summlab": __version__,
         "numpy": np.__version__,
-        "threads": threads,
         "config": str(config_path),
     }
     (out / "metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -494,7 +498,7 @@ def main(argv=None) -> int:
     run_parser.add_argument("--config", required=True, help="path to the experiment config")
     run_parser.add_argument("--out", required=True, help="output directory")
     run_parser.add_argument("--seed", type=int, default=None, help="global seed (default 42; SUMMLAB_SEED overrides the default when this flag is absent)")
-    run_parser.add_argument("--threads", type=int, default=None, help="worker threads (default: hardware count)")
+    run_parser.add_argument("--threads", type=int, default=None, help="accepted and unused: experiments run serially")
     run_parser.add_argument("--tuple-budget", type=int, default=DEFAULT_TUPLE_BUDGET, help="max tuples per mixed power sum")
 
     bounds_parser = sub.add_parser("bounds", help="print the closed-form bound table at one parameter point")

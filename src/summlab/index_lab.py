@@ -286,17 +286,6 @@ def _check_mpq(m: int, p: float, q: float) -> None:
 _Selection = tuple[str, Callable[[], float]]
 
 
-def _seam_branch(p: float, q: float, seam_points, *args) -> tuple[str, float]:
-    """Lower-bound branch letter and p_high: (c)/(d) split at p_high for q >= 2, else (a)/(b) at p_low."""
-    try:
-        p_low, p_high = seam_points(*args)
-    except ZeroDivisionError:  # only off the domain, which the value function reports
-        p_low = p_high = math.nan
-    if q >= 2.0:
-        return ("c" if p <= p_high else "d"), p_high
-    return ("a" if p <= p_low else "b"), p_high
-
-
 def _mult_upper(m: int, p: float, q: float) -> _Selection:
     if q <= 2.0:
         return "q<=2: m/p", lambda: mult_upper_branch(m, p, q, "low_q")
@@ -362,24 +351,47 @@ _COTYPE_LABELS = {
     "c": "(c) m/2",
     "d": "(d) (r-p)/(pr)",
 }
+_REAL_EVEN_LABELS = {
+    "a": "(a) m/2",
+    "b": "(b) (mp+2)/(2p) - (m+q)/q",
+    "c": "(c) m/2",
+    "d": "(d) (1-p)/p",
+}
 
 
-def _pol_cotype_lower(m: int, p: float, q: float, r: float) -> _Selection:
-    branch, p_high = _seam_branch(p, q, cotype_seam_points, m, q, r)
+def _pol_lower(m: int, p: float, q: float, r: float, labels: dict, guard: Callable[[], None]) -> _Selection:
+    """The cotype lower-bound table at r; ``guard`` raises where the case makes no claim at all."""
+    try:
+        p_low, p_high = cotype_seam_points(m, q, r)
+    except ZeroDivisionError:  # only off the domain, which the value function reports
+        p_low = p_high = math.nan
+    if q >= 2.0:
+        branch = "c" if p <= p_high else "d"
+    else:
+        branch = "a" if p <= p_low else "b"
 
     def value() -> float:
         _check_mpq(m, p, q)
+        guard()
+        if q < 1.0:
+            raise ValidityError(f"no claim for q < 1 (q = {q})")
+        if branch == "b" and p > p_high:
+            raise ValidityError(f"no claim for q < 2 and p > 2r/(mr+2) = {p_high} (p = {p}, r = {r})")
+        if branch == "d" and p >= r:
+            raise ValidityError(f"no claim for q >= 2 and p >= r (p = {p}, r = {r})")
+        return pol_cotype_branch_value(branch, m, p, q, r)
+
+    return labels[branch], value
+
+
+def _pol_cotype_lower(m: int, p: float, q: float, r: float) -> _Selection:
+    def guard() -> None:
         if r < 2.0:
             raise DomainError(f"cotype parameter must satisfy r >= 2, got {r}")
         if p >= r:
             raise DomainError(f"requires p < r, got p = {p}, r = {r}")
-        if q < 1.0:
-            raise ValidityError(f"no claim for q < 1 (q = {q})")
-        if branch == "b" and p > p_high:
-            raise ValidityError(f"no claim for q < 2 and p > 2r/(mr+2) (p = {p})")
-        return pol_cotype_branch_value(branch, m, p, q, r)
 
-    return _COTYPE_LABELS[branch], value
+    return _pol_lower(m, p, q, r, _COTYPE_LABELS, guard)
 
 
 def lower_bound_pol_cotype(m: int, p: float, q: float, r: float) -> float:
@@ -393,89 +405,40 @@ def lower_bound_pol_cotype(m: int, p: float, q: float, r: float) -> float:
     return _pol_cotype_lower(m, p, q, r)[1]()
 
 
-def real_even_seam_points(m: int, q: float) -> tuple[float, float]:
-    """The two breakpoints q/(m + q) and 2/(m + 2)."""
-    return q / (m + q), 2.0 / (m + 2.0)
-
-
-def pol_real_even_branch_value(branch: str, m: int, p: float, q: float) -> float:
-    """Raw branch formulas of the scalar even-degree lower bound."""
-    if branch in ("a", "c"):
-        return m / 2.0
-    if branch == "b":
-        return (m * p + 2.0) / (2.0 * p) - (m + q) / q
-    if branch == "d":
-        return (1.0 - p) / p
-    raise StructuralError(f"unknown branch {branch!r}")
-
-
-_REAL_EVEN_LABELS = {
-    "a": "(a) m/2",
-    "b": "(b) (mp+2)/(2p) - (m+q)/q",
-    "c": "(c) m/2",
-    "d": "(d) (1-p)/p",
-}
-
-
 def _pol_real_even_lower(m: int, p: float, q: float) -> _Selection:
-    branch, p_high = _seam_branch(p, q, real_even_seam_points, m, q)
-
-    def value() -> float:
-        _check_mpq(m, p, q)
+    def guard() -> None:
         if m % 2 != 0:
             raise DomainError(f"even degree required, got m = {m}")
-        if q < 1.0:
-            raise ValidityError(f"no claim for q < 1 (q = {q})")
-        if branch == "b" and p > p_high:
-            raise ValidityError(f"no claim for q < 2 and p > 2/(m+2) (p = {p})")
-        if branch == "d" and p >= 1.0:
-            raise ValidityError(f"no claim for q >= 2 and p >= 1 (p = {p})")
-        return pol_real_even_branch_value(branch, m, p, q)
 
-    return _REAL_EVEN_LABELS[branch], value
+    return _pol_lower(m, p, q, 1.0, _REAL_EVEN_LABELS, guard)
 
 
 def lower_bound_pol_real_even(m: int, p: float, q: float) -> float:
     """Lower bound on the scalar-valued even-degree growth exponent.
 
-    Branches: (a) q in [1,2], p <= q/(m+q): m/2; (b) q in [1,2],
-    q/(m+q) <= p <= 2/(m+2): (mp+2)/(2p) - (m+q)/q; (c) q >= 2,
-    p <= 2/(m+2): m/2; (d) q >= 2, 2/(m+2) < p < 1: (1-p)/p.
+    The cotype table at r = 1: (a) q in [1,2], p <= q/(m+q): m/2;
+    (b) q in [1,2], q/(m+q) <= p <= 2/(m+2): (mp+2)/(2p) - (m+q)/q;
+    (c) q >= 2, p <= 2/(m+2): m/2; (d) q >= 2, 2/(m+2) < p < 1: (1-p)/p.
     """
     return _pol_real_even_lower(m, p, q)[1]()
 
 
 def seam_continuity_gaps(m: int, q: float, r: float | None = None) -> dict[str, float]:
     """Absolute gaps between adjacent branch values at every applicable seam."""
+    tables = ([("cotype", r)] if r is not None else []) + ([("real_even", 1.0)] if m % 2 == 0 else [])
     gaps: dict[str, float] = {}
-    if r is not None:
-        p_low, p_high = cotype_seam_points(m, q, r)
+    for name, r_table in tables:
+        p_low, p_high = cotype_seam_points(m, q, r_table)
+
+        def gap(left: str, right: str, at: float) -> float:
+            return abs(pol_cotype_branch_value(left, m, at, q, r_table) - pol_cotype_branch_value(right, m, at, q, r_table))
+
         if 1.0 <= q <= 2.0:
-            gaps["cotype_low"] = abs(
-                pol_cotype_branch_value("a", m, p_low, q, r) - pol_cotype_branch_value("b", m, p_low, q, r)
-            )
+            gaps[f"{name}_low"] = gap("a", "b", p_low)
         if q >= 2.0:
-            gaps["cotype_high"] = abs(
-                pol_cotype_branch_value("c", m, p_high, q, r) - pol_cotype_branch_value("d", m, p_high, q, r)
-            )
+            gaps[f"{name}_high"] = gap("c", "d", p_high)
         if q == 2.0:
-            gaps["cotype_q2"] = abs(
-                pol_cotype_branch_value("b", m, p_high, q, r) - pol_cotype_branch_value("d", m, p_high, q, r)
-            )
-    if m % 2 == 0:
-        p_low, p_high = real_even_seam_points(m, q)
-        if 1.0 <= q <= 2.0:
-            gaps["real_even_low"] = abs(
-                pol_real_even_branch_value("a", m, p_low, q) - pol_real_even_branch_value("b", m, p_low, q)
-            )
-        if q >= 2.0:
-            gaps["real_even_high"] = abs(
-                pol_real_even_branch_value("c", m, p_high, q) - pol_real_even_branch_value("d", m, p_high, q)
-            )
-        if q == 2.0:
-            gaps["real_even_q2"] = abs(
-                pol_real_even_branch_value("b", m, p_high, q) - pol_real_even_branch_value("d", m, p_high, q)
-            )
+            gaps[f"{name}_q2"] = gap("b", "d", p_high)
     return gaps
 
 

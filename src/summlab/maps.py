@@ -7,14 +7,15 @@ d_m x d_out) and the structured outer-product map into a sup slice,
 
 stored in O(1) on any m domain spaces of dimension n.  Its operator
 norm is exactly 1 because ||(x) x^(i)||_inf = prod ||x^(i)||_inf <=
-prod ||x^(i)||.  Three polynomial bodies: a dense
-symmetric tensor, and the two structured witness forms
+prod ||x^(i)||.  Two polynomial bodies: a dense symmetric tensor, and
+the structured witness form
 
-    P(x) = sum_j |a_j|^(1/p) phi_j(x)^m y_j      (vector targets y_j)
-    P(x) = sum_j |a_j|^(1/p) phi_j(x)^m          (scalar, m even)
+    P(x) = sum_j |a_j|^(1/p) phi_j(x)^m y_j
 
-with the coefficient normalizations sum |a_j|^(r/p) = 1 resp.
-sum |a_j|^(1/p) = 1 enforced at construction.
+with vector targets y_j into a cotype-r codomain, or scalar valued
+(every y_j = 1, m even), which is the same form at r = 1.  The
+coefficient normalization sum |a_j|^(r/p) = 1 is enforced at
+construction.
 
 The mixed power sum of the outer-product map is a closed form: the sum
 over tuples factorises into a product of per-slot sums.  Dense bodies
@@ -150,62 +151,36 @@ class DenseSymmetric:
         object.__setattr__(self, "coefficients", a)
 
 
-def _validate_witness_arrays(a, functionals, p: float):
-    av = np.asarray(a, dtype=float)
-    fv = np.asarray(functionals, dtype=float)
-    if av.ndim != 1 or np.any(av < 0) or not np.all(np.isfinite(av)):
-        raise StructuralError("witness coefficients must be a flat nonnegative finite array")
-    if fv.ndim != 2 or fv.shape[0] != av.shape[0]:
-        raise StructuralError("witness functionals must be one row per coefficient")
-    if p <= 0:
-        raise DomainError(f"witness exponent must be positive, got {p}")
-    av, fv = av.copy(), fv.copy()
-    av.setflags(write=False)
-    fv.setflags(write=False)
-    return av, fv
-
-
 @dataclass(frozen=True, eq=False)
-class CotypeWitnessBody:
-    """P(x) = sum_j |a_j|^(1/p) phi_j(x)^m y_j with sum |a_j|^(r/p) = 1."""
-
-    a: np.ndarray
-    functionals: np.ndarray
-    targets: np.ndarray
-    p: float
-    weights: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        av, fv = _validate_witness_arrays(self.a, self.functionals, self.p)
-        tv = np.asarray(self.targets, dtype=float)
-        if tv.ndim != 2 or tv.shape[0] != av.shape[0]:
-            raise StructuralError("witness targets must be one row per coefficient")
-        tv = tv.copy()
-        tv.setflags(write=False)
-        object.__setattr__(self, "a", av)
-        object.__setattr__(self, "functionals", fv)
-        object.__setattr__(self, "targets", tv)
-        w = av ** (1.0 / self.p)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-
-@dataclass(frozen=True, eq=False)
-class RealEvenWitnessBody:
-    """P(x) = sum_j |a_j|^(1/p) phi_j(x)^m, scalar valued, m even."""
+class WitnessBody:
+    """P(x) = sum_j |a_j|^(1/p) phi_j(x)^m y_j; ``targets=None`` means scalar valued (every y_j = 1)."""
 
     a: np.ndarray
     functionals: np.ndarray
     p: float
+    targets: np.ndarray | None = None
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        av, fv = _validate_witness_arrays(self.a, self.functionals, self.p)
-        object.__setattr__(self, "a", av)
-        object.__setattr__(self, "functionals", fv)
-        w = av ** (1.0 / self.p)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        av = np.asarray(self.a, dtype=float)
+        fv = np.asarray(self.functionals, dtype=float)
+        if av.ndim != 1 or np.any(av < 0) or not np.all(np.isfinite(av)):
+            raise StructuralError("witness coefficients must be a flat nonnegative finite array")
+        if fv.ndim != 2 or fv.shape[0] != av.shape[0]:
+            raise StructuralError("witness functionals must be one row per coefficient")
+        if self.p <= 0:
+            raise DomainError(f"witness exponent must be positive, got {self.p}")
+        arrays = {"a": av, "functionals": fv}
+        if self.targets is not None:
+            tv = np.asarray(self.targets, dtype=float)
+            if tv.ndim != 2 or tv.shape[0] != av.shape[0]:
+                raise StructuralError("witness targets must be one row per coefficient")
+            arrays["targets"] = tv
+        arrays["weights"] = av ** (1.0 / self.p)
+        for name, arr in arrays.items():
+            arr = arr.copy()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +188,7 @@ class HomogeneousPolynomial:
     degree: int
     domain: SpaceDescriptor
     codomain: SpaceDescriptor
-    body: DenseSymmetric | CotypeWitnessBody | RealEvenWitnessBody
+    body: DenseSymmetric | WitnessBody
 
     def __post_init__(self) -> None:
         m = self.degree
@@ -231,31 +206,30 @@ class HomogeneousPolynomial:
             raise StructuralError("witness functionals do not match the domain dimension")
         if np.any(dual_coord_norm(self.domain, self.body.functionals, axis=1) > 1.0 + 1e-12):
             raise StructuralError("witness functionals must lie in the dual unit ball")
-        if isinstance(self.body, CotypeWitnessBody):
+        if self.body.targets is None:
+            if m % 2 != 0:
+                raise StructuralError("scalar even witness requires even degree")
+            if self.codomain.dimension != 1:
+                raise StructuralError("scalar even witness requires a 1-dimensional codomain")
+            r = 1.0  # the scalar witness is the cotype witness at r = 1
+        else:
             if self.body.targets.shape[1] != self.codomain.dimension:
                 raise StructuralError("witness targets do not match the codomain dimension")
             r = self.codomain.cotype
             if not np.isfinite(r):
                 raise StructuralError("cotype witness needs a codomain with finite cotype")
-            total = float((self.body.a ** (r / self.body.p)).sum())
-            if abs(total - 1.0) > 1e-12:
-                raise StructuralError(f"coefficient normalization sum a^(r/p) = {total}, expected 1")
-        else:
-            if m % 2 != 0:
-                raise StructuralError("scalar even witness requires even degree")
-            if self.codomain.dimension != 1:
-                raise StructuralError("scalar even witness requires a 1-dimensional codomain")
-            total = float((self.body.a ** (1.0 / self.body.p)).sum())
-            if abs(total - 1.0) > 1e-12:
-                raise StructuralError(f"coefficient normalization sum a^(1/p) = {total}, expected 1")
+        total = float((self.body.a ** (r / self.body.p)).sum())
+        if abs(total - 1.0) > 1e-12:
+            raise StructuralError(f"coefficient normalization sum a^(r/p) = {total} at r = {r}, expected 1")
 
     def fingerprint(self) -> bytes:
         if isinstance(self.body, DenseSymmetric):
             return b"denseP" + struct.pack("<q", self.degree) + self.body.coefficients.tobytes()
-        tag = b"cot" if isinstance(self.body, CotypeWitnessBody) else b"even"
+        targets = self.body.targets
+        tag = b"even" if targets is None else b"cot"
         parts = [tag, struct.pack("<qd", self.degree, self.body.p), self.body.a.tobytes(), self.body.functionals.tobytes()]
-        if isinstance(self.body, CotypeWitnessBody):
-            parts.append(self.body.targets.tobytes())
+        if targets is not None:
+            parts.append(targets.tobytes())
         return b"".join(parts)
 
 
@@ -316,9 +290,9 @@ def eval_polynomial(p: HomogeneousPolynomial, x: Vector) -> Vector:
         return Vector(p.codomain, out)
     g = body.functionals @ x.coords
     terms = body.weights * g**p.degree
-    if isinstance(body, CotypeWitnessBody):
-        return Vector(p.codomain, terms @ body.targets)
-    return Vector(p.codomain, np.array([terms.sum()]))
+    if body.targets is None:
+        return Vector(p.codomain, np.array([terms.sum()]))
+    return Vector(p.codomain, terms @ body.targets)
 
 
 def _poly_outputs(p: HomogeneousPolynomial, rows: np.ndarray) -> np.ndarray:
@@ -328,9 +302,9 @@ def _poly_outputs(p: HomogeneousPolynomial, rows: np.ndarray) -> np.ndarray:
         return _contract(body.coefficients, [rows] * p.degree, "k" * p.degree)
     g = rows @ body.functionals.T
     terms = body.weights * g**p.degree
-    if isinstance(body, CotypeWitnessBody):
-        return terms @ body.targets
-    return terms.sum(axis=1, keepdims=True)
+    if body.targets is None:
+        return terms.sum(axis=1, keepdims=True)
+    return terms @ body.targets
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +447,7 @@ def _batch_poly_gradients(p: HomogeneousPolynomial, x: np.ndarray, u: np.ndarray
             grad += _contract(body.coefficients, [None if i == slot else x for i in range(m)], "r" * m, u)
         return grad
     g = x @ body.functionals.T
-    if isinstance(body, CotypeWitnessBody):
-        tau = u @ body.targets.T
-    else:
-        tau = u[:, :1]
+    tau = u[:, :1] if body.targets is None else u @ body.targets.T
     coef = body.weights * m * g ** (m - 1) * tau
     return coef @ body.functionals
 

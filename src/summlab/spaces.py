@@ -110,6 +110,8 @@ def dual_exponent_of(space: SpaceDescriptor) -> float:
 
 
 def _scaled_power_norm(a: np.ndarray, p: float, axis: int) -> np.ndarray | float:
+    if a.ndim == 1:  # as a one-row matrix: scalar ** rounds differently from array **
+        return _scaled_power_norm(a[None, :], p, -1)[0]
     # rescale by the max modulus so powers never underflow to a false zero
     amax = a.max(axis=axis, keepdims=True)
     scaled = a / np.where(amax > 0.0, amax, 1.0)

@@ -12,20 +12,16 @@ cannot detect a violation the search misses.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BudgetError, DomainError, StructuralError
 from .maps import (
     DEFAULT_TUPLE_BUDGET,
-    CotypeWitnessBody,
     DenseTensor,
     DiagonalC0,
     HomogeneousPolynomial,
     MultilinearMap,
-    RealEvenWitnessBody,
+    WitnessBody,
     _poly_outputs,
     operator_norm,
 )
@@ -35,51 +31,6 @@ from .weak_norms import VectorFamily
 
 _VERIFY_BUDGET_RESTARTS = 16
 _VERIFY_BUDGET_ITER = 150
-
-
-class CoefficientRule(enum.Enum):
-    """Which normalization the witness coefficients satisfy."""
-
-    SUM_R_OVER_P = "sum_r_over_p"  # sum |a_j|^(r/p) = 1
-    SUM_INV_P = "sum_inv_p"  # sum |a_j|^(1/p) = 1
-
-
-@dataclass(frozen=True, eq=False)
-class WitnessCoefficients:
-    a: np.ndarray
-    rule: CoefficientRule
-    p: float
-    r: float | None = None
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 1 or np.any(a < 0) or not np.all(np.isfinite(a)):
-            raise StructuralError("coefficients must be a flat nonnegative finite array")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        if self.p <= 0:
-            raise DomainError(f"coefficient exponent must be positive, got {self.p}")
-        if self.rule is CoefficientRule.SUM_R_OVER_P:
-            if self.r is None:
-                raise StructuralError("SUM_R_OVER_P rule needs r")
-            total = float((a ** (self.r / self.p)).sum())
-        else:
-            total = float((a ** (1.0 / self.p)).sum())
-        if abs(total - 1.0) > 1e-12:
-            raise StructuralError(f"declared coefficient constraint fails: sum = {total}")
-
-
-def equal_coefficients_sum_rp(n: int, p: float, r: float) -> WitnessCoefficients:
-    """Equal coefficients a_j = n^(-p/r), satisfying sum a^(r/p) = 1."""
-    a = np.full(n, float(n) ** (-p / r))
-    return WitnessCoefficients(a, CoefficientRule.SUM_R_OVER_P, p, r)
-
-
-def equal_coefficients_sum_inv_p(n: int, p: float) -> WitnessCoefficients:
-    """Equal coefficients a_j = n^(-p), satisfying sum a^(1/p) = 1."""
-    a = np.full(n, float(n) ** (-p))
-    return WitnessCoefficients(a, CoefficientRule.SUM_INV_P, p)
 
 
 def _verify_budget(budget: SearchBudget) -> SearchBudget:
@@ -137,6 +88,25 @@ def tensor_witness(m: int, n: int, tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> 
     return diagonal_product_map(m, n, lp(2.0, n))
 
 
+def _equal_coefficient_witness(
+    m: int,
+    p: float,
+    space_in: SpaceDescriptor,
+    codomain: SpaceDescriptor,
+    targets: np.ndarray | None,
+    r: float,
+    n: int,
+    anchors,
+    budget: SearchBudget,
+) -> tuple[HomogeneousPolynomial, VectorFamily]:
+    """sum_j a_j^(1/p) phi_j(x)^m y_j with a_j = n^(-p/r), so that sum a^(r/p) = 1; scalar when targets is None."""
+    anchors = _resolve_anchors(space_in, n, anchors)
+    body = WitnessBody(np.full(n, float(n) ** (-p / r)), _anchor_functionals(space_in, anchors), p, targets)
+    poly = HomogeneousPolynomial(m, space_in, codomain, body)
+    _verify_witness(poly, anchors, 1.0, budget)
+    return poly, anchors
+
+
 def cotype_witness(
     m: int,
     p: float,
@@ -159,14 +129,7 @@ def cotype_witness(
         raise DomainError(f"target space needs r >= 2, got {target_r}")
     if not (0.0 < p < target_r):
         raise DomainError(f"witness requires 0 < p < r, got p = {p}, r = {target_r}")
-    coeffs = equal_coefficients_sum_rp(n, p, target_r)
-    anchors = _resolve_anchors(space_in, n, anchors)
-    functionals = _anchor_functionals(space_in, anchors)
-    codomain = lp(target_r, n)
-    body = CotypeWitnessBody(coeffs.a, functionals, np.eye(n), p)
-    poly = HomogeneousPolynomial(m, space_in, codomain, body)
-    _verify_witness(poly, anchors, 1.0, budget)
-    return poly, anchors
+    return _equal_coefficient_witness(m, p, space_in, lp(target_r, n), np.eye(n), target_r, n, anchors, budget)
 
 
 def real_even_witness(
@@ -179,8 +142,9 @@ def real_even_witness(
 ) -> tuple[HomogeneousPolynomial, VectorFamily]:
     """Scalar witness of even degree with equal coefficients a_j = n^(-p).
 
-    Requires m even and 0 < p < 1; the polynomial is pointwise
-    nonnegative and has operator norm at most 1.
+    The cotype witness at r = 1 with scalar targets.  Requires m even
+    and 0 < p < 1; the polynomial is pointwise nonnegative and has
+    operator norm at most 1.
     """
     if m < 1 or m % 2 != 0:
         raise DomainError(f"scalar even witness needs even degree, got {m}")
@@ -188,13 +152,7 @@ def real_even_witness(
         raise DomainError(f"scalar even witness requires 0 < p < 1, got {p}")
     if n < 1:
         raise DomainError("witness needs n >= 1")
-    coeffs = equal_coefficients_sum_inv_p(n, p)
-    anchors = _resolve_anchors(space_in, n, anchors)
-    functionals = _anchor_functionals(space_in, anchors)
-    body = RealEvenWitnessBody(coeffs.a, functionals, p)
-    poly = HomogeneousPolynomial(m, space_in, real_line(), body)
-    _verify_witness(poly, anchors, 1.0, budget)
-    return poly, anchors
+    return _equal_coefficient_witness(m, p, space_in, real_line(), None, 1.0, n, anchors, budget)
 
 
 def identity_witness(space: SpaceDescriptor) -> MultilinearMap:

@@ -1,6 +1,7 @@
 """Config execution, persistence, reproducibility, exit codes."""
 
 import json
+import math
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -116,6 +117,9 @@ _SPACE_2 = {"family": "lp", "p": 2, "dim": 2}
             {**_SLOPE, "map": {"kind": "identity", "space": {"family": "lp", "p": 2, "dimension": 4}}},
             "'dimension' was unexpected",
         ),
+        ({**_SLOPE, "map": {"kind": "tensor", "m": 1}, "assert": {"cap_exponent": math.nan}}, "config error"),
+        ({**_SLOPE, "p": math.nan, "map": {"kind": "tensor", "m": 1}}, "config error"),
+        ({**_SLOPE, "q": math.inf, "map": {"kind": "tensor", "m": 1}}, "config error"),
     ],
     ids=[
         "dense-without-domain",
@@ -127,6 +131,9 @@ _SPACE_2 = {"family": "lp", "p": 2, "dim": 2}
         "non-numeric-slope",
         "non-numeric-cap",
         "unknown-space-key",
+        "nan-cap",
+        "nan-p",
+        "infinity-q",
     ],
 )
 def test_malformed_experiment_exit_2(tmp_path, capsys, experiment, message):
@@ -135,8 +142,32 @@ def test_malformed_experiment_exit_2(tmp_path, capsys, experiment, message):
     cfg.write_text(json.dumps({"experiments": [experiment]}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
     assert message in capsys.readouterr().err
-    # ingest errors stop the run before the output directory, or any experiment, exists
-    assert (tmp_path / "out").exists() == (message == "bad map spec")
+    # ingest and build errors stop the run before the output directory, or any experiment, exists
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "bad_map",
+    [
+        {"kind": "cotype", "witness_p": 2.5, "target_r": 2},
+        {"kind": "real_even", "m": 3, "witness_p": 0.5},
+        {"kind": "dense", "container": "no-such-file.json", "domain": [_SPACE_2], "codomain": _SPACE_2},
+    ],
+    ids=["cotype-p-at-least-r", "odd-real-even", "missing-container"],
+)
+def test_every_map_is_built_before_any_experiment_runs(tmp_path, capsys, monkeypatch, bad_map):
+    import summlab.cli as cli
+
+    runs = []
+    original = cli.maximize_quotient
+    monkeypatch.setattr(cli, "maximize_quotient", lambda *a, **k: runs.append(a[1]) or original(*a, **k))
+    valid = {**_SLOPE, "map": {"kind": "tensor", "m": 1}, "random_starts": 0, "sweeps": 0}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiments": [valid, {**_SLOPE, "map": bad_map}]}))
+    assert run(cfg, tmp_path / "out", threads=1) == 2
+    assert "experiment configuration error" in capsys.readouterr().err
+    # the valid first experiment never ran and no output exists (both did when maps were built lazily)
+    assert runs == [] and not (tmp_path / "out").exists()
 
 
 def test_assertion_failure_exit_1(tmp_path, capsys):

@@ -66,14 +66,14 @@ def test_multilinearity_random_probes(rng):
 def test_polynomial_trivials():
     # one-term witness: P(e1) = e1 when a_1 = 1
     dom = sl.lp(1, 2)
-    body = sl.CotypeWitnessBody(np.array([1.0]), np.array([[1.0, 0.0]]), np.array([[1.0]]), 0.5)
+    body = sl.WitnessBody(np.array([1.0]), np.array([[1.0, 0.0]]), 0.5, targets=np.array([[1.0]]))
     poly = sl.HomogeneousPolynomial(2, dom, sl.lp(2, 1), body)
     out = sl.eval_polynomial(poly, _vec(dom, [1, 0]))
     np.testing.assert_allclose(out.coords, [1.0])
 
     # scalar square: P((t, s)) = t^2
     dom = _l2(2)
-    body = sl.RealEvenWitnessBody(np.array([1.0]), np.array([[1.0, 0.0]]), 0.5)
+    body = sl.WitnessBody(np.array([1.0]), np.array([[1.0, 0.0]]), 0.5)
     poly = sl.HomogeneousPolynomial(2, dom, sl.real_line(), body)
     assert sl.eval_polynomial(poly, _vec(dom, [0.7, -0.3])).coords[0] == pytest.approx(0.49)
     # even degree: P(-x) = P(x)

@@ -28,6 +28,16 @@ def test_norm_zero_iff_zero(rng):
     assert v.norm() > 0.0
 
 
+def test_single_vector_norm_matches_its_matrix_row(rng):
+    # one reduction for both shapes: the bits must not depend on how a vector is passed
+    for space in (sl.lp(1.5, 5), sl.lp(3, 7), sl.lp(7.5, 4)):
+        rows = rng.standard_normal((2000, space.dimension))
+        for norm_of in (coord_norm, dual_coord_norm):
+            batch = norm_of(space, rows, axis=1)
+            single = np.array([norm_of(space, v) for v in rows])
+            np.testing.assert_array_equal(single, batch)
+
+
 def test_dual_exponent_values():
     assert sl.dual_exponent(2) == 2.0
     assert sl.dual_exponent(1) == math.inf

@@ -10,16 +10,20 @@ from summlab.spaces import coord_norm
 
 
 def test_coefficient_rules():
-    c = sl.witnesses.equal_coefficients_sum_rp(4, 0.5, 2.0)
-    np.testing.assert_allclose(c.a, 4 ** (-0.25))
-    assert abs((c.a ** (2.0 / 0.5)).sum() - 1.0) <= 1e-12
+    poly, _ = sl.cotype_witness(2, 0.5, sl.lp(2, 4), 2.0, 4)
+    np.testing.assert_allclose(poly.body.a, 4 ** (-0.25))
+    assert abs((poly.body.a ** (2.0 / 0.5)).sum() - 1.0) <= 1e-12
 
-    c = sl.witnesses.equal_coefficients_sum_inv_p(3, 0.5)
-    np.testing.assert_allclose(c.a, 3 ** (-0.5))
-    assert abs((c.a ** (1.0 / 0.5)).sum() - 1.0) <= 1e-12
+    poly, _ = sl.real_even_witness(2, 0.5, sl.lp(2, 3), 3)
+    np.testing.assert_allclose(poly.body.a, 3 ** (-0.5))
+    assert abs((poly.body.a ** (1.0 / 0.5)).sum() - 1.0) <= 1e-12
 
+    # the normalization is checked where the polynomial is built: sum a^(1/p) = 0.5 here
+    body = sl.WitnessBody(np.array([0.5, 0.5]), np.eye(2), 0.5)
     with pytest.raises(StructuralError):
-        sl.WitnessCoefficients(np.array([0.5, 0.5]), sl.CoefficientRule.SUM_INV_P, 0.5)
+        sl.HomogeneousPolynomial(2, sl.lp(2, 2), sl.real_line(), body)
+    with pytest.raises(StructuralError):
+        sl.WitnessBody(np.array([-0.5, 0.5]), np.eye(2), 0.5)
 
 
 def test_tensor_witness_quotients():
