@@ -76,9 +76,9 @@ def _space(spec: dict, n: int):
 
 
 def _build_dense(a: dict, n: int, budget: SearchBudget):
-    coeffs = load_dense_container(a["container"]) if "container" in a else dense_container_to_array(a)
+    """A dense map at grid point n; ``a["body"]`` is the experiment's one decoded ``DenseTensor``."""
     domain = tuple(_space(s, n) for s in a["domain"])
-    return MultilinearMap(domain, _space(a["codomain"], n), DenseTensor(coeffs)), None
+    return MultilinearMap(domain, _space(a["codomain"], n), a["body"]), None
 
 
 # The builders look the witness constructors up in this module's globals at
@@ -205,11 +205,18 @@ def _as_list(value):
 def _build_grid(exp: dict, seed: int, root: Path) -> list:
     """(map, anchor families or None) for every grid point of a slope experiment."""
     map_spec = exp["map"]
-    if "container" in map_spec:  # relative to the config file; results echo the path as written
-        map_spec = {**map_spec, "container": str(root / map_spec["container"])}
     p = float(exp["p"])
     budget = SearchBudget(seed=seed)
     try:
+        if map_spec["kind"] == "dense":
+            # one decode and one coefficient copy per experiment, since the body
+            # does not depend on n; a container path is relative to the config file
+            coeffs = (
+                load_dense_container(root / map_spec["container"])
+                if "container" in map_spec
+                else dense_container_to_array(map_spec)
+            )
+            map_spec = {**map_spec, "body": DenseTensor(coeffs)}
         return [_build_map(map_spec, int(n), p, budget) for n in exp["n_grid"]]
     except (KeyError, OSError, TypeError, ValueError) as exc:
         raise SummLabError(f"bad map spec {exp['map']!r}: {exc!r}") from exc

@@ -5,20 +5,19 @@ Every stochastic search in the package derives its RNG seed from
 bit-reproducible and independent of call order.  Family payloads are
 canonicalized (rows sorted lexicographically) before hashing, which
 makes the derived seed invariant under permutations of a family.
-Every searched norm runs through :func:`multistart_ascent`.
+Every searched norm runs through :func:`multistart_ascent`, from
+start directions that include seeded Gaussian rows
+(:func:`quasi_random_directions`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .spaces import SpaceDescriptor, unit_rows
 
@@ -78,25 +77,15 @@ def canonical_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 def quasi_random_directions(count: int, dim: int, seed: int) -> np.ndarray:
-    """Low-discrepancy direction matrix (count x dim), rows nonzero.
+    """Seeded standard Gaussian direction matrix (count x dim).
 
-    Scrambled Sobol points mapped through the inverse normal CDF; the
-    scramble seed is the derived seed, so the set is deterministic.
+    Gaussian rows are isotropic (every direction is equally likely), and
+    ``unit_rows`` sends an all-zero row to e_1.  The seed is the derived
+    seed, so the set is deterministic.
     """
-    if count <= 0:
-        return np.zeros((0, dim))
-    if dim == 1:
-        signs = np.ones((count, 1))
-        signs[1::2, 0] = -1.0
-        return signs
-    sob = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    exponent = max(0, math.ceil(math.log2(count)))  # power-of-two draws keep Sobol balanced
-    u = sob.random_base2(exponent)
-    u = np.clip(u[:count], 1e-12, 1.0 - 1e-12)
-    g = ndtri(u)
-    dead = ~np.any(g, axis=1)
-    g[dead, 0] = 1.0
-    return g
+    # Named for the scrambled Sobol points it once drew; the name stays
+    # because benchmarks/tracing.py wraps this function by name.
+    return np.random.default_rng(seed).standard_normal((count, dim))
 
 
 def multistart_ascent(

@@ -9,7 +9,8 @@ dual of E into l_q^n.  Exact fast paths cover the cases where the sup
 has a certified finite witness set (Hilbert domain at q = 2 via the top
 singular value; cube dual balls via vertex enumeration; l_1 dual balls
 via +/- basis extreme points; single-vector families).  Everything else
-falls back to multistart projected gradient ascent, whose result is a
+falls back to multistart projected gradient ascent from norming,
+spectral and seeded Gaussian start directions, whose result is a
 certified lower bound and is labeled exact=False.
 """
 
@@ -92,10 +93,6 @@ class VectorFamily:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def vectors(self) -> list[Vector]:
-        return [Vector(self.space, row) for row in self.matrix]
 
     def norms(self) -> np.ndarray:
         """Norms of the member vectors."""
@@ -199,8 +196,9 @@ def weak_norm_search(family: VectorFamily, q: float, budget: SearchBudget = DEFA
 
     Restarts seed from the norming functionals of every family member
     (which guarantees the result is at least max_k ||x_k||), one
-    spectral start, and quasi-random dual-sphere points; each restart
-    then climbs by normalised (sub)gradient steps in
+    spectral start, and seeded Gaussian directions (the seed is derived
+    from the canonical rows, so it is permutation-invariant); each
+    restart then climbs by normalised (sub)gradient steps in
     :func:`~summlab.search.multistart_ascent`.
     """
     if q <= 0.0:

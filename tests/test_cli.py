@@ -330,6 +330,36 @@ def test_container_path_relative_to_config(tmp_path, monkeypatch):
     assert main(["run", "--config", "abs.json", "--out", "out-abs", "--threads", "1"]) == 0
 
 
+def test_dense_container_is_loaded_once_per_experiment(tmp_path, monkeypatch):
+    import summlab.cli as cli
+    from summlab.maps import DenseTensor
+
+    large = Path(__file__).resolve().parents[1] / "benchmarks" / "configs" / "large.json"
+    loads, bodies = [], []
+    load = cli.load_dense_container
+    monkeypatch.setattr(cli, "load_dense_container", lambda path: loads.append(path) or load(path))
+    search = cli.maximize_quotient
+
+    def record(t, *args, **kwargs):
+        if isinstance(getattr(t, "body", None), DenseTensor):
+            bodies.append(t.body)
+        return search(t, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "maximize_quotient", record)
+    assert run(large, tmp_path / "all", seed=42, threads=1) == 0
+    # one decode for the four grid points of dense-m2-container, and one shared coefficient copy
+    assert len(loads) == 1 and len(bodies) == 4
+    assert all(body is bodies[0] for body in bodies)
+    # the other experiments give the same entries when the dense experiment is left out
+    config = json.loads(large.read_text())
+    config["experiments"] = [exp for exp in config["experiments"] if exp["name"] != "dense-m2-container"]
+    (tmp_path / "rest.json").write_text(json.dumps(config))
+    assert run(tmp_path / "rest.json", tmp_path / "rest", seed=42, threads=1) == 0
+    full = json.loads((tmp_path / "all" / "results.json").read_text())["experiments"]
+    rest = json.loads((tmp_path / "rest" / "results.json").read_text())["experiments"]
+    assert [rec for rec in full if rec["name"] != "dense-m2-container"] == rest
+
+
 def test_bounds_experiment_csv(tmp_path):
     cfg = tmp_path / "bounds.json"
     cfg.write_text(

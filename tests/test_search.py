@@ -1,10 +1,15 @@
-"""The shared multistart ascent engine, on a toy objective with a known answer."""
+"""The shared multistart ascent engine, on a toy objective with a known answer,
+and the seeded start directions."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import summlab as sl
-from summlab.search import gradient_step, multistart_ascent
+from summlab.search import gradient_step, multistart_ascent, quasi_random_directions
 from summlab.spaces import unit_rows
 
 C = np.array([3.0, -1.0, 2.0, 0.0])
@@ -65,3 +70,34 @@ def test_ties_go_to_the_lowest_start_index():
         value, row = multistart_ascent(np.vstack([low, first, second]), _linear, hold, sl.DEFAULT_BUDGET)
         assert value == first @ C == second @ C
         np.testing.assert_array_equal(row, first)
+
+
+def test_start_directions_are_seeded_and_shaped():
+    for count, dim in ((64, 5), (7, 1), (0, 3), (0, 1)):
+        rows = quasi_random_directions(count, dim, 12345)
+        assert rows.shape == (count, dim)
+        np.testing.assert_array_equal(rows, quasi_random_directions(count, dim, 12345))
+        if count:
+            assert not np.array_equal(rows, quasi_random_directions(count, dim, 12346))
+
+
+def test_summlab_imports_and_searches_without_scipy():
+    script = """
+import sys
+import numpy as np
+import summlab as sl
+import summlab.cli
+loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+assert not loaded, loaded
+sys.modules["scipy"] = None  # any later scipy import now fails
+fam = sl.VectorFamily(sl.lp(1.5, 3), np.arange(12.0).reshape(4, 3) - 5.0)
+assert not sl.weak_norm(fam, 3.0).exact
+sl.brute_force_weak_norm(fam, 3.0, resolution=1000)
+t = sl.MultilinearMap((sl.lp(2, 3),) * 2, sl.lp(2, 2), sl.DenseTensor(np.arange(18.0).reshape(3, 3, 2)))
+assert not sl.operator_norm(t).exact
+"""
+    # the subprocess finds this copy of summlab whether or not it is installed
+    here = os.path.dirname(os.path.dirname(sl.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
