@@ -159,7 +159,10 @@ def maximize_quotient(
     Strategies run in a fixed order and ties resolve toward the earlier
     strategy; the random strategy perturbs one vector at a time, keeps
     the move if the quotient rises, and halves the step once a full
-    sweep fails.  Deterministic under a fixed budget seed.  ``threads`` is
+    sweep fails.  Not deterministic under a fixed budget seed alone: the
+    weak-norm cache below is keyed on ``id(fam)`` without keeping ``fam``
+    alive, so a reused id can return another family's weak norm and the
+    trace depends on heap layout (ROADMAP defect D1).  ``threads`` is
     accepted and unused.
     """
     if n < 1:

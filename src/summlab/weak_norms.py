@@ -8,7 +8,13 @@ equivalently the operator norm of the n x d coordinate matrix from the
 dual of E into l_q^n.  Exact fast paths cover the cases where the sup
 has a certified finite witness set (Hilbert domain at q = 2 via the top
 singular value; cube dual balls via vertex enumeration; l_1 dual balls
-via +/- basis extreme points; single-vector families).  Everything else
+via +/- basis extreme points; single-vector families).  On the cube at
+q = 2 each vertex value is the quadratic form s^T G s of the Gram matrix
+G of the sorted rows.  It splits into two half-width sign tables and one
+cross-term gemm, so each of the 2^(d-1) vertices costs two additions.
+Since max s^T G s >= trace G >= |G_ij|, rounding can cost the chosen
+vertex about d^2 eps of relative value; the reported value is recomputed
+from the sorted rows at that vertex.  Everything else
 falls back to multistart projected gradient ascent from norming,
 spectral and seeded Gaussian start directions, whose result is a
 certified lower bound and is labeled exact=False.
@@ -16,6 +22,7 @@ certified lower bound and is labeled exact=False.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -45,7 +52,7 @@ from .spaces import (
 )
 
 _VERTEX_MAX_DIM = 20
-_VERTEX_CHUNK = 1 << 16
+_VERTEX_CHUNK_BITS = 16  # the q != 2 vertex path scores 2^16 sign vertices per gemm
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,29 +156,67 @@ def _svd_path(family: VectorFamily, q: float) -> WeakNormResult:
     return _finish(family, q, float(svals[0]), phi, exact=True)
 
 
+@functools.lru_cache(maxsize=None)
+def _vertex_table(d: int) -> np.ndarray:
+    """Read-only (2^(d-1), d) table of the cube's sign vertices with s_0 = +1.
+
+    Row i is vertex number i: column j + 1 is +1 exactly when bit j of i
+    is set.
+    """
+    bits = (np.arange(1 << (d - 1))[:, None] >> np.arange(d - 1)[None, :]) & 1
+    table = np.hstack((np.ones((bits.shape[0], 1)), 2.0 * bits - 1.0))
+    table.setflags(write=False)
+    return table
+
+
 def _vertex_path(family: VectorFamily, q: float) -> WeakNormResult:
     # The objective is convex in phi for q >= 1 and the dual ball of l_1
     # is the cube, so the sup sits at a sign vertex; the objective is
-    # even in phi, so the first coordinate can be pinned to +1.
+    # even in phi, so the first coordinate can be pinned to +1.  Ties go
+    # to the lowest vertex number.
     xc = canonical_rows(family.matrix)
+    if q == 2.0:
+        sign = _gram_vertex(xc)
+        value = float((np.abs(xc @ sign) ** q).sum() ** (1.0 / q))
+        return _finish(family, q, value, sign, exact=True)
     d = xc.shape[1]
-    nverts = 1 << (d - 1)
+    w = min(d, _VERTEX_CHUNK_BITS + 1)
+    low = _vertex_table(w)
     best = -np.inf
     best_sign = None
-    shifts = np.arange(d - 1, dtype=np.uint64)
-    for lo in range(0, nverts, _VERTEX_CHUNK):
-        idx = np.arange(lo, min(lo + _VERTEX_CHUNK, nverts), dtype=np.uint64)
-        signs = np.empty((idx.shape[0], d))
-        signs[:, 0] = 1.0
-        if d > 1:
-            bits = (idx[:, None] >> shifts[None, :]) & np.uint64(1)
-            signs[:, 1:] = 2.0 * bits.astype(float) - 1.0
+    for hi in range(1 << (d - w)):
+        # Vertices hi * 2^(w-1) onwards: the low table, then hi's bits as constant columns.
+        signs = low
+        if w < d:
+            signs = np.empty((low.shape[0], d))
+            signs[:, :w] = low
+            signs[:, w:] = 2.0 * ((hi >> np.arange(d - w)) & 1) - 1.0
         vals = (np.abs(signs @ xc.T) ** q).sum(axis=1)
         j = int(np.argmax(vals))
         if vals[j] > best:
             best = float(vals[j])
             best_sign = signs[j].copy()
     return _finish(family, q, best ** (1.0 / q), best_sign, exact=True)
+
+
+def _gram_vertex(xc: np.ndarray) -> np.ndarray:
+    """First sign vertex s (s_0 = +1) maximising s^T G s, G = xc^T xc.
+
+    Split s = (l, h) with l = s[:b] (holding s_0) and h = s[b:].  Then
+    s^T G s = l^T G_ll l + h^T G_hh h + 2 h^T G_hl l, so every vertex
+    value is an entry of one 2^(d-b) x 2^(b-1) table (h by row, l by
+    column), whose row-major order is vertex order.
+    """
+    d = xc.shape[1]
+    b = (d + 1) // 2
+    g = xc.T @ xc
+    low = _vertex_table(b)
+    high = _vertex_table(d - b + 1)[:, 1:]
+    table = (high @ (2.0 * g[b:, :b])) @ low.T
+    table += ((high @ g[b:, b:]) * high).sum(axis=1)[:, None]
+    table += ((low @ g[:b, :b]) * low).sum(axis=1)
+    ih, il = divmod(int(np.argmax(table)), table.shape[1])
+    return np.concatenate((low[il], high[ih]))
 
 
 def _column_path(family: VectorFamily, q: float) -> WeakNormResult:
@@ -206,10 +251,11 @@ def weak_norm_search(family: VectorFamily, q: float, budget: SearchBudget = DEFA
     space = family.space
     dual = lp(dual_exponent_of(space), space.dimension)
     x = family.matrix
-    seed = derive_seed(budget.seed, "weak_norm", repr(space), float(q), canonical_rows(x))
+    xc = canonical_rows(x)
+    seed = derive_seed(budget.seed, "weak_norm", repr(space), float(q), xc)
 
     starts = [norming_rows(space, x[np.any(x, axis=1)])]
-    _, _, vh = np.linalg.svd(canonical_rows(x), full_matrices=False)
+    _, _, vh = np.linalg.svd(xc, full_matrices=False)
     starts.append(vh[:1])
     fill = max(0, budget.restarts - starts[0].shape[0] - 1)
     if fill:

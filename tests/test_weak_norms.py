@@ -65,6 +65,58 @@ def test_vertex_fast_path_matches_oracle(rng):
         assert res.value == pytest.approx(sl.weak_norm_vertex_oracle(fam, q), rel=1e-12)
 
 
+def _gram_families(rng, d):
+    """Random and tie-heavy +-1 families on l_1^d."""
+    space = sl.lp(1, d)
+    for n in (1, 3, 6):
+        yield random_family(rng, space, n)
+        yield sl.VectorFamily(space, rng.choice([-1.0, 1.0], (n, d)))
+
+
+def test_gram_vertex_path_matches_oracle(rng):
+    # d = 1 and d = 2 leave one or both half sign tables empty
+    for d in range(1, 13):
+        for fam in _gram_families(rng, d):
+            res = sl.weak_norm(fam, 2.0)
+            assert res.exact
+            assert res.value == pytest.approx(sl.weak_norm_vertex_oracle(fam, 2.0), rel=1e-12)
+            phi = res.certificate.coords
+            assert phi[0] == 1.0 and np.all(np.abs(phi) == 1.0)
+
+
+def test_gram_vertex_path_permutation_bit_identical(rng):
+    for d in (1, 2, 5, 9, 12):
+        for fam in _gram_families(rng, d):
+            r1 = sl.weak_norm(fam, 2.0)
+            r2 = sl.weak_norm(fam.permuted(rng.permutation(fam.n)), 2.0)
+            assert r1.value == r2.value
+            assert r1.certificate.coords.tobytes() == r2.certificate.coords.tobytes()
+
+
+def test_gram_vertex_path_at_max_dim(rng):
+    fam = random_family(rng, sl.lp(1, 20), 16)
+    res = sl.weak_norm(fam, 2.0)
+    assert res.exact
+    assert family_q_sum(fam, 2.0, res.certificate.coords) == pytest.approx(res.value, rel=1e-12)
+    assert sl.weak_norm_search(fam, 2.0).value <= res.value * (1 + 1e-12)
+    # one coordinate past the enumeration limit falls to the search
+    wide = random_family(rng, sl.lp(1, 21), 4)
+    assert not sl.weak_norm(wide, 2.0).exact
+
+
+def test_vertex_path_chunks_reach_every_coordinate(rng):
+    # one vector on l_1^19: the sup is ||x||_1 at the sign vertex of x,
+    # which q != 2 reaches only through the chunks' high coordinates; the
+    # signs alternate so that both high coordinates need a -1
+    x = np.abs(rng.standard_normal(19)) * (-1.0) ** np.arange(19)
+    fam = sl.VectorFamily(sl.lp(1, 19), x[None, :])
+    for q in (1.5, 2.0, 3.0):
+        res = sl.weak_norm(fam, q)
+        assert res.exact
+        assert res.value == pytest.approx(np.abs(x).sum(), rel=1e-12)
+        assert np.array_equal(res.certificate.coords, np.sign(x))
+
+
 def test_vertex_oracle_budget_error():
     fam = sl.VectorFamily.basis(sl.lp(1, 21), 2)
     with pytest.raises(BudgetError):
