@@ -21,12 +21,11 @@ from .errors import (
 from .search import DEFAULT_BUDGET, SearchBudget
 from .spaces import (
     Family,
-    Functional,
     SpaceDescriptor,
     Vector,
+    dual,
     dual_exponent,
     lp,
-    norm,
     norming_functional,
     real_line,
     space_from_json,

@@ -32,13 +32,15 @@ from . import __version__
 from .errors import SummLabError
 from .index_lab import IndexEstimate, bound_table, estimate_index, maximize_quotient
 from .maps import DEFAULT_TUPLE_BUDGET, DenseTensor, MultilinearMap, dense_container_to_array, load_dense_container
-from .oracles import hilbert_identity_check, identity_cap_check, identity_growth_check
+from .oracles import CAP_CHECK_MAX_D, HILBERT_CHECK_MAX_D, hilbert_identity_check, identity_cap_check, identity_growth_check
 from .search import SearchBudget
 from .spaces import space_from_json
 from .witnesses import cotype_witness, diagonal_product_map, identity_witness, real_even_witness, tensor_witness
 
 _POSITIVE = {"type": "integer", "minimum": 1}
 _NUMBER = {"type": "number"}
+_ABOVE_0 = {"type": "number", "exclusiveMinimum": 0}
+_ABOVE_2 = {"type": "number", "exclusiveMinimum": 2}
 _STRING = {"type": "string"}
 _SPACE_SCHEMA = {
     "type": "object",
@@ -144,6 +146,22 @@ _MAP_SCHEMA = {
     ],
 }
 
+
+def _one_or_many(item: dict) -> dict:
+    return {"anyOf": [item, {"type": "array", "items": item}]}
+
+
+# the parameter ranges each oracle check accepts, so a bad value stops the run at ingest
+_ORACLE_RANGES = {
+    "hilbert_identity": {"d": _one_or_many({"type": "integer", "minimum": 1, "maximum": HILBERT_CHECK_MAX_D})},
+    "identity_cap": {
+        "d": _one_or_many({"type": "integer", "minimum": 1, "maximum": CAP_CHECK_MAX_D}),
+        "p": _ABOVE_0,
+        "p_values": {"type": "array", "items": _ABOVE_0},
+    },
+    "identity_growth": {"q": _ABOVE_2, "q_values": {"type": "array", "items": _ABOVE_2}},
+}
+
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["experiments"],
@@ -158,12 +176,19 @@ CONFIG_SCHEMA = {
                 "allOf": [
                     {
                         "if": {"properties": {"kind": {"const": "slope"}}},
-                        "then": {"required": ["map", "p", "q", "n_grid"]},
+                        "then": {"required": ["map", "p", "q", "n_grid"], "properties": {"p": _ABOVE_0, "q": _ABOVE_0}},
                     },
                     {
                         "if": {"properties": {"kind": {"const": "oracle"}}},
                         "then": {"required": ["check"]},
                     },
+                    *(
+                        {
+                            "if": {"properties": {"kind": {"const": "oracle"}, "check": {"const": check}}, "required": ["check"]},
+                            "then": {"properties": ranges},
+                        }
+                        for check, ranges in _ORACLE_RANGES.items()
+                    ),
                 ],
                 "properties": {
                     "name": {"type": "string"},
@@ -181,9 +206,9 @@ CONFIG_SCHEMA = {
                         "properties": dict.fromkeys(("slope", "slope_tol", "residual_max", "cap_exponent", "cap_slack"), _NUMBER),
                     },
                     "check": {"enum": ["hilbert_identity", "identity_growth", "identity_cap"]},
-                    "d": {"anyOf": [{"type": "integer"}, {"type": "array", "items": {"type": "integer"}}]},
-                    "m": {"anyOf": [{"type": "integer"}, {"type": "array", "items": {"type": "integer"}}]},
-                    "r": {"anyOf": [{"type": "number"}, {"type": "array", "items": {"type": "number"}}]},
+                    "d": _one_or_many({"type": "integer"}),
+                    "m": _one_or_many({"type": "integer"}),
+                    "r": _one_or_many(_NUMBER),
                     "p_values": {"type": "array", "items": {"type": "number"}},
                     "q_values": {"type": "array", "items": {"type": "number"}},
                 },
@@ -372,9 +397,8 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", text).strip("-") or "experiment"
 
 
-def run(config_path, output_dir, seed: int | None = None, threads: int | None = None,
-        tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> int:
-    """Execute a config; returns the process exit code.  ``threads`` is accepted and unused: runs are serial."""
+def run(config_path, output_dir, seed: int | None = None, tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> int:
+    """Execute a config serially; returns the process exit code."""
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             config = json.load(fh, parse_constant=_reject_non_finite)
@@ -384,6 +408,9 @@ def run(config_path, output_dir, seed: int | None = None, threads: int | None = 
     error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(config))
     if error is not None:
         print(f"config schema violation: {error.message} (at {list(error.absolute_path)})", file=sys.stderr)
+        return 2
+    if tuple_budget < 1:
+        print(f"config error: the tuple budget must be >= 1, got {tuple_budget}", file=sys.stderr)
         return 2
     for i, exp in enumerate(config["experiments"]):
         fitted = {"slope", "residual_max"} & exp.get("assert", {}).keys()
@@ -516,7 +543,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "run":
-        return run(args.config, args.out, seed=args.seed, threads=args.threads, tuple_budget=args.tuple_budget)
+        return run(args.config, args.out, seed=args.seed, tuple_budget=args.tuple_budget)
     print_bounds(args.m, args.p, args.q, args.r)
     return 0
 

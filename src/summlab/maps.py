@@ -41,8 +41,7 @@ from .spaces import (
     SpaceDescriptor,
     Vector,
     coord_norm,
-    dual_coord_norm,
-    linear_argmax,
+    dual,
     lp,
     norming_rows,
     sup_slice,
@@ -204,7 +203,7 @@ class HomogeneousPolynomial:
             return
         if self.body.functionals.shape[1] != d:
             raise StructuralError("witness functionals do not match the domain dimension")
-        if np.any(dual_coord_norm(self.domain, self.body.functionals, axis=1) > 1.0 + 1e-12):
+        if np.any(coord_norm(dual(self.domain), self.body.functionals, axis=1) > 1.0 + 1e-12):
             raise StructuralError("witness functionals must lie in the dual unit ball")
         if self.body.targets is None:
             if m % 2 != 0:
@@ -414,7 +413,10 @@ def _sphere_starts(space: SpaceDescriptor, count: int, seed: int, offset: int = 
 
 
 def _search_multilinear_norm(t: MultilinearMap, budget: SearchBudget) -> OperatorNormResult:
-    """Block ascent: each slot in turn is set to the linear argmax against the norming rows of the output."""
+    """Block ascent: each slot in turn maximises its contraction c against the output's norming rows.
+
+    The maximiser over the unit ball of slot space E is ``norming_rows(dual(E), c)``.
+    """
     seed = derive_seed(budget.seed, "operator_norm", t.fingerprint())
     m = t.arity
     cuts = np.cumsum([s.dimension for s in t.domain])[:-1]
@@ -431,7 +433,7 @@ def _search_multilinear_norm(t: MultilinearMap, budget: SearchBudget) -> Operato
         u = norming_rows(t.codomain, y)
         for i, s in enumerate(t.domain):
             c = _contract(t.body.coefficients, [None if j == i else xs[j] for j in range(m)], "r" * m, u)
-            xs[i] = linear_argmax(s, c)
+            xs[i] = norming_rows(dual(s), c)
         return np.hstack(xs)
 
     value, row = multistart_ascent(starts, objective, propose, budget)
@@ -501,9 +503,9 @@ def operator_norm(obj, budget: SearchBudget = DEFAULT_BUDGET) -> OperatorNormRes
     if t.arity == 1:
         dom = t.domain[0]
         if t.codomain.is_sup:
-            colnorms = np.atleast_1d(dual_coord_norm(dom, a.T, axis=1))
+            colnorms = np.atleast_1d(coord_norm(dual(dom), a.T, axis=1))
             o = int(np.argmax(colnorms))
-            cert = (Vector(dom, linear_argmax(dom, a[:, o])),)
+            cert = (Vector(dom, norming_rows(dual(dom), a.T[o : o + 1])[0]),)
             return OperatorNormResult(float(colnorms[o]), cert, exact=True)
         if dom.family is Family.SEQUENCE_LP and dom.exponent == 2.0 and not t.codomain.is_sup and t.codomain.exponent == 2.0:
             u_mat, svals, _ = np.linalg.svd(a, full_matrices=False)

@@ -19,13 +19,15 @@ from .errors import BudgetError, DomainError
 from .index_lab import WEAK2_GROWTH_CONSTANT, estimate_index, maximize_quotient, summing_quotient
 from .maps import MultilinearMap, eval_multilinear
 from .search import DEFAULT_BUDGET, SearchBudget
-from .spaces import Vector, dual_coord_norm, lp
+from .spaces import Vector, coord_norm, dual, lp
 from .weak_norms import VectorFamily
 from .witnesses import identity_witness
 
 _BRUTE_TUPLE_CAP = 10**5
 _SAMPLER_DIM_CAP = 6
 _SAMPLER_RESOLUTION_CAP = 10**7
+HILBERT_CHECK_MAX_D = 32
+CAP_CHECK_MAX_D = 16
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ def brute_force_weak_norm(family: VectorFamily, q: float, resolution: int = 10**
     while remaining > 0:
         count = min(remaining, 1 << 16)
         g = rng.standard_normal((count, d))
-        norms = np.atleast_1d(dual_coord_norm(family.space, g, axis=1)).astype(float)
+        norms = np.atleast_1d(coord_norm(dual(family.space), g, axis=1)).astype(float)
         norms[norms == 0.0] = 1.0
         phis = g / norms[:, None]
         vals = (np.abs(phis @ x.T) ** q).sum(axis=1)
@@ -84,8 +86,8 @@ def hilbert_identity_check(d: int, budget: SearchBudget = DEFAULT_BUDGET) -> Che
     The basis family attains sqrt(d) exactly and no searched family may
     exceed it beyond 1e-6 relative slack.
     """
-    if not (1 <= d <= 32):
-        raise DomainError(f"check is sized for 1 <= d <= 32, got {d}")
+    if not (1 <= d <= HILBERT_CHECK_MAX_D):
+        raise DomainError(f"check is sized for 1 <= d <= {HILBERT_CHECK_MAX_D}, got {d}")
     space = lp(2.0, d)
     ident = identity_witness(space)
     expected = math.sqrt(d)
@@ -144,8 +146,8 @@ def identity_cap_check(p: float, d: int, budget: SearchBudget = DEFAULT_BUDGET) 
     """
     if p <= 0:
         raise DomainError(f"requires p > 0, got {p}")
-    if d > 16:
-        raise DomainError(f"cap check is sized for d <= 16, got {d}")
+    if d > CAP_CHECK_MAX_D:
+        raise DomainError(f"cap check is sized for d <= {CAP_CHECK_MAX_D}, got {d}")
     cap = float(d) ** max(1.0 / p, 0.5) * (1.0 + 1e-6)
     spaces = [lp(2.0, d), lp(1.0, d)]
     total = 0

@@ -6,6 +6,9 @@ under a separate family tag.  Sup slices are how this package models
 finite sections of c_0 and C(K): every construction here only ever
 populates finitely many coordinates, so nothing is lost at desk scale.
 
+The dual of a space is a space (:func:`dual`), so a functional on E is
+a :class:`Vector` of dual(E), measured with the same norm code.
+
 Cotype is tabulated metadata, never computed: max(2, p) for l_p with
 p < inf, and inf for sup slices and p = inf.
 """
@@ -13,6 +16,7 @@ p < inf, and inf for sup slices and p = inf.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -102,11 +106,10 @@ def dual_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def dual_exponent_of(space: SpaceDescriptor) -> float:
-    """Exponent of the dual space (sup slices have l_1 duals)."""
-    if space.is_sup:
-        return 1.0
-    return dual_exponent(space.exponent)
+@functools.lru_cache(maxsize=None)
+def dual(space: SpaceDescriptor) -> SpaceDescriptor:
+    """The dual space: l_p* for l_p, and l_1 for sup slices."""
+    return lp(1.0 if space.is_sup else dual_exponent(space.exponent), space.dimension)
 
 
 def _scaled_power_norm(a: np.ndarray, p: float, axis: int) -> np.ndarray | float:
@@ -133,74 +136,32 @@ def coord_norm(space: SpaceDescriptor, coords: np.ndarray, axis: int = -1) -> np
     return _scaled_power_norm(a, p, axis)
 
 
-def dual_coord_norm(space: SpaceDescriptor, coords: np.ndarray, axis: int = -1) -> np.ndarray | float:
-    """Norm of functional coordinates in the dual of ``space``."""
-    a = np.abs(np.asarray(coords, dtype=float))
-    q = dual_exponent_of(space)
-    if q == INF:
-        return a.max(axis=axis)
-    if q == 1.0:
-        return a.sum(axis=axis)
-    return _scaled_power_norm(a, q, axis)
-
-
-def _as_coords(coords, dim: int) -> np.ndarray:
-    a = np.asarray(coords, dtype=float)
-    if a.ndim != 1 or a.shape[0] != dim:
-        raise StructuralError(f"expected {dim} coordinates, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise StructuralError("coordinates must be finite")
-    a = a.copy()
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class Vector:
-    """A point of a space, stored as its coordinate array."""
+    """A point of a space, stored as its coordinate array.
 
-    space: SpaceDescriptor
-    coords: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", _as_coords(self.coords, self.space.dimension))
-
-    def norm(self) -> float:
-        return float(coord_norm(self.space, self.coords))
-
-
-@dataclass(frozen=True, eq=False)
-class Functional:
-    """A functional on ``space``, i.e. an element of the dual space.
-
-    ``space`` is the predual; the coordinate array is measured in the
-    dual norm.
+    A functional on E is a Vector of ``dual(E)``.
     """
 
     space: SpaceDescriptor
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", _as_coords(self.coords, self.space.dimension))
+        a = np.asarray(self.coords, dtype=float)
+        if a.shape != (self.space.dimension,):
+            raise StructuralError(f"expected {self.space.dimension} coordinates, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise StructuralError("coordinates must be finite")
+        a = a.copy()
+        a.setflags(write=False)
+        object.__setattr__(self, "coords", a)
 
-    def dual_norm(self) -> float:
-        return float(dual_coord_norm(self.space, self.coords))
-
-    def __call__(self, v: Vector) -> float:
-        if v.space != self.space:
-            raise StructuralError(f"functional on {self.space} applied to vector in {v.space}")
-        return float(np.dot(self.coords, v.coords))
-
-
-def norm(space: SpaceDescriptor, v: Vector) -> float:
-    """Norm of ``v`` in ``space``; exactly zero iff v = 0."""
-    if v.space != space:
-        raise StructuralError(f"vector lives in {v.space}, not {space}")
-    return v.norm()
+    def norm(self) -> float:
+        return float(coord_norm(self.space, self.coords))
 
 
-def norming_functional(space: SpaceDescriptor, v: Vector) -> Functional:
-    """A unit functional phi with phi(v) = ||v||.
+def norming_functional(space: SpaceDescriptor, v: Vector) -> Vector:
+    """A unit vector phi of ``dual(space)`` with <phi, v> = ||v||.
 
     For l_p with 1 < p < inf the functional is the Hoelder-equality
     functional sign(v_i) |v_i|^(p-1) / ||v||^(p-1); for l_1 it is the
@@ -211,11 +172,15 @@ def norming_functional(space: SpaceDescriptor, v: Vector) -> Functional:
         raise StructuralError(f"vector lives in {v.space}, not {space}")
     if v.norm() == 0.0:
         raise DegenerateInputError("zero vector has no norming functional")
-    return Functional(space, norming_rows(space, v.coords[None, :])[0])
+    return Vector(dual(space), norming_rows(space, v.coords[None, :])[0])
 
 
 def norming_rows(space: SpaceDescriptor, rows: np.ndarray) -> np.ndarray:
-    """Row-wise coordinates of :func:`norming_functional`; zero rows get e_1."""
+    """Row-wise coordinates of :func:`norming_functional`; zero rows get e_1.
+
+    ``norming_rows(dual(E), c)`` is the linear argmax over the unit ball
+    of E: each of its rows x has ||x||_E = 1 and <c, x> = ||c||_E*.
+    """
     rows = np.array(rows, dtype=float)
     rows[~np.any(rows, axis=1), 0] = 1.0  # e_1 is its own norming functional in every space
     if space.is_sup:
@@ -238,33 +203,6 @@ def _signed_peak_rows(rows: np.ndarray) -> np.ndarray:
     at = (np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1))
     out[at] = np.where(rows[at] >= 0, 1.0, -1.0)
     return out
-
-
-def linear_argmax(space: SpaceDescriptor, c: np.ndarray) -> np.ndarray:
-    """Unit-norm coordinates x maximizing <c, x> over the unit ball of ``space``.
-
-    Works row-wise along the last axis of ``c``.  The maximum value is
-    the dual norm of ``c``.  Ties for sup-norm duals (l_1-ball argmax)
-    break toward the lowest index.  For c = 0 returns e_1.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.shape[-1:] != (space.dimension,):
-        raise StructuralError(f"expected {space.dimension} coefficients, got shape {c.shape}")
-    rows = c.reshape(-1, space.dimension)
-    if space.is_sup:
-        x = np.sign(rows)
-        x[x == 0.0] = 1.0
-    elif space.exponent == 1.0:
-        x = _signed_peak_rows(rows)
-    else:
-        top = np.abs(rows).max(axis=1, keepdims=True)
-        x = np.sign(rows) * (np.abs(rows) / np.where(top > 0.0, top, 1.0)) ** (dual_exponent(space.exponent) - 1.0)
-        norms = coord_norm(space, x, axis=1)
-        x = x / np.where(norms > 0.0, norms, 1.0)[:, None]
-    dead = ~np.any(rows, axis=1)
-    x[dead] = 0.0
-    x[dead, 0] = 1.0
-    return x.reshape(c.shape)
 
 
 def space_to_json(space: SpaceDescriptor) -> dict:

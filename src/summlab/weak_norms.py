@@ -2,10 +2,11 @@
 
 For a family x_1, ..., x_n in a space E and q > 0, the weak norm is
 
-    sup over phi in the dual unit ball of ( sum_k |phi(x_k)|^q )^(1/q),
+    sup over phi in the unit ball of E* of ( sum_k |<phi, x_k>|^q )^(1/q),
 
 equivalently the operator norm of the n x d coordinate matrix from the
-dual of E into l_q^n.  Exact fast paths cover the cases where the sup
+dual E* = ``dual(E)`` into l_q^n.  Every result carries its certificate,
+a unit vector of the dual space at which the sum is attained.  Exact fast paths cover the cases where the sup
 has a certified finite witness set (Hilbert domain at q = 2 via the top
 singular value; cube dual balls via vertex enumeration; l_1 dual balls
 via +/- basis extreme points; single-vector families).  On the cube at
@@ -40,12 +41,10 @@ from .search import (
 )
 from .spaces import (
     Family,
-    Functional,
     SpaceDescriptor,
     Vector,
     coord_norm,
-    dual_exponent_of,
-    lp,
+    dual,
     norming_functional,
     norming_rows,
     unit_rows,
@@ -114,14 +113,14 @@ class VectorFamily:
 
 @dataclass(frozen=True, eq=False)
 class WeakNormResult:
-    """Weak-norm value with the maximizing functional found.
+    """Weak-norm value with its certificate, a unit vector of the dual space.
 
     exact=True only on closed-form paths; search results are lower
     bounds and must be treated as such downstream.
     """
 
     value: float
-    certificate: Functional
+    certificate: Vector
     exact: bool
 
 
@@ -132,8 +131,8 @@ def family_q_sum(family: VectorFamily, q: float, phi: np.ndarray) -> float:
 
 
 def _finish(family: VectorFamily, q: float, value: float, phi: np.ndarray, exact: bool) -> WeakNormResult:
-    cert = Functional(family.space, phi)
-    if cert.dual_norm() > 1.0 + 1e-9:
+    cert = Vector(dual(family.space), phi)
+    if cert.norm() > 1.0 + 1e-9:
         raise StructuralError("weak-norm certificate escaped the dual unit ball")
     check = family_q_sum(family, q, phi)
     if abs(check - value) > 1e-9 * max(1.0, abs(value)):
@@ -249,7 +248,7 @@ def weak_norm_search(family: VectorFamily, q: float, budget: SearchBudget = DEFA
     if q <= 0.0:
         raise DomainError(f"weak norm requires q > 0, got {q}")
     space = family.space
-    dual = lp(dual_exponent_of(space), space.dimension)
+    ball = dual(space)
     x = family.matrix
     xc = canonical_rows(x)
     seed = derive_seed(budget.seed, "weak_norm", repr(space), float(q), xc)
@@ -271,9 +270,9 @@ def weak_norm_search(family: VectorFamily, q: float, budget: SearchBudget = DEFA
         a = np.abs(y)
         with np.errstate(divide="ignore"):
             w = np.where(a > 0.0, a ** (q - 1.0), 0.0) * np.sign(y)
-        return gradient_step(dual, phis, w @ x, step)
+        return gradient_step(ball, phis, w @ x, step)
 
-    value, phi = multistart_ascent(unit_rows(dual, np.vstack(starts)), objective, propose, budget)
+    value, phi = multistart_ascent(unit_rows(ball, np.vstack(starts)), objective, propose, budget)
     return _finish(family, q, value, phi, exact=False)
 
 

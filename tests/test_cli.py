@@ -20,7 +20,7 @@ def _bundled(name):
 
 
 def test_bundled_diagonal_growth(tmp_path):
-    code = run(_bundled("diagonal_growth.json"), tmp_path / "out", seed=42, threads=2)
+    code = run(_bundled("diagonal_growth.json"), tmp_path / "out", seed=42)
     assert code == 0
     results = json.loads((tmp_path / "out" / "results.json").read_text())
     slopes = {rec["name"]: rec["estimate"]["slope"] for rec in results["experiments"]}
@@ -35,7 +35,7 @@ def test_bundled_diagonal_growth(tmp_path):
 
 
 def test_bundled_hilbert_identity(tmp_path):
-    code = run(_bundled("hilbert_identity.json"), tmp_path / "out", seed=42, threads=1)
+    code = run(_bundled("hilbert_identity.json"), tmp_path / "out", seed=42)
     assert code == 0
     results = json.loads((tmp_path / "out" / "results.json").read_text())
     reports = results["experiments"][0]["reports"]
@@ -44,7 +44,7 @@ def test_bundled_hilbert_identity(tmp_path):
 
 
 def test_bundled_identity_growth(tmp_path):
-    code = run(_bundled("identity_growth.json"), tmp_path / "out", seed=42, threads=2)
+    code = run(_bundled("identity_growth.json"), tmp_path / "out", seed=42)
     assert code == 0
     results = json.loads((tmp_path / "out" / "results.json").read_text())
     growth = next(r for r in results["experiments"] if r["kind"] == "oracle")
@@ -62,7 +62,7 @@ def test_empty_experiment_list(tmp_path):
 
 def test_bit_reproducibility(tmp_path):
     for name in ("a", "b"):
-        assert run(_bundled("diagonal_growth.json"), tmp_path / name, seed=7, threads=2) == 0
+        assert run(_bundled("diagonal_growth.json"), tmp_path / name, seed=7) == 0
     assert (tmp_path / "a" / "results.json").read_bytes() == (tmp_path / "b" / "results.json").read_bytes()
     assert (tmp_path / "a" / "slopes.csv").read_bytes() == (tmp_path / "b" / "slopes.csv").read_bytes()
 
@@ -96,9 +96,14 @@ _SLOPE = {"kind": "slope", "p": 2, "q": 2, "n_grid": [2, 4, 8]}
 _SPACE_2 = {"family": "lp", "p": 2, "dim": 2}
 
 
+_CAP = {"kind": "oracle", "check": "identity_cap"}
+_GROWTH = {"kind": "oracle", "check": "identity_growth"}
+_VALID = {**_SLOPE, "map": {"kind": "tensor", "m": 1}, "random_starts": 0, "sweeps": 0}
+
+
 @pytest.mark.parametrize(
-    "experiment, message",
-    [
+    "experiment, message, options",
+    [(*case, ()) for case in [
         (
             {**_SLOPE, "map": {"kind": "dense", "shape": [2, 2], "data": [1, 0, 0, 1], "codomain": _SPACE_2}},
             "config schema violation",
@@ -120,6 +125,19 @@ _SPACE_2 = {"family": "lp", "p": 2, "dim": 2}
         ({**_SLOPE, "map": {"kind": "tensor", "m": 1}, "assert": {"cap_exponent": math.nan}}, "config error"),
         ({**_SLOPE, "p": math.nan, "map": {"kind": "tensor", "m": 1}}, "config error"),
         ({**_SLOPE, "q": math.inf, "map": {"kind": "tensor", "m": 1}}, "config error"),
+        # out-of-range parameters are rejected at ingest, not by the experiment that reads them
+        ({**_VALID, "p": 0}, "config schema violation"),
+        ({**_VALID, "q": -1}, "config schema violation"),
+        ({"kind": "oracle", "check": "hilbert_identity", "d": [40]}, "config schema violation"),
+        ({"kind": "oracle", "check": "hilbert_identity", "d": 0}, "config schema violation"),
+        ({**_CAP, "d": [20]}, "config schema violation"),
+        ({**_CAP, "p_values": [0]}, "config schema violation"),
+        ({**_CAP, "p": 0}, "config schema violation"),
+        ({**_GROWTH, "q_values": [2]}, "config schema violation"),
+        ({**_GROWTH, "q": 2}, "config schema violation"),
+    ]] + [
+        (_VALID, "config error", ("--tuple-budget", "0")),
+        (_VALID, "config error", ("--tuple-budget", "-5")),
     ],
     ids=[
         "dense-without-domain",
@@ -134,13 +152,25 @@ _SPACE_2 = {"family": "lp", "p": 2, "dim": 2}
         "nan-cap",
         "nan-p",
         "infinity-q",
+        "slope-p-zero",
+        "slope-q-negative",
+        "hilbert-d-above-32",
+        "hilbert-d-zero",
+        "cap-d-above-16",
+        "cap-p-values-zero",
+        "cap-p-zero",
+        "growth-q-values-2",
+        "growth-q-2",
+        "tuple-budget-zero",
+        "tuple-budget-negative",
     ],
 )
-def test_malformed_experiment_exit_2(tmp_path, capsys, experiment, message):
+def test_malformed_experiment_exit_2(tmp_path, capsys, experiment, message, options):
     # exit 2 from main itself: the error never escapes as a traceback
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiments": [experiment]}))
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--threads", "1", *options]
+    assert main(argv) == 2
     assert message in capsys.readouterr().err
     # ingest and build errors stop the run before the output directory, or any experiment, exists
     assert not (tmp_path / "out").exists()
@@ -161,10 +191,9 @@ def test_every_map_is_built_before_any_experiment_runs(tmp_path, capsys, monkeyp
     runs = []
     original = cli.maximize_quotient
     monkeypatch.setattr(cli, "maximize_quotient", lambda *a, **k: runs.append(a[1]) or original(*a, **k))
-    valid = {**_SLOPE, "map": {"kind": "tensor", "m": 1}, "random_starts": 0, "sweeps": 0}
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"experiments": [valid, {**_SLOPE, "map": bad_map}]}))
-    assert run(cfg, tmp_path / "out", threads=1) == 2
+    cfg.write_text(json.dumps({"experiments": [_VALID, {**_SLOPE, "map": bad_map}]}))
+    assert run(cfg, tmp_path / "out") == 2
     assert "experiment configuration error" in capsys.readouterr().err
     # the valid first experiment never ran and no output exists (both did when maps were built lazily)
     assert runs == [] and not (tmp_path / "out").exists()
@@ -265,7 +294,7 @@ def test_all_map_kinds_execute(tmp_path):
             }
         )
     )
-    assert run(cfg, tmp_path / "out", threads=1) == 0
+    assert run(cfg, tmp_path / "out") == 0
     results = json.loads((tmp_path / "out" / "results.json").read_text())
     by_name = {rec["name"]: rec for rec in results["experiments"]}
     assert set(by_name) == {"identity-l1", "outer-l1", "cotype-wit", "real-even-wit", "dense-inline"}
@@ -291,7 +320,7 @@ def test_map_builders_call_the_module_constructors(tmp_path, monkeypatch):
     experiments = [{**_SLOPE, "map": spec, "n_grid": [2], "random_starts": 0, "sweeps": 0} for spec in kinds]
     cfg = tmp_path / "kinds.json"
     cfg.write_text(json.dumps({"experiments": experiments}))
-    assert run(cfg, tmp_path / "out", threads=1) == 0
+    assert run(cfg, tmp_path / "out") == 0
     assert calls == list(names)
 
 
@@ -346,7 +375,7 @@ def test_dense_container_is_loaded_once_per_experiment(tmp_path, monkeypatch):
         return search(t, *args, **kwargs)
 
     monkeypatch.setattr(cli, "maximize_quotient", record)
-    assert run(large, tmp_path / "all", seed=42, threads=1) == 0
+    assert run(large, tmp_path / "all", seed=42) == 0
     # one decode for the four grid points of dense-m2-container, and one shared coefficient copy
     assert len(loads) == 1 and len(bodies) == 4
     assert all(body is bodies[0] for body in bodies)
@@ -354,7 +383,7 @@ def test_dense_container_is_loaded_once_per_experiment(tmp_path, monkeypatch):
     config = json.loads(large.read_text())
     config["experiments"] = [exp for exp in config["experiments"] if exp["name"] != "dense-m2-container"]
     (tmp_path / "rest.json").write_text(json.dumps(config))
-    assert run(tmp_path / "rest.json", tmp_path / "rest", seed=42, threads=1) == 0
+    assert run(tmp_path / "rest.json", tmp_path / "rest", seed=42) == 0
     full = json.loads((tmp_path / "all" / "results.json").read_text())["experiments"]
     rest = json.loads((tmp_path / "rest" / "results.json").read_text())["experiments"]
     assert [rec for rec in full if rec["name"] != "dense-m2-container"] == rest

@@ -1,5 +1,6 @@
 """Map evaluation, power sums, operator norms."""
 
+import itertools
 import math
 import struct
 
@@ -306,6 +307,30 @@ def test_operator_norm_certificates_feasible(rng):
         assert v.norm() <= 1 + 1e-9
     out = sl.eval_multilinear(t, list(res.certificate))
     assert out.norm() == pytest.approx(res.value, rel=1e-9)
+
+
+def test_block_step_on_sup_domains_with_zero_slices(rng, small_budget):
+    # on sup^d the block step's slot maximiser is sign(c), with 0 where c is 0;
+    # the cube's sign vertices (at most 2^8 tuples here) give the exact norm
+    from summlab.maps import _search_multilinear_norm
+
+    for trial in range(24):
+        m = 1 + trial % 2
+        dims = [int(rng.integers(1, 5)) for _ in range(m)]
+        codomain = sl.lp(float(rng.choice([1.0, 1.5, 2.0, 3.0])), int(rng.integers(1, 4)))
+        a = rng.standard_normal((*dims, codomain.dimension))
+        for axis, d in enumerate(dims):
+            a[(slice(None),) * axis + (int(rng.integers(d)),)] = 0.0
+        t = sl.MultilinearMap(tuple(sl.sup_slice(d) for d in dims), codomain, sl.DenseTensor(a))
+        res = _search_multilinear_norm(t, small_budget)
+        vertex_max = max(
+            sl.eval_multilinear(t, [sl.Vector(sp, v) for sp, v in zip(t.domain, np.split(s, np.cumsum(dims)[:-1]))]).norm()
+            for s in itertools.product((1.0, -1.0), repeat=sum(dims))
+        )
+        assert res.value <= vertex_max + 1e-12
+        for v in res.certificate:
+            assert v.norm() == pytest.approx(1.0, abs=1e-12)
+        assert sl.eval_multilinear(t, list(res.certificate)).norm() == pytest.approx(res.value, rel=1e-12)
 
 
 def test_dense_container_roundtrip(tmp_path, rng):

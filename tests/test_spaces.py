@@ -9,16 +9,27 @@ from hypothesis import strategies as st
 
 import summlab as sl
 from summlab.errors import DegenerateInputError, DomainError, StructuralError
-from summlab.spaces import coord_norm, dual_coord_norm, linear_argmax
+from summlab.spaces import coord_norm, dual, norming_rows
 
 from conftest import random_space
 
 
 def test_norm_values():
-    assert sl.norm(sl.lp(2, 3), sl.Vector(sl.lp(2, 3), [3, 4, 0])) == 5.0
-    assert sl.norm(sl.lp(1, 3), sl.Vector(sl.lp(1, 3), [1, 1, 1])) == 3.0
-    assert sl.norm(sl.sup_slice(2), sl.Vector(sl.sup_slice(2), [1, -2])) == 2.0
-    assert sl.norm(sl.lp(math.inf, 2), sl.Vector(sl.lp(math.inf, 2), [1, -2])) == 2.0
+    assert sl.Vector(sl.lp(2, 3), [3, 4, 0]).norm() == 5.0
+    assert sl.Vector(sl.lp(1, 3), [1, 1, 1]).norm() == 3.0
+    assert sl.Vector(sl.sup_slice(2), [1, -2]).norm() == 2.0
+    assert sl.Vector(sl.lp(math.inf, 2), [1, -2]).norm() == 2.0
+
+
+def test_dual_spaces():
+    assert sl.dual(sl.lp(2, 3)) == sl.lp(2, 3)
+    assert sl.dual(sl.lp(1, 3)) == sl.lp(math.inf, 3)
+    assert sl.dual(sl.lp(math.inf, 3)) == sl.lp(1, 3)
+    assert sl.dual(sl.sup_slice(4)) == sl.lp(1, 4)
+    assert sl.dual(sl.lp(4, 2)) == sl.lp(4 / 3, 2)
+    assert sl.dual(sl.lp(3, 5)) is sl.dual(sl.lp(3, 5))  # cached
+    for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+        assert sl.dual(sl.dual(sl.lp(p, 3))).exponent == pytest.approx(p, rel=1e-12)
 
 
 def test_norm_zero_iff_zero(rng):
@@ -32,9 +43,9 @@ def test_single_vector_norm_matches_its_matrix_row(rng):
     # one reduction for both shapes: the bits must not depend on how a vector is passed
     for space in (sl.lp(1.5, 5), sl.lp(3, 7), sl.lp(7.5, 4)):
         rows = rng.standard_normal((2000, space.dimension))
-        for norm_of in (coord_norm, dual_coord_norm):
-            batch = norm_of(space, rows, axis=1)
-            single = np.array([norm_of(space, v) for v in rows])
+        for s in (space, dual(space)):
+            batch = coord_norm(s, rows, axis=1)
+            single = np.array([coord_norm(s, v) for v in rows])
             np.testing.assert_array_equal(single, batch)
 
 
@@ -82,23 +93,26 @@ def test_vector_validation():
     with pytest.raises(StructuralError):
         sl.Vector(space, [1, 2, math.nan])
     with pytest.raises(StructuralError):
-        sl.norm(sl.lp(2, 4), sl.Vector(space, [1, 2, 3]))
+        sl.norming_functional(sl.lp(2, 4), sl.Vector(space, [1, 2, 3]))
 
 
 def test_norming_functional_examples():
     s = sl.lp(2, 2)
     phi = sl.norming_functional(s, sl.Vector(s, [0.6, 0.8]))
     np.testing.assert_allclose(phi.coords, [0.6, 0.8], atol=1e-15)
+    assert phi.space == s
 
     s = sl.lp(1, 3)
     phi = sl.norming_functional(s, sl.Vector(s, [1, -2, 0]))
     np.testing.assert_array_equal(phi.coords, [1, -1, 0])
-    assert phi(sl.Vector(s, [1, -2, 0])) == 3.0
+    assert phi.space == sl.lp(math.inf, 3)
+    assert np.dot(phi.coords, [1, -2, 0]) == 3.0
 
     s = sl.sup_slice(2)
     phi = sl.norming_functional(s, sl.Vector(s, [2, 2]))
     np.testing.assert_array_equal(phi.coords, [1, 0])  # lowest-index tie-break
-    assert phi(sl.Vector(s, [2, 2])) == 2.0
+    assert phi.space == sl.lp(1, 2)
+    assert np.dot(phi.coords, [2, 2]) == 2.0
 
 
 def test_norming_functional_zero_vector():
@@ -114,8 +128,9 @@ def test_norming_functional_random_property(rng):
         if v.norm() == 0.0:
             continue
         phi = sl.norming_functional(space, v)
-        assert abs(phi.dual_norm() - 1.0) <= 1e-12
-        assert abs(phi(v) / v.norm() - 1.0) <= 1e-12
+        assert phi.space == dual(space)
+        assert abs(phi.norm() - 1.0) <= 1e-12
+        assert abs(np.dot(phi.coords, v.coords) / v.norm() - 1.0) <= 1e-12
 
 
 def test_norm_homogeneity_and_triangle(rng):
@@ -130,14 +145,19 @@ def test_norm_homogeneity_and_triangle(rng):
         assert s <= (u.norm() + v.norm()) * (1 + 1e-12)
 
 
-def test_linear_argmax_attains_dual_norm(rng):
+def test_dual_norming_rows_attain_dual_norm(rng):
+    # norming rows in dual(E) maximise <c, x> over the unit ball of E, also
+    # where c has zero coordinates (sup domains put 0 there) or is zero (e_1)
     for _ in range(200):
         space = random_space(rng)
-        c = rng.standard_normal(space.dimension)
-        x = linear_argmax(space, c)
-        assert abs(float(coord_norm(space, x)) - 1.0) <= 1e-12
-        want = float(dual_coord_norm(space, c))
-        assert np.dot(c, x) == pytest.approx(want, rel=1e-12)
+        c = rng.standard_normal((4, space.dimension))
+        c[rng.random(c.shape) < 0.3] = 0.0
+        c[3] = 0.0
+        x = norming_rows(dual(space), c)
+        np.testing.assert_allclose(coord_norm(space, x, axis=1), 1.0, rtol=0.0, atol=1e-12)
+        want = coord_norm(dual(space), c, axis=1)
+        np.testing.assert_allclose(np.einsum("ij,ij->i", c, x), want, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(x[3], np.eye(space.dimension)[0])
 
 
 def test_space_json_roundtrip():

@@ -217,7 +217,8 @@ def test_certificate_invariants(rng):
         fam = random_family(rng, space, int(rng.integers(1, 6)))
         q = float(rng.choice([0.7, 1.0, 2.0, 3.0]))
         res = sl.weak_norm(fam, q)
-        assert res.certificate.dual_norm() <= 1 + 1e-9
+        assert res.certificate.space == sl.dual(space)
+        assert res.certificate.norm() <= 1 + 1e-9
         assert family_q_sum(fam, q, res.certificate.coords) == pytest.approx(res.value, rel=1e-9, abs=1e-12)
 
 
