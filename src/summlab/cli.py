@@ -63,8 +63,8 @@ class MapKind(NamedTuple):
     """One map kind of the config.
 
     ``keys`` maps each key to (JSON schema, default or None); ``build(args,
-    n, budget)`` gets the spec with its defaults filled in and returns (map,
-    anchor families or None); ``schema`` constrains several keys at once.
+    n)`` gets the spec with its defaults filled in and returns (map, anchor
+    families or None); ``schema`` constrains several keys at once.
     """
 
     keys: dict
@@ -77,7 +77,7 @@ def _space(spec: dict, n: int):
     return space_from_json({**spec, "dim": n} if spec.get("dim", "n") == "n" else spec)
 
 
-def _build_dense(a: dict, n: int, budget: SearchBudget):
+def _build_dense(a: dict, n: int):
     """A dense map at grid point n; ``a["body"]`` is the experiment's one decoded ``DenseTensor``."""
     domain = tuple(_space(s, n) for s in a["domain"])
     return MultilinearMap(domain, _space(a["codomain"], n), a["body"]), None
@@ -86,23 +86,19 @@ def _build_dense(a: dict, n: int, budget: SearchBudget):
 # The builders look the witness constructors up in this module's globals at
 # call time, so wrapping ``summlab.cli.<constructor>`` reaches every build.
 MAP_KINDS = {
-    "tensor": MapKind({"m": (_POSITIVE, 1)}, lambda a, n, budget: (tensor_witness(int(a["m"]), n), None)),
-    "identity": MapKind(
-        {"space": (_SPACE_SCHEMA, _L2)}, lambda a, n, budget: (identity_witness(_space(a["space"], n)), None)
-    ),
+    "tensor": MapKind({"m": (_POSITIVE, 1)}, lambda a, n: (tensor_witness(int(a["m"]), n), None)),
+    "identity": MapKind({"space": (_SPACE_SCHEMA, _L2)}, lambda a, n: (identity_witness(_space(a["space"], n)), None)),
     "outer_product": MapKind(
         {"m": (_POSITIVE, 2), "space": (_SPACE_SCHEMA, _L1)},
-        lambda a, n, budget: (diagonal_product_map(int(a["m"]), n, _space(a["space"], n)), None),
+        lambda a, n: (diagonal_product_map(int(a["m"]), n, _space(a["space"], n)), None),
     ),
     "cotype": MapKind(
         {"m": (_POSITIVE, 2), "witness_p": (_NUMBER, EXPERIMENT_P), "space": (_SPACE_SCHEMA, _L2), "target_r": (_NUMBER, 2.0)},
-        lambda a, n, budget: cotype_witness(
-            int(a["m"]), float(a["witness_p"]), _space(a["space"], n), float(a["target_r"]), n, budget=budget
-        ),
+        lambda a, n: cotype_witness(int(a["m"]), float(a["witness_p"]), _space(a["space"], n), float(a["target_r"]), n),
     ),
     "real_even": MapKind(
         {"m": (_POSITIVE, 2), "witness_p": (_NUMBER, EXPERIMENT_P), "space": (_SPACE_SCHEMA, _L2)},
-        lambda a, n, budget: real_even_witness(int(a["m"]), float(a["witness_p"]), _space(a["space"], n), n, budget=budget),
+        lambda a, n: real_even_witness(int(a["m"]), float(a["witness_p"]), _space(a["space"], n), n),
     ),
     "dense": MapKind(
         {
@@ -122,11 +118,11 @@ MAP_KINDS = {
 }
 
 
-def _build_map(spec: dict, n: int, p: float, budget: SearchBudget):
+def _build_map(spec: dict, n: int, p: float):
     """Build the map for one grid point; returns (map, anchor_families_or_None)."""
     kind = MAP_KINDS[spec["kind"]]
     defaults = {k: p if d is EXPERIMENT_P else d for k, (_, d) in kind.keys.items() if d is not None}
-    return kind.build({**defaults, **spec}, n, budget)
+    return kind.build({**defaults, **spec}, n)
 
 
 _MAP_SCHEMA = {
@@ -151,16 +147,34 @@ def _one_or_many(item: dict) -> dict:
     return {"anyOf": [item, {"type": "array", "items": item}]}
 
 
-# the parameter ranges each oracle check accepts, so a bad value stops the run at ingest
-_ORACLE_RANGES = {
-    "hilbert_identity": {"d": _one_or_many({"type": "integer", "minimum": 1, "maximum": HILBERT_CHECK_MAX_D})},
-    "identity_cap": {
-        "d": _one_or_many({"type": "integer", "minimum": 1, "maximum": CAP_CHECK_MAX_D}),
-        "p": _ABOVE_0,
-        "p_values": {"type": "array", "items": _ABOVE_0},
-    },
-    "identity_growth": {"q": _ABOVE_2, "q_values": {"type": "array", "items": _ABOVE_2}},
+def _reads(*keys: str, **ranges: dict) -> dict:
+    """Schema for an experiment kind that reads only name, kind, ``keys`` and ``ranges``.
+
+    ``ranges`` narrows a key to the values the kind accepts, so a bad value
+    stops the run at ingest instead of inside the experiment.
+    """
+    return {"properties": ranges, "propertyNames": {"enum": ["name", "kind", *keys, *ranges]}}
+
+
+_ORACLE_KEYS = {
+    "hilbert_identity": _reads("check", d=_one_or_many({"type": "integer", "minimum": 1, "maximum": HILBERT_CHECK_MAX_D})),
+    "identity_cap": _reads(
+        "check",
+        d=_one_or_many({"type": "integer", "minimum": 1, "maximum": CAP_CHECK_MAX_D}),
+        p=_ABOVE_0,
+        p_values={"type": "array", "items": _ABOVE_0},
+    ),
+    "identity_growth": _reads("check", "n_grid", q=_ABOVE_2, q_values={"type": "array", "items": _ABOVE_2}),
 }
+# every bound table that reads r raises DomainError below 2
+_BOUNDS_KEYS = _reads(
+    m=_one_or_many(_POSITIVE),
+    p=_ABOVE_0,
+    p_values={"type": "array", "items": _ABOVE_0},
+    q=_ABOVE_0,
+    q_values={"type": "array", "items": _ABOVE_0},
+    r=_one_or_many({"type": "number", "minimum": 2}),
+)
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -172,11 +186,13 @@ CONFIG_SCHEMA = {
             "items": {
                 "type": "object",
                 "required": ["kind"],
-                "additionalProperties": False,
                 "allOf": [
                     {
                         "if": {"properties": {"kind": {"const": "slope"}}},
-                        "then": {"required": ["map", "p", "q", "n_grid"], "properties": {"p": _ABOVE_0, "q": _ABOVE_0}},
+                        "then": {
+                            "required": ["map", "p", "q", "n_grid"],
+                            **_reads("map", "n_grid", "strategies", "random_starts", "sweeps", "assert", p=_ABOVE_0, q=_ABOVE_0),
+                        },
                     },
                     {
                         "if": {"properties": {"kind": {"const": "oracle"}}},
@@ -185,17 +201,16 @@ CONFIG_SCHEMA = {
                     *(
                         {
                             "if": {"properties": {"kind": {"const": "oracle"}, "check": {"const": check}}, "required": ["check"]},
-                            "then": {"properties": ranges},
+                            "then": keys,
                         }
-                        for check, ranges in _ORACLE_RANGES.items()
+                        for check, keys in _ORACLE_KEYS.items()
                     ),
+                    {"if": {"properties": {"kind": {"const": "bounds"}}}, "then": _BOUNDS_KEYS},
                 ],
                 "properties": {
                     "name": {"type": "string"},
                     "kind": {"enum": ["slope", "oracle", "bounds"]},
                     "map": _MAP_SCHEMA,
-                    "p": {"type": "number"},
-                    "q": {"type": "number"},
                     "n_grid": {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 1}},
                     "strategies": {"type": "array", "items": {"enum": ["basis", "anchor", "random"]}},
                     "random_starts": {"type": "integer", "minimum": 0},
@@ -205,12 +220,7 @@ CONFIG_SCHEMA = {
                         "additionalProperties": False,
                         "properties": dict.fromkeys(("slope", "slope_tol", "residual_max", "cap_exponent", "cap_slack"), _NUMBER),
                     },
-                    "check": {"enum": ["hilbert_identity", "identity_growth", "identity_cap"]},
-                    "d": _one_or_many({"type": "integer"}),
-                    "m": _one_or_many({"type": "integer"}),
-                    "r": _one_or_many(_NUMBER),
-                    "p_values": {"type": "array", "items": {"type": "number"}},
-                    "q_values": {"type": "array", "items": {"type": "number"}},
+                    "check": {"enum": list(_ORACLE_KEYS)},
                 },
             },
         },
@@ -227,11 +237,10 @@ def _as_list(value):
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
-def _build_grid(exp: dict, seed: int, root: Path) -> list:
+def _build_grid(exp: dict, root: Path) -> list:
     """(map, anchor families or None) for every grid point of a slope experiment."""
     map_spec = exp["map"]
     p = float(exp["p"])
-    budget = SearchBudget(seed=seed)
     try:
         if map_spec["kind"] == "dense":
             # one decode and one coefficient copy per experiment, since the body
@@ -242,7 +251,7 @@ def _build_grid(exp: dict, seed: int, root: Path) -> list:
                 else dense_container_to_array(map_spec)
             )
             map_spec = {**map_spec, "body": DenseTensor(coeffs)}
-        return [_build_map(map_spec, int(n), p, budget) for n in exp["n_grid"]]
+        return [_build_map(map_spec, int(n), p) for n in exp["n_grid"]]
     except (KeyError, OSError, TypeError, ValueError) as exc:
         raise SummLabError(f"bad map spec {exp['map']!r}: {exc!r}") from exc
 
@@ -440,7 +449,7 @@ def run(config_path, output_dir, seed: int | None = None, tuple_budget: int = DE
     out = Path(output_dir)
     try:
         # every map is built first: a spec that only its constructor rejects stops the run before any output
-        grids = [_build_grid(exp, seed, Path(config_path).parent) if exp["kind"] == "slope" else None for exp in experiments]
+        grids = [_build_grid(exp, Path(config_path).parent) if exp["kind"] == "slope" else None for exp in experiments]
         out.mkdir(parents=True, exist_ok=True)
         (out / "plotdata").mkdir(exist_ok=True)
         records = [execute(exp, built) for exp, built in zip(experiments, grids)]
@@ -513,15 +522,14 @@ def run(config_path, output_dir, seed: int | None = None, tuple_budget: int = DE
     return 0
 
 
-def print_bounds(m: int, p: float, q: float, r: float | None = None, stream=None) -> None:
+def print_bounds(m: int, p: float, q: float, r: float | None = None) -> None:
     """Print every applicable bound with its branch label and validity."""
-    stream = stream or sys.stdout
-    print(f"bounds at m = {m}, p = {p:g}, q = {q:g}" + (f", r = {r:g}" if r is not None else ""), file=stream)
+    print(f"bounds at m = {m}, p = {p:g}, q = {q:g}" + (f", r = {r:g}" if r is not None else ""))
     for entry in bound_table(m, p, q, r):
         if entry.valid:
-            print(f"  {entry.kind:<22} {entry.branch:<36} = {entry.value:.12g}", file=stream)
+            print(f"  {entry.kind:<22} {entry.branch:<36} = {entry.value:.12g}")
         else:
-            print(f"  {entry.kind:<22} {entry.branch:<36} n/a (out of range)", file=stream)
+            print(f"  {entry.kind:<22} {entry.branch:<36} n/a (out of range)")
 
 
 def main(argv=None) -> int:

@@ -469,9 +469,9 @@ def _search_polynomial_norm(p: HomogeneousPolynomial, budget: SearchBudget) -> O
     return OperatorNormResult(value, (Vector(p.domain, row),), exact=False)
 
 
-def _basis_vector(space: SpaceDescriptor, index: int, sign: float = 1.0) -> Vector:
+def _basis_vector(space: SpaceDescriptor, index: int) -> Vector:
     coords = np.zeros(space.dimension)
-    coords[index] = sign
+    coords[index] = 1.0
     return Vector(space, coords)
 
 

@@ -28,17 +28,18 @@ class SearchBudget:
 
     restarts: number of start points per search (64 gives strong
     empirical coverage at desk dimensions); max_iter: iteration cap per
-    search; rel_tol: stop once the best value's relative improvement
-    falls below this; seed: global seed that every derived seed mixes in.
+    search; seed: global seed that every derived seed mixes in.
     """
 
     restarts: int = 64
     max_iter: int = 500
-    rel_tol: float = 1e-10
     seed: int = 42
 
 
 DEFAULT_BUDGET = SearchBudget()
+
+# an ascent stalls while the best value's relative improvement stays within this
+REL_TOL = 1e-10
 
 
 def derive_seed(global_seed: int, op_name: str, *parts) -> int:
@@ -99,7 +100,7 @@ def multistart_ascent(
     ``objective(rows)`` gives row values and per-row data for
     ``propose(rows, data, step)``.  A row takes its trial (and the trial's
     data) only where the value rises, and halves its step otherwise.  Stops
-    after 3 iterations with the best value stalled within ``budget.rel_tol``,
+    after 3 iterations with the best value stalled within ``REL_TOL``,
     once every step is below 1e-16, or at ``budget.max_iter``.  Ties go to
     the lowest start index.
     """
@@ -117,7 +118,7 @@ def multistart_ascent(
         data[improved] = dt[improved]
         step[~improved] *= 0.5
         best = float(f.max())
-        stall = stall + 1 if best <= best_prev * (1.0 + budget.rel_tol) else 0
+        stall = stall + 1 if best <= best_prev * (1.0 + REL_TOL) else 0
         best_prev = best
         if stall >= 3 or float(step.max()) < 1e-16:
             break

@@ -4,10 +4,12 @@ Each constructor produces a map or polynomial together with the exact
 coefficient normalization its lower-bound argument needs, and verifies
 at construction time that the declared constraint holds, that the
 anchor functionals norm their anchors, and that the anchor evaluations
-dominate |a_k|^(1/p) ||x_k||^m.  The polynomial witnesses also compare
-their operator norm with its closed-form cap, but that norm is a
-*searched lower bound*, so the comparison is a smoke check only: it
-cannot detect a violation the search misses.
+dominate |a_k|^(1/p) ||x_k||^m.  The polynomial witnesses also prove
+their norm cap from the construction.  With w_j = |a_j|^(1/p) and
+c_j = w_j ||phi_j||_*^m, |w_j phi_j(x)^m| <= c_j on the unit ball, so
+P = sum_j w_j phi_j^m y_j has norm at most sum_j c_j for a scalar body,
+and at most ||c||_r when the targets y_j are the canonical basis of
+l_r^n (disjoint supports), as every witness here builds them.
 """
 
 from __future__ import annotations
@@ -23,23 +25,10 @@ from .maps import (
     MultilinearMap,
     WitnessBody,
     _poly_outputs,
-    operator_norm,
+    operator_norm,  # unused here since the cap is proved; benchmarks/tracing.py wraps this name
 )
-from .search import DEFAULT_BUDGET, SearchBudget
-from .spaces import SpaceDescriptor, coord_norm, lp, norming_rows, real_line, sup_slice
+from .spaces import SpaceDescriptor, coord_norm, dual, lp, norming_rows, real_line, sup_slice
 from .weak_norms import VectorFamily
-
-_VERIFY_BUDGET_RESTARTS = 16
-_VERIFY_BUDGET_ITER = 150
-
-
-def _verify_budget(budget: SearchBudget) -> SearchBudget:
-    return SearchBudget(
-        restarts=min(budget.restarts, _VERIFY_BUDGET_RESTARTS),
-        max_iter=min(budget.max_iter, _VERIFY_BUDGET_ITER),
-        rel_tol=budget.rel_tol,
-        seed=budget.seed,
-    )
 
 
 def _resolve_anchors(space_in: SpaceDescriptor, n: int, anchors) -> VectorFamily:
@@ -66,11 +55,18 @@ def _anchor_functionals(space_in: SpaceDescriptor, anchors: VectorFamily) -> np.
     return phis
 
 
-def _verify_witness(poly: HomogeneousPolynomial, anchors: VectorFamily, cap: float, budget: SearchBudget) -> None:
-    """Check the anchor floor; the cap check compares a searched lower bound of ||P||, a smoke check only."""
-    est = operator_norm(poly, _verify_budget(budget))
-    if est.value > cap + 1e-9:
-        raise StructuralError(f"witness norm search reached {est.value}, above the cap {cap}")
+def _norm_bound(poly: HomogeneousPolynomial) -> float:
+    """The module docstring's bound on ||P||: sum_j c_j (scalar body) or ||c||_r (canonical-basis targets)."""
+    body = poly.body
+    c = body.weights * np.atleast_1d(coord_norm(dual(poly.domain), body.functionals, axis=1)) ** poly.degree
+    return float(c.sum()) if body.targets is None else float(coord_norm(poly.codomain, c))
+
+
+def _verify_witness(poly: HomogeneousPolynomial, anchors: VectorFamily, cap: float) -> None:
+    """Prove ||P|| <= cap with ``_norm_bound`` (scalar body or canonical-basis targets); check the anchor floor."""
+    bound = _norm_bound(poly)
+    if bound > cap + 1e-9:
+        raise StructuralError(f"witness norm bound {bound} is above the cap {cap}")
     outputs = _poly_outputs(poly, anchors.matrix)
     out_norms = np.atleast_1d(coord_norm(poly.codomain, outputs, axis=-1))
     anchor_norms = anchors.norms()
@@ -97,13 +93,12 @@ def _equal_coefficient_witness(
     r: float,
     n: int,
     anchors,
-    budget: SearchBudget,
 ) -> tuple[HomogeneousPolynomial, VectorFamily]:
     """sum_j a_j^(1/p) phi_j(x)^m y_j with a_j = n^(-p/r), so that sum a^(r/p) = 1; scalar when targets is None."""
     anchors = _resolve_anchors(space_in, n, anchors)
     body = WitnessBody(np.full(n, float(n) ** (-p / r)), _anchor_functionals(space_in, anchors), p, targets)
     poly = HomogeneousPolynomial(m, space_in, codomain, body)
-    _verify_witness(poly, anchors, 1.0, budget)
+    _verify_witness(poly, anchors, 1.0)
     return poly, anchors
 
 
@@ -114,7 +109,6 @@ def cotype_witness(
     target_r: float,
     n: int,
     anchors="basis",
-    budget: SearchBudget = DEFAULT_BUDGET,
 ) -> tuple[HomogeneousPolynomial, VectorFamily]:
     """Witness polynomial into l_r^n with equal coefficients a_j = n^(-p/r).
 
@@ -129,7 +123,7 @@ def cotype_witness(
         raise DomainError(f"target space needs r >= 2, got {target_r}")
     if not (0.0 < p < target_r):
         raise DomainError(f"witness requires 0 < p < r, got p = {p}, r = {target_r}")
-    return _equal_coefficient_witness(m, p, space_in, lp(target_r, n), np.eye(n), target_r, n, anchors, budget)
+    return _equal_coefficient_witness(m, p, space_in, lp(target_r, n), np.eye(n), target_r, n, anchors)
 
 
 def real_even_witness(
@@ -138,7 +132,6 @@ def real_even_witness(
     space_in: SpaceDescriptor,
     n: int,
     anchors="basis",
-    budget: SearchBudget = DEFAULT_BUDGET,
 ) -> tuple[HomogeneousPolynomial, VectorFamily]:
     """Scalar witness of even degree with equal coefficients a_j = n^(-p).
 
@@ -152,7 +145,7 @@ def real_even_witness(
         raise DomainError(f"scalar even witness requires 0 < p < 1, got {p}")
     if n < 1:
         raise DomainError("witness needs n >= 1")
-    return _equal_coefficient_witness(m, p, space_in, real_line(), None, 1.0, n, anchors, budget)
+    return _equal_coefficient_witness(m, p, space_in, real_line(), None, 1.0, n, anchors)
 
 
 def identity_witness(space: SpaceDescriptor) -> MultilinearMap:

@@ -98,6 +98,7 @@ _SPACE_2 = {"family": "lp", "p": 2, "dim": 2}
 
 _CAP = {"kind": "oracle", "check": "identity_cap"}
 _GROWTH = {"kind": "oracle", "check": "identity_growth"}
+_BOUNDS = {"kind": "bounds", "m": 1, "p": 1, "q": 2, "r": 2}
 _VALID = {**_SLOPE, "map": {"kind": "tensor", "m": 1}, "random_starts": 0, "sweeps": 0}
 
 
@@ -135,6 +136,21 @@ _VALID = {**_SLOPE, "map": {"kind": "tensor", "m": 1}, "random_starts": 0, "swee
         ({**_CAP, "p": 0}, "config schema violation"),
         ({**_GROWTH, "q_values": [2]}, "config schema violation"),
         ({**_GROWTH, "q": 2}, "config schema violation"),
+        ({**_BOUNDS, "m": 0, "p": 0, "q": -3, "r": -1}, "config schema violation"),
+        ({**_BOUNDS, "m": [1, 0]}, "config schema violation"),
+        ({**_BOUNDS, "p": 0}, "config schema violation"),
+        ({**_BOUNDS, "p_values": [1, 0]}, "config schema violation"),
+        ({**_BOUNDS, "q": -3}, "config schema violation"),
+        ({**_BOUNDS, "q_values": [0]}, "config schema violation"),
+        ({**_BOUNDS, "r": 1.5}, "config schema violation"),
+        ({**_BOUNDS, "r": [2, -1]}, "config schema violation"),
+        # each kind accepts only the keys it reads
+        ({**_BOUNDS, "assert": {"slope": 123.0}}, "'assert' is not one of"),
+        (
+            {"kind": "oracle", "check": "hilbert_identity", "assert": {"slope": 1.0}, "random_starts": 2, "p_values": [1]},
+            "is not one of",
+        ),
+        ({**_VALID, "d": 3, "check": "hilbert_identity", "q_values": [-1], "m": 0}, "is not one of"),
     ]] + [
         (_VALID, "config error", ("--tuple-budget", "0")),
         (_VALID, "config error", ("--tuple-budget", "-5")),
@@ -161,6 +177,17 @@ _VALID = {**_SLOPE, "map": {"kind": "tensor", "m": 1}, "random_starts": 0, "swee
         "cap-p-zero",
         "growth-q-values-2",
         "growth-q-2",
+        "bounds-all-out-of-range",
+        "bounds-m-list-zero",
+        "bounds-p-zero",
+        "bounds-p-values-zero",
+        "bounds-q-negative",
+        "bounds-q-values-zero",
+        "bounds-r-below-2",
+        "bounds-r-list-below-2",
+        "bounds-with-assert",
+        "oracle-with-foreign-keys",
+        "slope-with-foreign-keys",
         "tuple-budget-zero",
         "tuple-budget-negative",
     ],

@@ -7,6 +7,7 @@ import summlab as sl
 from summlab.errors import BudgetError, DomainError, StructuralError
 from summlab.maps import _poly_outputs
 from summlab.spaces import coord_norm
+from summlab.witnesses import _norm_bound, _verify_witness
 
 
 def test_coefficient_rules():
@@ -74,6 +75,33 @@ def test_cotype_witness_norm_cap_and_anchor_floor(rng):
         outs = np.atleast_1d(coord_norm(poly.codomain, _poly_outputs(poly, anchors.matrix), axis=-1))
         floors = poly.body.weights * anchors.norms() ** m
         assert np.all(outs >= floors - 1e-10)
+
+
+def test_norm_bound_is_certified_on_random_witnesses(rng, small_budget):
+    # the bound from the construction is never below the searched norm and never above the cap 1
+    domains = [lambda d: sl.lp(1, d), lambda d: sl.lp(1.5, d), lambda d: sl.lp(2, d), lambda d: sl.lp(3, d), sl.sup_slice]
+    for trial in range(120):
+        n = int(rng.integers(1, 6))
+        space = domains[trial % len(domains)](n + int(rng.integers(0, 2)))
+        anchors = "basis"
+        if trial % 2:
+            anchors = sl.VectorFamily(space, rng.standard_normal((n, space.dimension)))
+        if trial % 4 < 2:
+            m, r = int(rng.integers(1, 5)), float(rng.choice([2.0, 2.5, 3.0]))
+            poly, _ = sl.cotype_witness(m, float(rng.uniform(0.2, 1.9)), space, r, n, anchors=anchors)
+        else:
+            poly, _ = sl.real_even_witness(int(rng.choice([2, 4])), float(rng.uniform(0.15, 0.9)), space, n, anchors=anchors)
+        assert sl.operator_norm(poly, small_budget).value - 1e-12 <= _norm_bound(poly) <= 1 + 1e-9
+
+
+def test_verify_witness_rejects_a_cap_the_search_cannot_see():
+    # certified bound 1.0 (basis functionals, equal weights 1/2 in l_2^4); the searched norm is 0.5
+    poly, anchors = sl.cotype_witness(2, 0.5, sl.lp(2, 4), 2.0, 4)
+    assert _norm_bound(poly) == pytest.approx(1.0, rel=1e-15)
+    assert sl.operator_norm(poly).value < 0.75
+    with pytest.raises(StructuralError):
+        _verify_witness(poly, anchors, 0.75)
+    _verify_witness(poly, anchors, 1.0)
 
 
 def test_real_even_witness_construction():
