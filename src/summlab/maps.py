@@ -358,7 +358,10 @@ def mixed_power_sum(
     block_rows = max(1, _CHUNK_ELEMS // max(1, n ** (m - 1) * t.codomain.dimension))
     partials = []
     for lo in range(0, n, block_rows):
-        block = _contract(t.body.coefficients, [mats[0][lo : lo + block_rows], *mats[1:]], _TUP_LETTERS[:m])
+        if m == 1:  # one matmul; einsum would plan a contraction path on every call
+            block = mats[0][lo : lo + block_rows] @ t.body.coefficients
+        else:
+            block = _contract(t.body.coefficients, [mats[0][lo : lo + block_rows], *mats[1:]], _TUP_LETTERS[:m])
         norms = coord_norm(t.codomain, block, axis=-1)
         partials.append(math.fsum((norms**p).ravel().tolist()))
     return math.fsum(partials) ** (1.0 / p)

@@ -16,9 +16,14 @@ cross-term gemm, so each of the 2^(d-1) vertices costs two additions.
 Since max s^T G s >= trace G >= |G_ij|, rounding can cost the chosen
 vertex about d^2 eps of relative value; the reported value is recomputed
 from the sorted rows at that vertex.  Everything else
-falls back to multistart projected gradient ascent from norming,
-spectral and seeded Gaussian start directions, whose result is a
-certified lower bound and is labeled exact=False.
+falls back to a multistart search from norming, spectral and seeded
+Gaussian start directions.  For q >= 1 the objective is convex, and
+each row climbs by Boyd's power iteration: the next row is the linear
+argmax over the dual ball of the current (sub)gradient, so the value
+never falls and a row that stops improving sits at a fixed point.
+For q < 1, the only non-convex case, rows take normalised gradient
+steps back onto the dual sphere.  The result is a certified lower bound
+and is labeled exact=False.
 """
 
 from __future__ import annotations
@@ -236,14 +241,18 @@ def _single_vector_path(family: VectorFamily, q: float) -> WeakNormResult:
 
 
 def weak_norm_search(family: VectorFamily, q: float, budget: SearchBudget = DEFAULT_BUDGET) -> WeakNormResult:
-    """Multistart projected ascent over the dual unit ball (lower bound).
+    """Multistart ascent over the dual unit ball (lower bound).
 
     Restarts seed from the norming functionals of every family member
     (which guarantees the result is at least max_k ||x_k||), one
     spectral start, and seeded Gaussian directions (the seed is derived
-    from the canonical rows, so it is permutation-invariant); each
-    restart then climbs by normalised (sub)gradient steps in
-    :func:`~summlab.search.multistart_ascent`.
+    from the canonical rows, so it is permutation-invariant).  Each
+    restart climbs in :func:`~summlab.search.multistart_ascent`.  For
+    q >= 1 a step is Boyd's power iteration: the row moves to
+    ``norming_rows(space, g)``, the linear argmax of the (sub)gradient g
+    over the dual ball, which never lowers the convex objective.  For
+    q < 1 a step is a normalised gradient step projected back onto the
+    dual sphere.
     """
     if q <= 0.0:
         raise DomainError(f"weak norm requires q > 0, got {q}")
@@ -270,7 +279,11 @@ def weak_norm_search(family: VectorFamily, q: float, budget: SearchBudget = DEFA
         a = np.abs(y)
         with np.errstate(divide="ignore"):
             w = np.where(a > 0.0, a ** (q - 1.0), 0.0) * np.sign(y)
-        return gradient_step(ball, phis, w @ x, step)
+        g = w @ x
+        if q >= 1.0:
+            # Boyd's step: the linear argmax of the (sub)gradient over the dual ball
+            return norming_rows(space, g)
+        return gradient_step(ball, phis, g, step)
 
     value, phi = multistart_ascent(unit_rows(ball, np.vstack(starts)), objective, propose, budget)
     return _finish(family, q, value, phi, exact=False)

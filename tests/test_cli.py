@@ -390,7 +390,15 @@ def test_dense_container_is_loaded_once_per_experiment(tmp_path, monkeypatch):
     import summlab.cli as cli
     from summlab.maps import DenseTensor
 
+    # dense-m2-container and one comparison experiment from the large config
     large = Path(__file__).resolve().parents[1] / "benchmarks" / "configs" / "large.json"
+    config = json.loads(large.read_text())
+    keep = ("dense-m2-container", "cotype-m2-r3")
+    config["experiments"] = [exp for exp in config["experiments"] if exp["name"] in keep]
+    for exp in config["experiments"]:
+        if "container" in exp["map"]:
+            exp["map"]["container"] = str(large.parent / exp["map"]["container"])
+    (tmp_path / "pair.json").write_text(json.dumps(config))
     loads, bodies = [], []
     load = cli.load_dense_container
     monkeypatch.setattr(cli, "load_dense_container", lambda path: loads.append(path) or load(path))
@@ -402,12 +410,11 @@ def test_dense_container_is_loaded_once_per_experiment(tmp_path, monkeypatch):
         return search(t, *args, **kwargs)
 
     monkeypatch.setattr(cli, "maximize_quotient", record)
-    assert run(large, tmp_path / "all", seed=42) == 0
+    assert run(tmp_path / "pair.json", tmp_path / "all", seed=42) == 0
     # one decode for the four grid points of dense-m2-container, and one shared coefficient copy
     assert len(loads) == 1 and len(bodies) == 4
     assert all(body is bodies[0] for body in bodies)
-    # the other experiments give the same entries when the dense experiment is left out
-    config = json.loads(large.read_text())
+    # the other experiment gives the same entry when the dense experiment is left out
     config["experiments"] = [exp for exp in config["experiments"] if exp["name"] != "dense-m2-container"]
     (tmp_path / "rest.json").write_text(json.dumps(config))
     assert run(tmp_path / "rest.json", tmp_path / "rest", seed=42) == 0

@@ -153,6 +153,29 @@ def test_mixed_power_sum_partition_independence(rng):
         maps_mod._CHUNK_ELEMS = old
 
 
+def test_mixed_power_sum_arity_one_matches_reference(rng):
+    # arity 1 is one matmul per chunk; compare with a plain NumPy reference
+    import summlab.maps as maps_mod
+
+    old = maps_mod._CHUNK_ELEMS
+    try:
+        for chunk in (old, 5):
+            maps_mod._CHUNK_ELEMS = chunk
+            for _ in range(30):
+                dom = sl.lp(float(rng.choice([1.0, 1.5, 2.0, 3.0])), int(rng.integers(1, 9)))
+                cod = sl.sup_slice(int(rng.integers(1, 6))) if rng.random() < 0.3 else sl.lp(1.5, int(rng.integers(1, 6)))
+                coeffs = rng.standard_normal((dom.dimension, cod.dimension))
+                t = sl.MultilinearMap((dom,), cod, sl.DenseTensor(coeffs))
+                fam = random_family(rng, dom, int(rng.integers(1, 12)))
+                p = float(rng.choice([1.0, 1.3, 2.0, 3.5]))
+                outputs = np.abs(np.einsum("ka,ao->ko", fam.matrix, coeffs))
+                norms = outputs.max(axis=1) if cod.is_sup else (outputs**1.5).sum(axis=1) ** (1 / 1.5)
+                want = math.fsum((norms**p).tolist()) ** (1 / p)
+                assert sl.mixed_power_sum(t, [fam], p) == pytest.approx(want, rel=1e-12)
+    finally:
+        maps_mod._CHUNK_ELEMS = old
+
+
 def test_outer_product_body_matches_dense_oracle(rng):
     # the structured body against brute-force einsums over its dense n^(2m) copy
     n, k, p = 3, 4, 1.7
