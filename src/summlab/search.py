@@ -27,8 +27,11 @@ class SearchBudget:
     """Knobs for the multistart ascent searches.
 
     restarts: number of start points per search (64 gives strong
-    empirical coverage at desk dimensions); max_iter: iteration cap per
-    search; seed: global seed that every derived seed mixes in.
+    empirical coverage at desk dimensions); a weak-norm search starts
+    from every nonzero member's norming functional and one spectral
+    direction as well, so it uses max(restarts, nonzero members + 1)
+    starts.  max_iter: iteration cap per search; seed: global seed that
+    every derived seed mixes in.
     """
 
     restarts: int = 64
@@ -97,9 +100,11 @@ def multistart_ascent(
 ) -> tuple[float, np.ndarray]:
     """Monotone ascent from every start row; returns (best value, its row), a lower bound of the sup.
 
-    ``objective(rows)`` gives row values and per-row data for
-    ``propose(rows, data, step)``.  A row takes its trial (and the trial's
-    data) only where the value rises, and halves its step otherwise.  Stops
+    ``objective(rows)`` gives row values and per-row data (a 2-D array,
+    one row per start) for ``propose(rows, data, step)``.  A row takes its
+    trial (and the trial's data) only where the value rises, and halves its
+    step otherwise; a proposal that ignores ``step``, such as the weak-norm
+    search's Boyd step, leaves the halving without effect.  Stops
     after 3 iterations with the best value stalled within ``REL_TOL``,
     once every step is below 1e-16, or at ``budget.max_iter``.  Ties go to
     the lowest start index.
@@ -107,20 +112,21 @@ def multistart_ascent(
     x = np.array(starts, dtype=float)
     f, data = objective(x)
     step = np.full(x.shape[0], 1.0)
-    best_prev = float(f.max())
+    best_prev = float(f[f.argmax()])  # argmax, unlike max, runs no Python-level wrapper
     stall = 0
     for _ in range(budget.max_iter):
         trial = propose(x, data, step)
         ft, dt = objective(trial)
         improved = ft > f
-        x[improved] = trial[improved]
-        f[improved] = ft[improved]
-        data[improved] = dt[improved]
-        step[~improved] *= 0.5
-        best = float(f.max())
+        rows = improved[:, None]
+        np.copyto(x, trial, where=rows)
+        np.copyto(f, ft, where=improved)
+        np.copyto(data, dt, where=rows)
+        np.multiply(step, 0.5, out=step, where=~improved)
+        best = float(f[f.argmax()])
         stall = stall + 1 if best <= best_prev * (1.0 + REL_TOL) else 0
         best_prev = best
-        if stall >= 3 or float(step.max()) < 1e-16:
+        if stall >= 3 or step[step.argmax()] < 1e-16:
             break
     i = int(np.argmax(f))  # first maximum: lowest-start-index tie-break
     return float(f[i]), x[i]

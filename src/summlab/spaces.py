@@ -150,7 +150,7 @@ class Vector:
         a = np.asarray(self.coords, dtype=float)
         if a.shape != (self.space.dimension,):
             raise StructuralError(f"expected {self.space.dimension} coordinates, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise StructuralError("coordinates must be finite")
         a = a.copy()
         a.setflags(write=False)
@@ -192,9 +192,13 @@ def norming_rows(space: SpaceDescriptor, rows: np.ndarray) -> np.ndarray:
 
 def unit_rows(space: SpaceDescriptor, rows: np.ndarray) -> np.ndarray:
     """Rows scaled to unit norm in ``space``; zero rows become e_1."""
-    rows = np.array(rows, dtype=float)
-    rows[~np.any(rows, axis=1), 0] = 1.0
-    return rows / coord_norm(space, rows, axis=1)[:, None]
+    rows = np.asarray(rows, dtype=float)
+    nrm = coord_norm(space, rows, axis=1)
+    if not nrm.all():  # a norm is 0 only on a zero row
+        rows = rows.copy()
+        rows[nrm == 0.0, 0] = 1.0
+        nrm = coord_norm(space, rows, axis=1)
+    return rows / nrm[:, None]
 
 
 def _signed_peak_rows(rows: np.ndarray) -> np.ndarray:

@@ -6,7 +6,12 @@ For a family x_1, ..., x_n in a space E and q > 0, the weak norm is
 
 equivalently the operator norm of the n x d coordinate matrix from the
 dual E* = ``dual(E)`` into l_q^n.  Every result carries its certificate,
-a unit vector of the dual space at which the sum is attained.  Exact fast paths cover the cases where the sup
+a unit vector of the dual space at which the sum is attained.  Every
+path works on the family's sorted rows times a power of two that brings
+the largest |entry| into [1, 2), and scales the value back at the end,
+so no power of an entry under- or overflows at any scale: the weak
+norm is 1-homogeneous and the certificate does not depend on scale.
+Exact fast paths cover the cases where the sup
 has a certified finite witness set (Hilbert domain at q = 2 via the top
 singular value; cube dual balls via vertex enumeration; l_1 dual balls
 via +/- basis extreme points; single-vector families).  On the cube at
@@ -30,7 +35,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -74,7 +81,7 @@ class VectorFamily:
             raise StructuralError(
                 f"family vectors have {m.shape[1]} coordinates but the space has dimension {self.space.dimension}"
             )
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise StructuralError("family entries must be finite")
         m = m.copy()
         m.setflags(write=False)
@@ -129,35 +136,47 @@ class WeakNormResult:
     exact: bool
 
 
+def _rescaled(matrix: np.ndarray) -> tuple[np.ndarray, int]:
+    """(matrix * 2^-e, e) with the largest |entry| brought into [1, 2); e = 0 for a zero matrix."""
+    a = np.abs(matrix)
+    amax = float(a.flat[a.argmax()])
+    e = math.frexp(amax)[1] - 1 if amax > 0.0 else 0
+    return (np.ldexp(matrix, -e) if e else matrix), e
+
+
+def _q_sum(x: np.ndarray, q: float, phi: np.ndarray) -> float:
+    return float((np.abs(x @ phi) ** q).sum() ** (1.0 / q))
+
+
 def family_q_sum(family: VectorFamily, q: float, phi: np.ndarray) -> float:
     """( sum_k |<phi, x_k>|^q )^(1/q) for raw functional coordinates phi."""
-    y = np.abs(family.matrix @ np.asarray(phi, dtype=float))
-    return float((y**q).sum() ** (1.0 / q))
+    x, e = _rescaled(family.matrix)
+    return math.ldexp(_q_sum(x, q, np.asarray(phi, dtype=float)), e)
 
 
-def _finish(family: VectorFamily, q: float, value: float, phi: np.ndarray, exact: bool) -> WeakNormResult:
-    cert = Vector(dual(family.space), phi)
+def _finish(
+    space: SpaceDescriptor, x: np.ndarray, e: int, q: float, value: float, phi: np.ndarray, exact: bool
+) -> WeakNormResult:
+    """The result for the family with rows x * 2^e, from its value and certificate on the rows x."""
+    cert = Vector(dual(space), phi)
     if cert.norm() > 1.0 + 1e-9:
         raise StructuralError("weak-norm certificate escaped the dual unit ball")
-    check = family_q_sum(family, q, phi)
-    if abs(check - value) > 1e-9 * max(1.0, abs(value)):
+    if not math.isfinite(value):
+        raise StructuralError(f"weak norm is not finite ({value})")
+    if abs(_q_sum(x, q, phi) - value) > 1e-9 * max(1.0, value):
         raise StructuralError("weak-norm certificate does not reproduce the reported value")
-    return WeakNormResult(float(value), cert, exact)
+    try:
+        return WeakNormResult(math.ldexp(value, e), cert, exact)
+    except OverflowError:
+        raise StructuralError("weak norm exceeds the largest double") from None
 
 
-def _unit_dual_certificate(space: SpaceDescriptor) -> np.ndarray:
-    phi = np.zeros(space.dimension)
-    phi[0] = 1.0
-    return phi
-
-
-def _svd_path(family: VectorFamily, q: float) -> WeakNormResult:
-    xc = canonical_rows(family.matrix)
-    _, svals, vh = np.linalg.svd(xc, full_matrices=False)
+def _svd_path(x: np.ndarray) -> tuple[float, np.ndarray]:
+    _, svals, vh = np.linalg.svd(x, full_matrices=False)
     phi = vh[0]
     if phi[int(np.argmax(np.abs(phi)))] < 0:
         phi = -phi
-    return _finish(family, q, float(svals[0]), phi, exact=True)
+    return float(svals[0]), phi
 
 
 @functools.lru_cache(maxsize=None)
@@ -173,16 +192,14 @@ def _vertex_table(d: int) -> np.ndarray:
     return table
 
 
-def _vertex_path(family: VectorFamily, q: float) -> WeakNormResult:
+def _vertex_path(xc: np.ndarray, q: float) -> tuple[float, np.ndarray]:
     # The objective is convex in phi for q >= 1 and the dual ball of l_1
     # is the cube, so the sup sits at a sign vertex; the objective is
     # even in phi, so the first coordinate can be pinned to +1.  Ties go
     # to the lowest vertex number.
-    xc = canonical_rows(family.matrix)
     if q == 2.0:
         sign = _gram_vertex(xc)
-        value = float((np.abs(xc @ sign) ** q).sum() ** (1.0 / q))
-        return _finish(family, q, value, sign, exact=True)
+        return _q_sum(xc, q, sign), sign
     d = xc.shape[1]
     w = min(d, _VERTEX_CHUNK_BITS + 1)
     low = _vertex_table(w)
@@ -200,7 +217,7 @@ def _vertex_path(family: VectorFamily, q: float) -> WeakNormResult:
         if vals[j] > best:
             best = float(vals[j])
             best_sign = signs[j].copy()
-    return _finish(family, q, best ** (1.0 / q), best_sign, exact=True)
+    return best ** (1.0 / q), best_sign
 
 
 def _gram_vertex(xc: np.ndarray) -> np.ndarray:
@@ -223,21 +240,104 @@ def _gram_vertex(xc: np.ndarray) -> np.ndarray:
     return np.concatenate((low[il], high[ih]))
 
 
-def _column_path(family: VectorFamily, q: float) -> WeakNormResult:
+def _column_path(xc: np.ndarray, q: float) -> tuple[float, np.ndarray]:
     # Dual ball of a sup slice is the l_1 ball whose extreme points are
     # +/- e_i; for q >= 1 the convex objective peaks at one of them.
-    xc = canonical_rows(family.matrix)
     colvals = (np.abs(xc) ** q).sum(axis=0)
     i0 = int(np.argmax(colvals))
-    phi = np.zeros(family.space.dimension)
+    phi = np.zeros(xc.shape[1])
     phi[i0] = 1.0
-    return _finish(family, q, float(colvals[i0] ** (1.0 / q)), phi, exact=True)
+    return float(colvals[i0] ** (1.0 / q)), phi
 
 
-def _single_vector_path(family: VectorFamily, q: float) -> WeakNormResult:
-    v = Vector(family.space, family.matrix[0])
-    phi = norming_functional(family.space, v)
-    return _finish(family, q, v.norm(), phi.coords, exact=True)
+def _single_vector_path(space: SpaceDescriptor, x: np.ndarray) -> tuple[float, np.ndarray]:
+    v = Vector(space, x[0])
+    return v.norm(), norming_functional(space, v).coords
+
+
+def _norming_map(space: SpaceDescriptor) -> Callable[[np.ndarray], np.ndarray]:
+    """``norming_rows(space, ·)``, specialised once per search.
+
+    Row g goes to the unit vector phi of dual(space) that maximises
+    <phi, g>: g / ||g||_2 on l_2, sign(g) on l_1, and
+    sign(g) |g|^(p-1) / ||g||_p^(p-1) on l_p.  A batch with a zero row
+    (whose image is e_1) goes to ``norming_rows`` itself.  Row sums are
+    products with a ones vector: a reduction along short rows costs more
+    than the matrix-vector product.
+    """
+    if space.is_sup:
+        return functools.partial(norming_rows, space)
+    p = space.exponent
+    ones = np.ones(space.dimension)
+    if p == 1.0:
+
+        def step(g: np.ndarray) -> np.ndarray:
+            s = np.sign(g)
+            return s if s.any(axis=1).all() else norming_rows(space, g)
+
+    elif p == 2.0:
+
+        def step(g: np.ndarray) -> np.ndarray:
+            nrm = np.sqrt(np.square(g) @ ones)
+            return g / nrm[:, None] if nrm.all() else norming_rows(space, g)
+
+    else:
+
+        def step(g: np.ndarray) -> np.ndarray:
+            a = np.abs(g)
+            a1 = a ** (p - 1.0)
+            total = (a1 * a) @ ones
+            if not total.all():
+                return norming_rows(space, g)
+            return np.copysign(a1 / (total ** ((p - 1.0) / p))[:, None], g)
+
+    return step
+
+
+def _search(
+    space: SpaceDescriptor, xc: np.ndarray, x: np.ndarray, q: float, budget: SearchBudget
+) -> tuple[float, np.ndarray]:
+    """Multistart ascent for the weak norm of the canonical rows xc, run on their rescaled copy x.
+
+    The seed comes from xc, so it does not change with the rescaling.
+    """
+    ball = dual(space)
+    norming = _norming_map(space)
+    seed = derive_seed(budget.seed, "weak_norm", repr(space), float(q), xc)
+
+    members = norming(x[x.any(axis=1)])
+    _, _, vh = np.linalg.svd(x, full_matrices=False)
+    fill = max(0, budget.restarts - members.shape[0] - 1)
+    others = unit_rows(ball, np.vstack((vh[:1], quasi_random_directions(fill, space.dimension, seed))))
+
+    # With y = <phi, x_k>, a row's data are the weights w = sign(y) |y|^(q-1),
+    # so its gradient is w @ x up to a factor, and its value is
+    # (sum |y|^(q-1) |y|)^(1/q).  A zero pairing gets weight 0: the
+    # subgradient sign(0) = 0 at q = 1, the a.e. gradient for q < 1.
+    if q > 1.0:
+        power = lambda a: a ** (q - 1.0)  # noqa: E731
+    else:
+        power = lambda a: np.power(a, q - 1.0, out=np.zeros_like(a), where=a > 0.0)  # noqa: E731
+
+    ones = np.ones(x.shape[0])
+
+    def objective(phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = phis @ x.T
+        a = np.abs(y)
+        w = power(a)
+        return ((w * a) @ ones) ** (1.0 / q), np.copysign(w, y)
+
+    if q >= 1.0:
+
+        def propose(phis: np.ndarray, w: np.ndarray, step: np.ndarray) -> np.ndarray:
+            return norming(w @ x)  # Boyd's step: the linear argmax of the (sub)gradient
+
+    else:
+
+        def propose(phis: np.ndarray, w: np.ndarray, step: np.ndarray) -> np.ndarray:
+            return gradient_step(ball, phis, w @ x, step)
+
+    return multistart_ascent(np.vstack((members, others)), objective, propose, budget)
 
 
 def weak_norm_search(family: VectorFamily, q: float, budget: SearchBudget = DEFAULT_BUDGET) -> WeakNormResult:
@@ -252,41 +352,14 @@ def weak_norm_search(family: VectorFamily, q: float, budget: SearchBudget = DEFA
     ``norming_rows(space, g)``, the linear argmax of the (sub)gradient g
     over the dual ball, which never lowers the convex objective.  For
     q < 1 a step is a normalised gradient step projected back onto the
-    dual sphere.
+    dual sphere.  The search runs on the canonical rows, so a permuted
+    family gets the bit-identical result.
     """
     if q <= 0.0:
         raise DomainError(f"weak norm requires q > 0, got {q}")
-    space = family.space
-    ball = dual(space)
-    x = family.matrix
-    xc = canonical_rows(x)
-    seed = derive_seed(budget.seed, "weak_norm", repr(space), float(q), xc)
-
-    starts = [norming_rows(space, x[np.any(x, axis=1)])]
-    _, _, vh = np.linalg.svd(xc, full_matrices=False)
-    starts.append(vh[:1])
-    fill = max(0, budget.restarts - starts[0].shape[0] - 1)
-    if fill:
-        starts.append(quasi_random_directions(fill, space.dimension, seed))
-
-    def objective(phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = phis @ x.T
-        return (np.abs(y) ** q).sum(axis=1) ** (1.0 / q), y
-
-    def propose(phis: np.ndarray, y: np.ndarray, step: np.ndarray) -> np.ndarray:
-        # Gradient of the smooth objective for q > 1, subgradient for q = 1,
-        # almost-everywhere gradient for q < 1 (zero pairings contribute 0).
-        a = np.abs(y)
-        with np.errstate(divide="ignore"):
-            w = np.where(a > 0.0, a ** (q - 1.0), 0.0) * np.sign(y)
-        g = w @ x
-        if q >= 1.0:
-            # Boyd's step: the linear argmax of the (sub)gradient over the dual ball
-            return norming_rows(space, g)
-        return gradient_step(ball, phis, g, step)
-
-    value, phi = multistart_ascent(unit_rows(ball, np.vstack(starts)), objective, propose, budget)
-    return _finish(family, q, value, phi, exact=False)
+    xc = canonical_rows(family.matrix)
+    x, e = _rescaled(xc)
+    return _finish(family.space, x, e, q, *_search(family.space, xc, x, q, budget), exact=False)
 
 
 def weak_norm(family: VectorFamily, q: float, budget: SearchBudget = DEFAULT_BUDGET) -> WeakNormResult:
@@ -294,22 +367,26 @@ def weak_norm(family: VectorFamily, q: float, budget: SearchBudget = DEFAULT_BUD
     if q <= 0.0:
         raise DomainError(f"weak norm requires q > 0, got {q}")
     space = family.space
-    if not np.any(family.matrix):
-        return _finish(family, q, 0.0, _unit_dual_certificate(space), exact=True)
-    if space.family is Family.SEQUENCE_LP and space.exponent == 2.0 and q == 2.0:
-        return _svd_path(family, q)
-    if (
+    xc = canonical_rows(family.matrix)
+    x, e = _rescaled(xc)
+    if not x.any():
+        value, phi = 0.0, np.eye(1, space.dimension)[0]
+    elif space.family is Family.SEQUENCE_LP and space.exponent == 2.0 and q == 2.0:
+        value, phi = _svd_path(x)
+    elif (
         space.family is Family.SEQUENCE_LP
         and space.exponent == 1.0
         and q >= 1.0
         and space.dimension <= _VERTEX_MAX_DIM
     ):
-        return _vertex_path(family, q)
-    if family.n == 1:
-        return _single_vector_path(family, q)
-    if space.is_sup and q >= 1.0:
-        return _column_path(family, q)
-    return weak_norm_search(family, q, budget)
+        value, phi = _vertex_path(x, q)
+    elif family.n == 1:
+        value, phi = _single_vector_path(space, x)
+    elif space.is_sup and q >= 1.0:
+        value, phi = _column_path(x, q)
+    else:
+        return _finish(space, x, e, q, *_search(space, xc, x, q, budget), exact=False)
+    return _finish(space, x, e, q, value, phi, exact=True)
 
 
 def weak_norm_vertex_oracle(family: VectorFamily, q: float) -> float:
