@@ -27,6 +27,7 @@ the result does not depend on the partitioning.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import math
 import struct
@@ -237,6 +238,16 @@ class HomogeneousPolynomial:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
+def _einsum_path(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> list:
+    """The contraction path ``np.einsum(..., optimize=True)`` plans for operands of these shapes.
+
+    Planning costs about as much as a small contraction, so each
+    subscripts-and-shapes pair is planned once.
+    """
+    return np.einsum_path(subscripts, *(np.broadcast_to(0.0, s) for s in shapes), optimize="greedy")[0]
+
+
 def _contract(coefficients: np.ndarray, mats, letters: str, u: np.ndarray | None = None) -> np.ndarray:
     """einsum of a coefficient tensor with one (k_i, d_i) matrix per domain axis i.
 
@@ -255,7 +266,8 @@ def _contract(coefficients: np.ndarray, mats, letters: str, u: np.ndarray | None
         subs.append(letters[0] + "o")
         operands.append(u)
         out = letters[0] + free
-    return np.einsum(",".join(subs) + "->" + out, *operands, optimize=True)
+    subscripts = ",".join(subs) + "->" + out
+    return np.einsum(subscripts, *operands, optimize=_einsum_path(subscripts, tuple(op.shape for op in operands)))
 
 
 def eval_multilinear(t: MultilinearMap, args) -> Vector:
@@ -358,7 +370,7 @@ def mixed_power_sum(
     block_rows = max(1, _CHUNK_ELEMS // max(1, n ** (m - 1) * t.codomain.dimension))
     partials = []
     for lo in range(0, n, block_rows):
-        if m == 1:  # one matmul; einsum would plan a contraction path on every call
+        if m == 1:  # one matmul
             block = mats[0][lo : lo + block_rows] @ t.body.coefficients
         else:
             block = _contract(t.body.coefficients, [mats[0][lo : lo + block_rows], *mats[1:]], _TUP_LETTERS[:m])

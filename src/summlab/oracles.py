@@ -20,7 +20,7 @@ from .index_lab import WEAK2_GROWTH_CONSTANT, estimate_index, maximize_quotient,
 from .maps import MultilinearMap, eval_multilinear
 from .search import DEFAULT_BUDGET, SearchBudget
 from .spaces import Vector, coord_norm, dual, lp
-from .weak_norms import VectorFamily
+from .weak_norms import VectorFamily, _rescaled
 from .witnesses import identity_witness
 
 _BRUTE_TUPLE_CAP = 10**5
@@ -54,7 +54,11 @@ def brute_force_mixed_sum(t: MultilinearMap, families, p: float) -> float:
 
 
 def brute_force_weak_norm(family: VectorFamily, q: float, resolution: int = 10**6, seed: int = 0) -> float:
-    """Dense random sampling of the dual unit sphere from seeded Gaussian directions (lower bound)."""
+    """Dense random sampling of the dual unit sphere from seeded Gaussian directions (lower bound).
+
+    Powers are taken on the family times the power of two that brings
+    its largest |entry| into [1, 2), and the value is scaled back.
+    """
     if q <= 0:
         raise DomainError(f"weak norm requires q > 0, got {q}")
     d = family.space.dimension
@@ -62,9 +66,9 @@ def brute_force_weak_norm(family: VectorFamily, q: float, resolution: int = 10**
         raise BudgetError(f"sampling oracle is limited to dimension {_SAMPLER_DIM_CAP}, got {d}")
     if resolution > _SAMPLER_RESOLUTION_CAP:
         raise BudgetError(f"resolution {resolution} exceeds {_SAMPLER_RESOLUTION_CAP}")
-    x = family.matrix
+    x, e = _rescaled(family.matrix)
     if d == 1:
-        return float((np.abs(x[:, 0]) ** q).sum() ** (1.0 / q))
+        return math.ldexp(float((np.abs(x[:, 0]) ** q).sum() ** (1.0 / q)), e)
     rng = np.random.default_rng(seed)
     best = 0.0
     remaining = resolution
@@ -77,7 +81,7 @@ def brute_force_weak_norm(family: VectorFamily, q: float, resolution: int = 10**
         vals = (np.abs(phis @ x.T) ** q).sum(axis=1)
         best = max(best, float(vals.max()))
         remaining -= count
-    return best ** (1.0 / q)
+    return math.ldexp(best ** (1.0 / q), e)
 
 
 def hilbert_identity_check(d: int, budget: SearchBudget = DEFAULT_BUDGET) -> CheckReport:

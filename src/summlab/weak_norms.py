@@ -19,8 +19,14 @@ q = 2 each vertex value is the quadratic form s^T G s of the Gram matrix
 G of the sorted rows.  It splits into two half-width sign tables and one
 cross-term gemm, so each of the 2^(d-1) vertices costs two additions.
 Since max s^T G s >= trace G >= |G_ij|, rounding can cost the chosen
-vertex about d^2 eps of relative value; the reported value is recomputed
-from the sorted rows at that vertex.  Everything else
+vertex about d^2 eps of relative value.  At q != 2 a vertex splits into
+its first min(d, 11) signs and the rest: one gemm scores the low sign
+patterns against the rows and one the high patterns, and each high row
+is added to the low scores in one reused buffer of 2^10 x n doubles
+that stays in cache.  Powers there are products and square roots at
+q in {1, 1.5, 3, 4} and ``np.power`` otherwise.  On every vertex and
+column path the reported value is recomputed from the sorted rows at
+the chosen extreme point.  Everything else
 falls back to a multistart search from norming, spectral and seeded
 Gaussian start directions.  For q >= 1 the objective is convex, and
 each row climbs by Boyd's power iteration: the next row is the linear
@@ -34,7 +40,6 @@ and is labeled exact=False.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -63,7 +68,7 @@ from .spaces import (
 )
 
 _VERTEX_MAX_DIM = 20
-_VERTEX_CHUNK_BITS = 16  # the q != 2 vertex path scores 2^16 sign vertices per gemm
+_VERTEX_BLOCK_BITS = 11  # the q != 2 vertex path scores 2^10 low sign patterns per block
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,25 +150,36 @@ def _rescaled(matrix: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _q_sum(x: np.ndarray, q: float, phi: np.ndarray) -> float:
-    return float((np.abs(x @ phi) ** q).sum() ** (1.0 / q))
+    return math.pow(np.add.reduce(np.abs(x @ phi) ** q), 1.0 / q)
 
 
 def family_q_sum(family: VectorFamily, q: float, phi: np.ndarray) -> float:
-    """( sum_k |<phi, x_k>|^q )^(1/q) for raw functional coordinates phi."""
-    x, e = _rescaled(family.matrix)
+    """( sum_k |<phi, x_k>|^q )^(1/q) for raw functional coordinates phi.
+
+    It is summed over the sorted, rescaled rows, as ``weak_norm`` sums
+    it, so it reproduces an exact path's value bit for bit.
+    """
+    x, e = _rescaled(canonical_rows(family.matrix))
     return math.ldexp(_q_sum(x, q, np.asarray(phi, dtype=float)), e)
 
 
 def _finish(
-    space: SpaceDescriptor, x: np.ndarray, e: int, q: float, value: float, phi: np.ndarray, exact: bool
+    space: SpaceDescriptor, x: np.ndarray, e: int, q: float, value: float | None, phi: np.ndarray, exact: bool
 ) -> WeakNormResult:
-    """The result for the family with rows x * 2^e, from its value and certificate on the rows x."""
+    """The result for the family with rows x * 2^e, from its value and certificate on the rows x.
+
+    A value of None stands for the certificate's own q-sum, which is what
+    the vertex and column paths report.
+    """
     cert = Vector(dual(space), phi)
     if cert.norm() > 1.0 + 1e-9:
         raise StructuralError("weak-norm certificate escaped the dual unit ball")
+    attained = _q_sum(x, q, phi)
+    if value is None:
+        value = attained
     if not math.isfinite(value):
         raise StructuralError(f"weak norm is not finite ({value})")
-    if abs(_q_sum(x, q, phi) - value) > 1e-9 * max(1.0, value):
+    if abs(attained - value) > 1e-9 * max(1.0, value):
         raise StructuralError("weak-norm certificate does not reproduce the reported value")
     try:
         return WeakNormResult(math.ldexp(value, e), cert, exact)
@@ -192,32 +208,48 @@ def _vertex_table(d: int) -> np.ndarray:
     return table
 
 
-def _vertex_path(xc: np.ndarray, q: float) -> tuple[float, np.ndarray]:
+def _powered(a: np.ndarray, q: float, tmp: np.ndarray | None = None) -> np.ndarray:
+    """a ** q in place for a >= 0, by products and sqrt at q in {1, 1.5, 3, 4}; tmp is optional scratch of a's shape."""
+    if q == 1.5:
+        a *= np.sqrt(a, out=tmp)
+    elif q == 3.0:
+        a *= np.multiply(a, a, out=tmp)
+    elif q == 4.0:
+        np.square(a, out=a)
+        np.square(a, out=a)
+    elif q != 1.0:
+        np.power(a, q, out=a)
+    return a
+
+
+def _vertex_path(xc: np.ndarray, q: float) -> np.ndarray:
     # The objective is convex in phi for q >= 1 and the dual ball of l_1
     # is the cube, so the sup sits at a sign vertex; the objective is
     # even in phi, so the first coordinate can be pinned to +1.  Ties go
     # to the lowest vertex number.
     if q == 2.0:
-        sign = _gram_vertex(xc)
-        return _q_sum(xc, q, sign), sign
+        return _gram_vertex(xc)
+    # A vertex splits as s = (l, h), l = s[:b] holding s_0, so <s, x_k> is
+    # low_l . x_k[:b] + high_h . x_k[b:].  Each high row h adds its part to
+    # the low parts in one reused cache-sized buffer; h outside and l inside
+    # is vertex order, so the first strict maximum is the lowest vertex.
     d = xc.shape[1]
-    w = min(d, _VERTEX_CHUNK_BITS + 1)
-    low = _vertex_table(w)
-    best = -np.inf
-    best_sign = None
-    for hi in range(1 << (d - w)):
-        # Vertices hi * 2^(w-1) onwards: the low table, then hi's bits as constant columns.
-        signs = low
-        if w < d:
-            signs = np.empty((low.shape[0], d))
-            signs[:, :w] = low
-            signs[:, w:] = 2.0 * ((hi >> np.arange(d - w)) & 1) - 1.0
-        vals = (np.abs(signs @ xc.T) ** q).sum(axis=1)
+    b = min(d, _VERTEX_BLOCK_BITS)
+    low = _vertex_table(b)
+    lowpart = low @ xc[:, :b].T
+    ones = np.ones(xc.shape[0])
+    if b == d:
+        return low[int(np.argmax(_powered(np.abs(lowpart, out=lowpart), q) @ ones))]
+    buf, tmp = np.empty_like(lowpart), np.empty_like(lowpart)
+    high = _vertex_table(d - b + 1)[:, 1:]
+    best, ih, il = -np.inf, 0, 0
+    for h, highpart in enumerate(high @ xc[:, b:].T):
+        np.add(lowpart, highpart, out=buf)
+        vals = _powered(np.abs(buf, out=buf), q, tmp) @ ones
         j = int(np.argmax(vals))
         if vals[j] > best:
-            best = float(vals[j])
-            best_sign = signs[j].copy()
-    return best ** (1.0 / q), best_sign
+            best, ih, il = vals[j], h, j
+    return np.concatenate((low[il], high[ih]))
 
 
 def _gram_vertex(xc: np.ndarray) -> np.ndarray:
@@ -240,14 +272,13 @@ def _gram_vertex(xc: np.ndarray) -> np.ndarray:
     return np.concatenate((low[il], high[ih]))
 
 
-def _column_path(xc: np.ndarray, q: float) -> tuple[float, np.ndarray]:
+def _column_path(xc: np.ndarray, q: float) -> np.ndarray:
     # Dual ball of a sup slice is the l_1 ball whose extreme points are
     # +/- e_i; for q >= 1 the convex objective peaks at one of them.
-    colvals = (np.abs(xc) ** q).sum(axis=0)
-    i0 = int(np.argmax(colvals))
+    colvals = np.ones(xc.shape[0]) @ _powered(np.abs(xc), q)
     phi = np.zeros(xc.shape[1])
-    phi[i0] = 1.0
-    return float(colvals[i0] ** (1.0 / q)), phi
+    phi[int(np.argmax(colvals))] = 1.0
+    return phi
 
 
 def _single_vector_path(space: SpaceDescriptor, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -379,18 +410,22 @@ def weak_norm(family: VectorFamily, q: float, budget: SearchBudget = DEFAULT_BUD
         and q >= 1.0
         and space.dimension <= _VERTEX_MAX_DIM
     ):
-        value, phi = _vertex_path(x, q)
+        value, phi = None, _vertex_path(x, q)
     elif family.n == 1:
         value, phi = _single_vector_path(space, x)
     elif space.is_sup and q >= 1.0:
-        value, phi = _column_path(x, q)
+        value, phi = None, _column_path(x, q)
     else:
         return _finish(space, x, e, q, *_search(space, xc, x, q, budget), exact=False)
     return _finish(space, x, e, q, value, phi, exact=True)
 
 
 def weak_norm_vertex_oracle(family: VectorFamily, q: float) -> float:
-    """Exhaustive max over all 2^d sign vectors; test oracle for l_1 families."""
+    """Exhaustive max over all 2^d sign vectors; test oracle for l_1 families.
+
+    Sign vector i has s_j = -1 exactly when bit j of i is set; they are
+    scored 2^16 at a time with plain powers, on the rescaled family.
+    """
     space = family.space
     if space.family is not Family.SEQUENCE_LP or space.exponent != 1.0:
         raise StructuralError("vertex oracle only applies to l_1 families")
@@ -399,10 +434,10 @@ def weak_norm_vertex_oracle(family: VectorFamily, q: float) -> float:
         raise BudgetError(f"vertex oracle enumerates 2^d vertices; d = {d} exceeds {_VERTEX_MAX_DIM}")
     if q <= 0.0:
         raise DomainError(f"weak norm requires q > 0, got {q}")
-    x = family.matrix
+    x, e = _rescaled(family.matrix)
     best = 0.0
-    for signs in itertools.product((1.0, -1.0), repeat=d):
-        val = float((np.abs(x @ np.asarray(signs)) ** q).sum())
-        if val > best:
-            best = val
-    return best ** (1.0 / q)
+    for start in range(0, 1 << d, 1 << 16):
+        index = np.arange(start, min(start + (1 << 16), 1 << d))
+        signs = 1.0 - 2.0 * ((index[:, None] >> np.arange(d)) & 1)
+        best = max(best, float((np.abs(signs @ x.T) ** q).sum(axis=1).max()))
+    return math.ldexp(best ** (1.0 / q), e)

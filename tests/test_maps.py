@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import summlab as sl
+from summlab import maps
 from summlab.errors import BudgetError, DomainError, StructuralError
 
 from conftest import random_family
@@ -369,3 +370,28 @@ def test_dense_container_roundtrip(tmp_path, rng):
     np.testing.assert_array_equal(load_dense_container(path), arr)
     with pytest.raises(StructuralError):
         dense_container_to_array({"shape": [2, 2], "data": [1.0]})
+
+
+def test_contract_plans_each_path_once_with_the_same_bits(rng, monkeypatch):
+    # the cached path is the one optimize=True plans on every call, so the bits agree
+    c2 = rng.standard_normal((3, 4, 2))
+    c3 = rng.standard_normal((3, 4, 5, 2))
+    a, b, c = rng.standard_normal((6, 3)), rng.standard_normal((6, 4)), rng.standard_normal((6, 5))
+    u = rng.standard_normal((6, 2))
+    cases = [
+        (c2, [a, b], "uv", None),
+        (c2, [a, b], "rr", None),
+        (c2, [None, b], "rr", u),
+        (c3, [a, b, c], "uvw", None),
+        (c3, [a, b, c], "rrr", None),
+        (c3, [a, None, c], "rrr", u),
+        (c3, [a[:2], b, c], "uvw", None),
+    ]
+    maps._einsum_path.cache_clear()
+    cached = [maps._contract(*case) for case in cases]
+    again = [maps._contract(*case) for case in cases]
+    assert maps._einsum_path.cache_info().hits == len(cases)
+    monkeypatch.setattr(maps, "_einsum_path", lambda subscripts, shapes: True)
+    for got, repeat, case in zip(cached, again, cases):
+        want = maps._contract(*case)
+        assert np.array_equal(got, want) and np.array_equal(repeat, want)

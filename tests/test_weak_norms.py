@@ -7,6 +7,7 @@ import pytest
 
 import summlab as sl
 from summlab.errors import BudgetError, DomainError, StructuralError
+from summlab.search import canonical_rows
 from summlab.spaces import norming_rows
 from summlab.weak_norms import _finish, _norming_map, family_q_sum
 
@@ -57,15 +58,26 @@ def test_vertex_oracle_values():
     assert sl.weak_norm_vertex_oracle(single, 3.0) == pytest.approx(1.0, rel=1e-15)
 
 
+def test_vertex_oracle_matches_a_plain_loop(rng):
+    # the oracle scores its sign vectors in batches; one vector at a time is the reference
+    for d in range(1, 9):
+        fam = random_family(rng, sl.lp(1, d), 4)
+        for q in (1.0, 1.5, 3.0):
+            sums = [(np.abs(fam.matrix @ np.array(s)) ** q).sum() for s in itertools.product((1.0, -1.0), repeat=d)]
+            assert sl.weak_norm_vertex_oracle(fam, q) == pytest.approx(max(sums) ** (1 / q), rel=1e-14, abs=0.0)
+
+
+VERTEX_QS = (1.0, 1.25, 1.5, 3.0, 4.0)
+
+
 def test_vertex_fast_path_matches_oracle(rng):
-    for _ in range(25):
-        d = int(rng.integers(1, 7))
-        n = int(rng.integers(1, 6))
-        q = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
-        fam = random_family(rng, sl.lp(1, d), n)
-        res = sl.weak_norm(fam, q)
-        assert res.exact
-        assert res.value == pytest.approx(sl.weak_norm_vertex_oracle(fam, q), rel=1e-12)
+    # d = 11 is one block at q != 2; from d = 12 on, high rows add to the low parts
+    for d in range(1, 21):
+        fam = random_family(rng, sl.lp(1, d), 1 + d % 5)
+        for q in (2.0, *VERTEX_QS):
+            res = sl.weak_norm(fam, q)
+            assert res.exact
+            assert res.value == pytest.approx(sl.weak_norm_vertex_oracle(fam, q), rel=1e-12, abs=0.0)
 
 
 def _gram_families(rng, d):
@@ -107,17 +119,71 @@ def test_gram_vertex_path_at_max_dim(rng):
     assert not sl.weak_norm(wide, 2.0).exact
 
 
+def _first_max_vertex(x, q):
+    """Lowest vertex number (bit j sets s_(j+1) = +1, s_0 = +1) whose q-sum is the max.
+
+    For integer x every pairing is exact, so tied vertices get the same bits.
+    """
+    d = x.shape[1]
+    bits = (np.arange(1 << (d - 1))[:, None] >> np.arange(d - 1)) & 1
+    signs = np.hstack((np.ones((bits.shape[0], 1)), 2.0 * bits - 1.0))
+    return signs[int(np.argmax((np.abs(signs @ x.T) ** q).sum(axis=1)))]
+
+
+def _tied_families(rng, d):
+    """Integer families on l_1^d whose vertex sums tie exactly."""
+    space = sl.lp(1, d)
+    yield sl.VectorFamily.basis(space, d)  # every vertex ties
+    cycled = sl.VectorFamily.basis(space, 2 * d).matrix  # each row twice
+    yield sl.VectorFamily(space, cycled * (-1.0) ** np.arange(2 * d)[:, None])  # and half of them negated
+    for zero in ({0}, {d - 1}, {0, d // 2, d - 1}):
+        if len(zero) == d:
+            continue
+        m = rng.integers(-3, 4, (4, d)).astype(float)
+        m[:, sorted(zero)] = 0.0  # a zero column's sign never matters
+        yield sl.VectorFamily(space, np.vstack((m, m, -m[:1])))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 11, 12, 14])
+def test_vertex_kernel_ties_go_to_the_lowest_vertex(rng, d):
+    for fam in _tied_families(rng, d):
+        x = canonical_rows(fam.matrix)
+        for q in VERTEX_QS:
+            res = sl.weak_norm(fam, q)
+            assert np.array_equal(res.certificate.coords, _first_max_vertex(x, q))
+
+
+def test_vertex_kernel_value_is_the_certificates_q_sum(rng):
+    for d in (1, 4, 11, 12, 16):
+        for n in (1, 5, 16):
+            fam = random_family(rng, sl.lp(1, d), n)
+            for q in VERTEX_QS:
+                res = sl.weak_norm(fam, q)
+                assert family_q_sum(fam, q, res.certificate.coords) == res.value
+
+
+def test_vertex_kernel_permutation_bit_identical(rng):
+    for d in (3, 11, 12, 15):
+        fam = random_family(rng, sl.lp(1, d), 7)
+        for q in VERTEX_QS:
+            r1 = sl.weak_norm(fam, q)
+            r2 = sl.weak_norm(fam.permuted(rng.permutation(fam.n)), q)
+            assert r1.value == r2.value
+            assert r1.certificate.coords.tobytes() == r2.certificate.coords.tobytes()
+
+
 def test_vertex_path_chunks_reach_every_coordinate(rng):
-    # one vector on l_1^19: the sup is ||x||_1 at the sign vertex of x,
-    # which q != 2 reaches only through the chunks' high coordinates; the
-    # signs alternate so that both high coordinates need a -1
-    x = np.abs(rng.standard_normal(19)) * (-1.0) ** np.arange(19)
-    fam = sl.VectorFamily(sl.lp(1, 19), x[None, :])
-    for q in (1.5, 2.0, 3.0):
-        res = sl.weak_norm(fam, q)
-        assert res.exact
-        assert res.value == pytest.approx(np.abs(x).sum(), rel=1e-12)
-        assert np.array_equal(res.certificate.coords, np.sign(x))
+    # one vector on l_1^d: the sup is ||x||_1 at the sign vertex of x; past
+    # the 11-coordinate low block q != 2 reaches it only through the high
+    # rows, and the signs alternate so that high coordinates need a -1
+    for d in (12, 19):
+        x = np.abs(rng.standard_normal(d)) * (-1.0) ** np.arange(d)
+        fam = sl.VectorFamily(sl.lp(1, d), x[None, :])
+        for q in (1.5, 2.0, 3.0):
+            res = sl.weak_norm(fam, q)
+            assert res.exact
+            assert res.value == pytest.approx(np.abs(x).sum(), rel=1e-12)
+            assert np.array_equal(res.certificate.coords, np.sign(x))
 
 
 def test_vertex_oracle_budget_error():
@@ -326,6 +392,20 @@ def test_weak_norm_is_scale_safe(rng, lam):
         # a random family: the scaled rows round differently, so the search
         # agrees to its own reproducibility (test_search_independent_of_start_set)
         assert not _check_scaled(random_family(rng, space, 5), q, lam, rel=1e-9).exact
+
+
+@pytest.mark.parametrize("lam", [1e-150, 1e150])
+def test_oracles_are_scale_safe(rng, lam):
+    # the oracles take their powers on the rescaled family too
+    for q in (1.0, 1.5, 3.0):
+        fam = random_family(rng, sl.lp(1, 6), 5)
+        want = lam * sl.weak_norm_vertex_oracle(fam, q)
+        assert sl.weak_norm_vertex_oracle(fam.scaled(lam), q) == pytest.approx(want, rel=1e-12, abs=0.0)
+    for space, q in ((sl.lp(2, 2), 2.0), (sl.lp(1.5, 3), 3.0), (sl.lp(3, 1), 1.5)):
+        fam = random_family(rng, space, 4)
+        want = lam * sl.brute_force_weak_norm(fam, q, resolution=10**4)
+        got = sl.brute_force_weak_norm(fam.scaled(lam), q, resolution=10**4)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_weak_norm_never_returns_a_non_finite_value():
