@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .errors import SummLabError
-from .index_lab import IndexEstimate, bound_table, estimate_index, maximize_quotient
+from .index_lab import IndexEstimate, bound_table, estimate_index, exact_cap_violations, maximize_quotient
 from .maps import DEFAULT_TUPLE_BUDGET, DenseTensor, MultilinearMap, dense_container_to_array, load_dense_container
 from .oracles import CAP_CHECK_MAX_D, HILBERT_CHECK_MAX_D, hilbert_identity_check, identity_cap_check, identity_growth_check
 from .search import SearchBudget
@@ -151,9 +151,11 @@ def _reads(*keys: str, **ranges: dict) -> dict:
     """Schema for an experiment kind that reads only name, kind, ``keys`` and ``ranges``.
 
     ``ranges`` narrows a key to the values the kind accepts, so a bad value
-    stops the run at ingest instead of inside the experiment.
+    stops the run at ingest instead of inside the experiment.  A key and
+    its ``<key>_values`` list spell one parameter, so at most one is given.
     """
-    return {"properties": ranges, "propertyNames": {"enum": ["name", "kind", *keys, *ranges]}}
+    one_spelling = {k: {"not": {"required": [f"{k}_values"]}} for k in ranges if f"{k}_values" in ranges}
+    return {"properties": ranges, "propertyNames": {"enum": ["name", "kind", *keys, *ranges]}, "dependentSchemas": one_spelling}
 
 
 _ORACLE_KEYS = {
@@ -291,9 +293,9 @@ def _run_slope_experiment(exp: dict, built: list, seed: int, tuple_budget: int) 
                 cap = float(n) ** float(cap_exp) * (1.0 + cap_slack)
             except OverflowError:  # a cap beyond the float range bounds nothing
                 cap = math.inf
-            for s in trace:
-                if not s.family_descriptor.conservative and s.quotient > cap:
-                    cap_violation = {"n": n, "quotient": s.quotient, "cap": cap}
+            over = exact_cap_violations(trace, cap)
+            if over:
+                cap_violation = {"n": n, "quotient": over[-1].quotient, "cap": cap}
     estimate: IndexEstimate | None = None
     if len(set(n_grid)) >= 3:
         estimate = estimate_index(samples)

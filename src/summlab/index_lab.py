@@ -45,8 +45,8 @@ class Provenance:
 
     ``conservative`` is True when any weak norm in the denominator came
     from search (a lower bound), in which case the quotient may
-    overestimate and must not be used in upper-bound soundness
-    assertions.
+    overestimate; :func:`exact_cap_violations` therefore lets only
+    non-conservative samples fail a cap.
     """
 
     strategy: str
@@ -81,6 +81,20 @@ class IndexEstimate:
     grid: tuple[int, ...]
 
 
+def _quotient_sample(
+    n: int, numerator: Callable[[], float], results, power: int, budget: SearchBudget, strategy: str
+) -> QuotientSample:
+    """numerator() over (the product of the weak norms)^power; an all-zero family is refused before the numerator runs."""
+    denom = 1.0
+    for res in results:
+        if res.value == 0.0:
+            raise DegenerateInputError("weak norm of an all-zero family: quotient undefined")
+        denom *= res.value
+    exact = tuple(res.exact for res in results)
+    prov = Provenance(strategy, budget.seed, not all(exact), exact, tuple(res.certificate.coords for res in results))
+    return QuotientSample(n, numerator() / denom**power, prov)
+
+
 def summing_quotient(
     t: MultilinearMap,
     families,
@@ -97,20 +111,9 @@ def summing_quotient(
     families = list(families)
     if _weak_results is None:
         _weak_results = [weak_norm(fam, q, budget) for fam in families]
-    denom = 1.0
-    for res in _weak_results:
-        if res.value == 0.0:
-            raise DegenerateInputError("weak norm of an all-zero family: quotient undefined")
-        denom *= res.value
-    num = mixed_power_sum(t, families, p, tuple_budget=tuple_budget)
-    prov = Provenance(
-        strategy=strategy,
-        seed=budget.seed,
-        conservative=any(not res.exact for res in _weak_results),
-        weak_norm_exact=tuple(res.exact for res in _weak_results),
-        certificates=tuple(res.certificate.coords for res in _weak_results),
+    return _quotient_sample(
+        families[0].n, lambda: mixed_power_sum(t, families, p, tuple_budget=tuple_budget), _weak_results, 1, budget, strategy
     )
-    return QuotientSample(families[0].n, num / denom, prov)
 
 
 def polynomial_quotient(
@@ -126,17 +129,9 @@ def polynomial_quotient(
 ) -> QuotientSample:
     """Power sum of P over the family divided by (weak-q norm)^degree."""
     res = _weak_result if _weak_result is not None else weak_norm(family, q, budget)
-    if res.value == 0.0:
-        raise DegenerateInputError("weak norm of an all-zero family: quotient undefined")
-    num = poly_power_sum(p_map, family, p, tuple_budget=tuple_budget)
-    prov = Provenance(
-        strategy=strategy,
-        seed=budget.seed,
-        conservative=not res.exact,
-        weak_norm_exact=(res.exact,),
-        certificates=(res.certificate.coords,),
+    return _quotient_sample(
+        family.n, lambda: poly_power_sum(p_map, family, p, tuple_budget=tuple_budget), [res], p_map.degree, budget, strategy
     )
-    return QuotientSample(family.n, num / res.value**p_map.degree, prov)
 
 
 def maximize_quotient(
@@ -256,6 +251,15 @@ def maximize_quotient(
     return (best, trace) if return_trace else best
 
 
+def exact_cap_violations(trace, cap: float) -> list[QuotientSample]:
+    """The samples of ``trace`` above ``cap`` whose weak norms all came from exact paths, in trace order.
+
+    A conservative sample's quotient may overstate the true one, so it
+    is never returned.
+    """
+    return [s for s in trace if not s.family_descriptor.conservative and s.quotient > cap]
+
+
 def estimate_index(samples) -> IndexEstimate:
     """OLS of log(quotient) on log(n); needs >= 3 samples at distinct n."""
     samples = list(samples)
@@ -362,10 +366,11 @@ _REAL_EVEN_LABELS = {
 }
 
 
-def _pol_lower(m: int, p: float, q: float, r: float, labels: dict, guard: Callable[[], None]) -> _Selection:
-    """The cotype lower-bound table at r; ``guard`` raises where the case makes no claim at all."""
+def _pol_lower(m: int, p: float, q: float, r: float | None) -> _Selection:
+    """The cotype lower-bound table at r; ``r = None`` is the scalar even-degree table, the same table at r = 1."""
+    r_table = 1.0 if r is None else r
     try:
-        p_low, p_high = cotype_seam_points(m, q, r)
+        p_low, p_high = cotype_seam_points(m, q, r_table)
     except ZeroDivisionError:  # only off the domain, which the value function reports
         p_low = p_high = math.nan
     if q >= 2.0:
@@ -375,26 +380,22 @@ def _pol_lower(m: int, p: float, q: float, r: float, labels: dict, guard: Callab
 
     def value() -> float:
         _check_mpq(m, p, q)
-        guard()
+        if r is None:
+            if m % 2 != 0:
+                raise DomainError(f"even degree required, got m = {m}")
+        elif r < 2.0:
+            raise DomainError(f"cotype parameter must satisfy r >= 2, got {r}")
+        elif p >= r:
+            raise DomainError(f"requires p < r, got p = {p}, r = {r}")
         if q < 1.0:
             raise ValidityError(f"no claim for q < 1 (q = {q})")
         if branch == "b" and p > p_high:
-            raise ValidityError(f"no claim for q < 2 and p > 2r/(mr+2) = {p_high} (p = {p}, r = {r})")
-        if branch == "d" and p >= r:
-            raise ValidityError(f"no claim for q >= 2 and p >= r (p = {p}, r = {r})")
-        return pol_cotype_branch_value(branch, m, p, q, r)
+            raise ValidityError(f"no claim for q < 2 and p > 2r/(mr+2) = {p_high} (p = {p}, r = {r_table})")
+        if branch == "d" and p >= r_table:
+            raise ValidityError(f"no claim for q >= 2 and p >= r (p = {p}, r = {r_table})")
+        return pol_cotype_branch_value(branch, m, p, q, r_table)
 
-    return labels[branch], value
-
-
-def _pol_cotype_lower(m: int, p: float, q: float, r: float) -> _Selection:
-    def guard() -> None:
-        if r < 2.0:
-            raise DomainError(f"cotype parameter must satisfy r >= 2, got {r}")
-        if p >= r:
-            raise DomainError(f"requires p < r, got p = {p}, r = {r}")
-
-    return _pol_lower(m, p, q, r, _COTYPE_LABELS, guard)
+    return (_REAL_EVEN_LABELS if r is None else _COTYPE_LABELS)[branch], value
 
 
 def lower_bound_pol_cotype(m: int, p: float, q: float, r: float) -> float:
@@ -405,15 +406,7 @@ def lower_bound_pol_cotype(m: int, p: float, q: float, r: float) -> float:
     p <= 2r/(mr+2): m/2; (d) q >= 2, 2r/(mr+2) < p < r: (r-p)/(pr).
     Adjacent branches agree at the breakpoints.
     """
-    return _pol_cotype_lower(m, p, q, r)[1]()
-
-
-def _pol_real_even_lower(m: int, p: float, q: float) -> _Selection:
-    def guard() -> None:
-        if m % 2 != 0:
-            raise DomainError(f"even degree required, got m = {m}")
-
-    return _pol_lower(m, p, q, 1.0, _REAL_EVEN_LABELS, guard)
+    return _pol_lower(m, p, q, float(r))[1]()  # float: r = None would select the scalar table
 
 
 def lower_bound_pol_real_even(m: int, p: float, q: float) -> float:
@@ -423,7 +416,7 @@ def lower_bound_pol_real_even(m: int, p: float, q: float) -> float:
     (b) q in [1,2], q/(m+q) <= p <= 2/(m+2): (mp+2)/(2p) - (m+q)/q;
     (c) q >= 2, p <= 2/(m+2): m/2; (d) q >= 2, 2/(m+2) < p < 1: (1-p)/p.
     """
-    return _pol_real_even_lower(m, p, q)[1]()
+    return _pol_lower(m, p, q, None)[1]()
 
 
 def seam_continuity_gaps(m: int, q: float, r: float | None = None) -> dict[str, float]:
@@ -560,8 +553,8 @@ def bound_table(m: int, p: float, q: float, r: float | None = None) -> list[Boun
     attempt("mult_upper", *_mult_upper(m, p, q))
     attempt("pol_upper", "1/p" if q <= 2 else "1/p + m(q-2)/(2q)", lambda: upper_bound_pol(m, p, q))
     if r is not None:
-        attempt("pol_lower_cotype", *_pol_cotype_lower(m, p, q, r))
-    attempt("pol_lower_real_even", *_pol_real_even_lower(m, p, q))
+        attempt("pol_lower_cotype", *_pol_lower(m, p, q, r))
+    attempt("pol_lower_real_even", *_pol_lower(m, p, q, None))
     if p == 2.0 and q == 2.0:
         attempt("exact", "l2_to_c0: m/2", lambda: exact_index("l2_to_c0", m=m).value)
     if q == 1.0:

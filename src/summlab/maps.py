@@ -19,15 +19,16 @@ construction.
 
 The mixed power sum of the outer-product map is a closed form: the sum
 over tuples factorises into a product of per-slot sums.  Dense bodies
-enumerate all n^m argument tuples; enumeration is partitioned on the
-leading index and accumulated with compensated (exact) summation so
-the result does not depend on the partitioning.
+enumerate all n^m argument tuples in chunks of the leading index, and
+all terms go into one correctly rounded sum, so the result depends
+neither on the chunking nor on the row order.
 """
 
 from __future__ import annotations
 
 import base64
 import functools
+import itertools
 import json
 import math
 import struct
@@ -348,9 +349,9 @@ def mixed_power_sum(
     Outer-product maps use the closed form
     sum_tuples prod_i a_{i,k_i}^p = prod_i sum_k a_{i,k}^p with
     a_{i,k} = ||x^(i)_k||_inf, each slot reduced with exact summation.
-    Dense maps are enumerated exactly; the leading index is partitioned
-    into chunks and each chunk is reduced with exact (Shewchuk)
-    summation, so the value is independent of the partitioning.
+    Dense maps are enumerated chunk by chunk on the leading index, and
+    all n^m terms go into one correctly rounded (Shewchuk) sum, so
+    neither the chunking nor the row order changes a bit of the value.
     """
     if p <= 0:
         raise DomainError(f"power sum requires p > 0, got {p}")
@@ -368,15 +369,16 @@ def mixed_power_sum(
 
     mats = [fam.matrix for fam in families]
     block_rows = max(1, _CHUNK_ELEMS // max(1, n ** (m - 1) * t.codomain.dimension))
-    partials = []
-    for lo in range(0, n, block_rows):
-        if m == 1:  # one matmul
-            block = mats[0][lo : lo + block_rows] @ t.body.coefficients
-        else:
-            block = _contract(t.body.coefficients, [mats[0][lo : lo + block_rows], *mats[1:]], _TUP_LETTERS[:m])
-        norms = coord_norm(t.codomain, block, axis=-1)
-        partials.append(math.fsum((norms**p).ravel().tolist()))
-    return math.fsum(partials) ** (1.0 / p)
+
+    def chunk_terms():
+        for lo in range(0, n, block_rows):
+            if m == 1:  # one matmul
+                block = mats[0][lo : lo + block_rows] @ t.body.coefficients
+            else:
+                block = _contract(t.body.coefficients, [mats[0][lo : lo + block_rows], *mats[1:]], _TUP_LETTERS[:m])
+            yield (coord_norm(t.codomain, block, axis=-1) ** p).ravel().tolist()
+
+    return math.fsum(itertools.chain.from_iterable(chunk_terms())) ** (1.0 / p)
 
 
 def poly_power_sum(

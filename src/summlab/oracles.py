@@ -4,7 +4,9 @@ The oracles are deliberately boring: serial loops, naive accumulation,
 no fast paths.  The sampling oracle for weak norms draws seeded
 Gaussian directions, the same kind of start the weak-norm search uses.
 When an optimized path disagrees with an oracle beyond tolerance, the
-optimized path is wrong, not the oracle.
+optimized path is wrong, not the oracle.  The growth and cap checks are
+not oracles: they run the optimized family search of ``maximize_quotient``
+and compare its quotients with closed forms.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .index_lab import WEAK2_GROWTH_CONSTANT, estimate_index, maximize_quotient, summing_quotient
+from .index_lab import WEAK2_GROWTH_CONSTANT, estimate_index, exact_cap_violations, maximize_quotient, summing_quotient
 from .maps import MultilinearMap, eval_multilinear
 from .search import DEFAULT_BUDGET, SearchBudget
 from .spaces import Vector, coord_norm, dual, lp
@@ -162,13 +164,9 @@ def identity_cap_check(p: float, d: int, budget: SearchBudget = DEFAULT_BUDGET) 
         _, trace = maximize_quotient(
             ident, d, p, p, budget=budget, random_starts=2, sweeps=8, return_trace=True
         )
-        for sample in trace:
-            total += 1
-            if sample.family_descriptor.conservative:
-                continue
-            exact += 1
-            if sample.quotient > cap:
-                violations.append({"space": repr(space), "quotient": sample.quotient})
+        total += len(trace)
+        exact += sum(not s.family_descriptor.conservative for s in trace)
+        violations += [{"space": repr(space), "quotient": s.quotient} for s in exact_cap_violations(trace, cap)]
     basis_denominator = d ** (1.0 / p - 0.5) if p <= 2.0 else 1.0
     basis_quotient = d ** (1.0 / p) / basis_denominator
     basis_ok = basis_quotient <= cap

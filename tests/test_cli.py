@@ -144,6 +144,10 @@ _VALID = {**_SLOPE, "map": {"kind": "tensor", "m": 1}, "random_starts": 0, "swee
         ({**_BOUNDS, "q_values": [0]}, "config schema violation"),
         ({**_BOUNDS, "r": 1.5}, "config schema violation"),
         ({**_BOUNDS, "r": [2, -1]}, "config schema violation"),
+        # a parameter given both as a value and as a list is ambiguous
+        ({**_BOUNDS, "p": 3, "p_values": [1]}, "config schema violation"),
+        ({**_CAP, "p": 3, "p_values": [1]}, "config schema violation"),
+        ({**_GROWTH, "q": 3, "q_values": [4]}, "config schema violation"),
         # each kind accepts only the keys it reads
         ({**_BOUNDS, "assert": {"slope": 123.0}}, "'assert' is not one of"),
         (
@@ -185,6 +189,9 @@ _VALID = {**_SLOPE, "map": {"kind": "tensor", "m": 1}, "random_starts": 0, "swee
         "bounds-q-values-zero",
         "bounds-r-below-2",
         "bounds-r-list-below-2",
+        "bounds-p-and-p-values",
+        "cap-p-and-p-values",
+        "growth-q-and-q-values",
         "bounds-with-assert",
         "oracle-with-foreign-keys",
         "slope-with-foreign-keys",

@@ -61,6 +61,41 @@ def test_conservative_flag_propagates():
     assert sample.family_descriptor.weak_norm_exact == (False,)
 
 
+def test_zero_family_is_refused_before_the_power_sum(monkeypatch):
+    import summlab.index_lab as index_lab
+
+    def no_power_sum(*args, **kwargs):
+        raise AssertionError("power sum computed for an all-zero family")
+
+    monkeypatch.setattr(index_lab, "mixed_power_sum", no_power_sum)
+    monkeypatch.setattr(index_lab, "poly_power_sum", no_power_sum)
+    zero = sl.VectorFamily(sl.lp(2, 3), np.zeros((3, 3)))
+    with pytest.raises(DegenerateInputError):
+        sl.summing_quotient(sl.tensor_witness(2, 3), [_basis(3), zero], 2, 2)
+    poly = sl.HomogeneousPolynomial(2, sl.lp(2, 3), sl.lp(2, 1), sl.DenseSymmetric(np.ones((3, 3, 1))))
+    with pytest.raises(DegenerateInputError):
+        sl.polynomial_quotient(poly, zero, 2, 2)
+
+
+def test_exact_cap_violations_keep_trace_order_and_skip_conservative():
+    from summlab.index_lab import exact_cap_violations
+
+    def sample(quotient, exact):
+        return sl.QuotientSample(4, quotient, sl.Provenance("direct", 0, not all(exact), exact))
+
+    trace = [
+        sample(3.0, (True,)),
+        sample(9.0, (False,)),  # searched: may overstate, never a violation
+        sample(2.5, (True, True)),
+        sample(1.0, (True,)),
+        sample(7.0, (True, False)),
+        sample(2.0, (True,)),  # equal to the cap is not above it
+    ]
+    assert exact_cap_violations(trace, 2.0) == [trace[0], trace[2]]
+    assert exact_cap_violations(trace, 3.0) == []
+    assert exact_cap_violations([], 0.0) == []
+
+
 def test_maximize_quotient_identity():
     for d in (1, 4, 9):
         best = sl.maximize_quotient(sl.identity_witness(sl.lp(2, d)), d, 2, 2, random_starts=2, sweeps=6)

@@ -149,9 +149,22 @@ def test_mixed_power_sum_partition_independence(rng):
     try:
         for chunk in (1, 7, 64):
             maps_mod._CHUNK_ELEMS = chunk
-            assert sl.mixed_power_sum(t, fams, 1.3) == pytest.approx(baseline, rel=1e-12)
+            assert sl.mixed_power_sum(t, fams, 1.3) == baseline
     finally:
         maps_mod._CHUNK_ELEMS = old
+
+
+@pytest.mark.parametrize("rows", [(2.0**53, 1.0, 1.0, 1.0), (2.0**53, 1.0, 1.0)])
+def test_mixed_power_sum_is_one_correctly_rounded_sum(monkeypatch, rows):
+    # rounding each chunk's sum first gives 2^53 + 2 for (2^53, 1 | 1, 1) instead of 2^53 + 4
+    space = sl.lp(1, 1)
+    t = sl.identity_witness(space)
+    expected = math.fsum(rows)
+    for chunk in (1, 2, 3, 7, maps._CHUNK_ELEMS):
+        monkeypatch.setattr(maps, "_CHUNK_ELEMS", chunk)
+        for order in itertools.permutations(rows):
+            fam = sl.VectorFamily(space, np.array(order)[:, None])
+            assert sl.mixed_power_sum(t, [fam], 1.0) == expected
 
 
 def test_mixed_power_sum_arity_one_matches_reference(rng):
