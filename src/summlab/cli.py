@@ -8,13 +8,15 @@ quotient.  Timestamps and environment info go to a
 separate metadata.json so results.json stays comparable across runs.
 
 Exit codes: 0 all declared assertions pass; 1 assertion failure;
-2 config/schema violation or misconfigured experiment.
+2 config/schema violation, misconfigured experiment, or a value beyond
+the float range.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import json
 import math
@@ -385,18 +387,7 @@ def _run_bounds_experiment(exp: dict) -> dict:
                 r_list = _as_list(exp.get("r")) or [None]
                 for r in r_list:
                     for entry in bound_table(int(m), float(p), float(q), None if r is None else float(r)):
-                        rows.append(
-                            {
-                                "kind": entry.kind,
-                                "m": entry.m,
-                                "p": entry.p,
-                                "q": entry.q,
-                                "r": entry.r,
-                                "branch": entry.branch,
-                                "value": entry.value,
-                                "valid": entry.valid,
-                            }
-                        )
+                        rows.append({k: v for k, v in dataclasses.asdict(entry).items() if k != "note"})
     return {"kind": "bounds", "name": exp.get("name", "bounds"), "rows": rows, "passed": True}
 
 

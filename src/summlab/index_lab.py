@@ -92,7 +92,11 @@ def _quotient_sample(
         denom *= res.value
     exact = tuple(res.exact for res in results)
     prov = Provenance(strategy, budget.seed, not all(exact), exact, tuple(res.certificate.coords for res in results))
-    return QuotientSample(n, numerator() / denom**power, prov)
+    value = numerator()
+    try:
+        return QuotientSample(n, value / denom**power, prov)
+    except (OverflowError, ZeroDivisionError):  # denom**power left the float range
+        raise StructuralError(f"denominator {denom!r}^{power} is beyond the float range") from None
 
 
 def summing_quotient(

@@ -1,14 +1,16 @@
 """Bounded multilinear maps and homogeneous polynomials.
 
-Two multilinear bodies: a dense coefficient tensor (shape d_1 x ... x
-d_m x d_out) and the structured outer-product map into a sup slice,
+One dense body, a coefficient tensor of shape d_1 x ... x d_m x d_out,
+serves both kinds of map: a polynomial's is the subclass
+:class:`DenseSymmetric`, which adds only its symmetry check.  The other
+multilinear body is the structured outer-product map into a sup slice,
 
     T(x^(1), ..., x^(m)) = ( x^(1)_{j_1} ... x^(m)_{j_m} )_{j_1..j_m},
 
 stored in O(1) on any m domain spaces of dimension n.  Its operator
 norm is exactly 1 because ||(x) x^(i)||_inf = prod ||x^(i)||_inf <=
-prod ||x^(i)||.  Two polynomial bodies: a dense symmetric tensor, and
-the structured witness form
+prod ||x^(i)||.  The other polynomial body is the structured witness
+form
 
     P(x) = sum_j |a_j|^(1/p) phi_j(x)^m y_j
 
@@ -39,11 +41,11 @@ import numpy as np
 from .errors import BudgetError, DomainError, StructuralError
 from .search import DEFAULT_BUDGET, SearchBudget, derive_seed, gradient_step, multistart_ascent, quasi_random_directions
 from .spaces import (
-    Family,
     SpaceDescriptor,
     Vector,
     coord_norm,
     dual,
+    frozen_array,
     lp,
     norming_rows,
     sup_slice,
@@ -69,13 +71,9 @@ class DenseTensor:
     coefficients: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.coefficients, dtype=float)
+        a = frozen_array(self.coefficients, "tensor entries")
         if a.ndim < 2:
             raise StructuralError("dense tensor needs at least one domain axis plus the output axis")
-        if not np.all(np.isfinite(a)):
-            raise StructuralError("tensor entries must be finite")
-        a = a.copy()
-        a.setflags(write=False)
         object.__setattr__(self, "coefficients", a)
 
 
@@ -129,27 +127,18 @@ class MultilinearMap:
 
 
 @dataclass(frozen=True, eq=False)
-class DenseSymmetric:
-    """Symmetric coefficient tensor of shape (d,)*m x d_out."""
-
-    coefficients: np.ndarray
+class DenseSymmetric(DenseTensor):
+    """Dense tensor of shape (d,)*m x d_out, symmetric in its domain axes."""
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.coefficients, dtype=float)
-        if a.ndim < 2:
-            raise StructuralError("symmetric tensor needs domain axes plus the output axis")
-        if not np.all(np.isfinite(a)):
-            raise StructuralError("tensor entries must be finite")
-        m = a.ndim - 1
+        super().__post_init__()
+        a = self.coefficients
         scale = max(1.0, float(np.abs(a).max()))
-        for i in range(m - 1):
+        for i in range(a.ndim - 2):
             axes = list(range(a.ndim))
             axes[i], axes[i + 1] = axes[i + 1], axes[i]
             if np.abs(a - np.transpose(a, axes)).max() > 1e-12 * scale:
                 raise StructuralError("coefficient tensor is not symmetric in its domain axes")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "coefficients", a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,24 +152,21 @@ class WitnessBody:
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        av = np.asarray(self.a, dtype=float)
-        fv = np.asarray(self.functionals, dtype=float)
-        if av.ndim != 1 or np.any(av < 0) or not np.all(np.isfinite(av)):
-            raise StructuralError("witness coefficients must be a flat nonnegative finite array")
+        av = frozen_array(self.a, "witness coefficients")
+        fv = frozen_array(self.functionals, "witness functionals")
+        if av.ndim != 1 or np.any(av < 0):
+            raise StructuralError("witness coefficients must be a flat nonnegative array")
         if fv.ndim != 2 or fv.shape[0] != av.shape[0]:
             raise StructuralError("witness functionals must be one row per coefficient")
         if self.p <= 0:
             raise DomainError(f"witness exponent must be positive, got {self.p}")
-        arrays = {"a": av, "functionals": fv}
+        arrays = {"a": av, "functionals": fv, "weights": frozen_array(av ** (1.0 / self.p), "witness weights")}
         if self.targets is not None:
-            tv = np.asarray(self.targets, dtype=float)
+            tv = frozen_array(self.targets, "witness targets")
             if tv.ndim != 2 or tv.shape[0] != av.shape[0]:
                 raise StructuralError("witness targets must be one row per coefficient")
             arrays["targets"] = tv
-        arrays["weights"] = av ** (1.0 / self.p)
         for name, arr in arrays.items():
-            arr = arr.copy()
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
 
@@ -291,20 +277,10 @@ def eval_multilinear(t: MultilinearMap, args) -> Vector:
 
 
 def eval_polynomial(p: HomogeneousPolynomial, x: Vector) -> Vector:
-    """Pointwise evaluation P(x)."""
+    """Pointwise evaluation P(x): :func:`_poly_outputs` on one row."""
     if x.space != p.domain:
         raise StructuralError(f"argument in {x.space} does not match domain {p.domain}")
-    body = p.body
-    if isinstance(body, DenseSymmetric):
-        out = body.coefficients
-        for _ in range(p.degree):
-            out = np.tensordot(x.coords, out, axes=(0, 0))
-        return Vector(p.codomain, out)
-    g = body.functionals @ x.coords
-    terms = body.weights * g**p.degree
-    if body.targets is None:
-        return Vector(p.codomain, np.array([terms.sum()]))
-    return Vector(p.codomain, terms @ body.targets)
+    return Vector(p.codomain, _poly_outputs(p, x.coords[None, :])[0])
 
 
 def _poly_outputs(p: HomogeneousPolynomial, rows: np.ndarray) -> np.ndarray:
@@ -337,6 +313,14 @@ def _check_families(t: MultilinearMap, families) -> int:
     return lengths.pop()
 
 
+def _root(total: float, p: float) -> float:
+    """total^(1/p) of a power sum; a root beyond the float range raises StructuralError."""
+    try:
+        return total ** (1.0 / p)
+    except OverflowError:
+        raise StructuralError(f"power sum to the power 1/p = {1.0 / p:g} exceeds the largest double") from None
+
+
 def mixed_power_sum(
     t: MultilinearMap,
     families,
@@ -358,14 +342,15 @@ def mixed_power_sum(
     families = list(families)
     n = _check_families(t, families)
     m = t.arity
-    if float(n) ** m > tuple_budget:
+    # the first test keeps float(n) ** m finite: an n^m near the float range exceeds any budget
+    if m * math.log2(n) > 1023 or float(n) ** m > tuple_budget:
         raise BudgetError(f"{n}^{m} tuples exceed the budget of {tuple_budget}")
 
     if isinstance(t.body, DiagonalC0):
         total = 1.0
         for fam in families:
             total *= math.fsum((np.abs(fam.matrix).max(axis=1) ** p).tolist())
-        return total ** (1.0 / p)
+        return _root(total, p)
 
     mats = [fam.matrix for fam in families]
     block_rows = max(1, _CHUNK_ELEMS // max(1, n ** (m - 1) * t.codomain.dimension))
@@ -378,7 +363,7 @@ def mixed_power_sum(
                 block = _contract(t.body.coefficients, [mats[0][lo : lo + block_rows], *mats[1:]], _TUP_LETTERS[:m])
             yield (coord_norm(t.codomain, block, axis=-1) ** p).ravel().tolist()
 
-    return math.fsum(itertools.chain.from_iterable(chunk_terms())) ** (1.0 / p)
+    return _root(math.fsum(itertools.chain.from_iterable(chunk_terms())), p)
 
 
 def poly_power_sum(
@@ -397,7 +382,7 @@ def poly_power_sum(
         raise BudgetError(f"{family.n} terms exceed the budget of {tuple_budget}")
     outputs = _poly_outputs(p_map, family.matrix)
     norms = np.atleast_1d(coord_norm(p_map.codomain, outputs, axis=-1))
-    return math.fsum((norms**p).tolist()) ** (1.0 / p)
+    return _root(math.fsum((norms**p).tolist()), p)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +496,7 @@ def operator_norm(obj, budget: SearchBudget = DEFAULT_BUDGET) -> OperatorNormRes
         cert = tuple(_basis_vector(s, 0) for s in t.domain)
         return OperatorNormResult(1.0, cert, exact=True)
     a = t.body.coefficients
-    if all(s.family is Family.SEQUENCE_LP and s.exponent == 1.0 for s in t.domain):
+    if all(s.exponent == 1.0 for s in t.domain):
         entry_norms = np.atleast_1d(coord_norm(t.codomain, a, axis=-1))
         flat = int(np.argmax(entry_norms))
         idx = np.unravel_index(flat, entry_norms.shape) if entry_norms.ndim else ()
@@ -524,7 +509,7 @@ def operator_norm(obj, budget: SearchBudget = DEFAULT_BUDGET) -> OperatorNormRes
             o = int(np.argmax(colnorms))
             cert = (Vector(dom, norming_rows(dual(dom), a.T[o : o + 1])[0]),)
             return OperatorNormResult(float(colnorms[o]), cert, exact=True)
-        if dom.family is Family.SEQUENCE_LP and dom.exponent == 2.0 and not t.codomain.is_sup and t.codomain.exponent == 2.0:
+        if dom.exponent == 2.0 and t.codomain.exponent == 2.0:
             u_mat, svals, _ = np.linalg.svd(a, full_matrices=False)
             return OperatorNormResult(float(svals[0]), (Vector(dom, u_mat[:, 0]),), exact=True)
     return _search_multilinear_norm(t, budget)

@@ -1,16 +1,17 @@
 """Finite-dimensional normed sequence spaces.
 
-A space is either a sequence space l_p^d (1 <= p <= inf) or a "sup
-slice": a finite section of the sup-norm sequence spaces, i.e. l_inf^d
-under a separate family tag.  Sup slices are how this package models
+A space is a sequence space l_p^d (1 <= p <= inf).  l_inf^d is the
+"sup slice": a finite section of the sup-norm sequence spaces, and the
+family tag says which of the two a space is, so lp(inf, d) and
+sup_slice(d) are one space.  Sup slices are how this package models
 finite sections of c_0 and C(K): every construction here only ever
 populates finitely many coordinates, so nothing is lost at desk scale.
 
 The dual of a space is a space (:func:`dual`), so a functional on E is
 a :class:`Vector` of dual(E), measured with the same norm code.
 
-Cotype is tabulated metadata, never computed: max(2, p) for l_p with
-p < inf, and inf for sup slices and p = inf.
+Cotype is metadata, never computed: max(2, p), which is inf for sup
+slices.
 """
 
 from __future__ import annotations
@@ -34,18 +35,13 @@ class Family(enum.Enum):
     SUP_SLICE = "sup"
 
 
-def _tabulated_cotype(family: Family, exponent: float) -> float:
-    if family is Family.SUP_SLICE or exponent == INF:
-        return INF
-    return max(2.0, float(exponent))
-
-
 @dataclass(frozen=True)
 class SpaceDescriptor:
     """A finite-dimensional normed space (family, exponent, dimension).
 
-    The exponent is ignored (and normalized to inf) for sup slices.
-    ``cotype`` is read-only metadata set from the tabulated values at
+    The family is SUP_SLICE exactly when the exponent is inf: a sup
+    slice's exponent is normalized to inf, and an exponent of inf makes
+    the space a sup slice.  ``cotype`` is read-only metadata set at
     construction time.
     """
 
@@ -58,29 +54,26 @@ class SpaceDescriptor:
         if int(self.dimension) != self.dimension or self.dimension < 1:
             raise StructuralError(f"dimension must be a positive integer, got {self.dimension}")
         object.__setattr__(self, "dimension", int(self.dimension))
-        if self.family is Family.SUP_SLICE:
-            object.__setattr__(self, "exponent", INF)
-        else:
-            p = float(self.exponent)
-            if not (p >= 1.0):
-                raise DomainError(f"sequence-space exponent must satisfy p >= 1, got {p}")
-            object.__setattr__(self, "exponent", p)
-        object.__setattr__(self, "cotype", _tabulated_cotype(self.family, self.exponent))
+        p = INF if self.family is Family.SUP_SLICE else float(self.exponent)
+        if not (p >= 1.0):
+            raise DomainError(f"sequence-space exponent must satisfy p >= 1, got {p}")
+        object.__setattr__(self, "exponent", p)
+        object.__setattr__(self, "family", Family.SUP_SLICE if p == INF else Family.SEQUENCE_LP)
+        object.__setattr__(self, "cotype", max(2.0, p))
 
     @property
     def is_sup(self) -> bool:
         """True when the norm is the max-modulus norm."""
-        return self.family is Family.SUP_SLICE or self.exponent == INF
+        return self.exponent == INF
 
     def __repr__(self) -> str:  # compact, used in provenance records
-        if self.family is Family.SUP_SLICE:
+        if self.is_sup:
             return f"sup^{self.dimension}"
-        p = "inf" if self.exponent == INF else f"{self.exponent:g}"
-        return f"l{p}^{self.dimension}"
+        return f"l{self.exponent:g}^{self.dimension}"
 
 
 def lp(p: float, dim: int) -> SpaceDescriptor:
-    """Sequence space l_p^dim."""
+    """Sequence space l_p^dim; p = inf is ``sup_slice(dim)``."""
     return SpaceDescriptor(Family.SEQUENCE_LP, p, dim)
 
 
@@ -108,8 +101,8 @@ def dual_exponent(p: float) -> float:
 
 @functools.lru_cache(maxsize=None)
 def dual(space: SpaceDescriptor) -> SpaceDescriptor:
-    """The dual space: l_p* for l_p, and l_1 for sup slices."""
-    return lp(1.0 if space.is_sup else dual_exponent(space.exponent), space.dimension)
+    """The dual space: l_p* for l_p, so l_1 for sup slices and a sup slice for l_1."""
+    return lp(dual_exponent(space.exponent), space.dimension)
 
 
 def _scaled_power_norm(a: np.ndarray, p: float, axis: int) -> np.ndarray | float:
@@ -136,6 +129,15 @@ def coord_norm(space: SpaceDescriptor, coords: np.ndarray, axis: int = -1) -> np
     return _scaled_power_norm(a, p, axis)
 
 
+def frozen_array(a, what: str) -> np.ndarray:
+    """A read-only float copy of ``a``; a non-finite entry raises StructuralError naming ``what``."""
+    arr = np.array(a, dtype=float)
+    if not np.isfinite(arr).all():
+        raise StructuralError(f"{what} must be finite")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Vector:
     """A point of a space, stored as its coordinate array.
@@ -147,13 +149,9 @@ class Vector:
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.coords, dtype=float)
+        a = frozen_array(self.coords, "coordinates")
         if a.shape != (self.space.dimension,):
             raise StructuralError(f"expected {self.space.dimension} coordinates, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise StructuralError("coordinates must be finite")
-        a = a.copy()
-        a.setflags(write=False)
         object.__setattr__(self, "coords", a)
 
     def norm(self) -> float:

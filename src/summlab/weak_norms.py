@@ -57,11 +57,11 @@ from .search import (
     quasi_random_directions,
 )
 from .spaces import (
-    Family,
     SpaceDescriptor,
     Vector,
     coord_norm,
     dual,
+    frozen_array,
     norming_functional,
     norming_rows,
     unit_rows,
@@ -79,17 +79,13 @@ class VectorFamily:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+        m = frozen_array(self.matrix, "family entries")
         if m.ndim != 2 or m.shape[0] < 1:
             raise StructuralError(f"family matrix must be (n, d) with n >= 1, got shape {m.shape}")
         if m.shape[1] != self.space.dimension:
             raise StructuralError(
                 f"family vectors have {m.shape[1]} coordinates but the space has dimension {self.space.dimension}"
             )
-        if not np.isfinite(m).all():
-            raise StructuralError("family entries must be finite")
-        m = m.copy()
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @classmethod
@@ -174,14 +170,14 @@ def _finish(
     cert = Vector(dual(space), phi)
     if cert.norm() > 1.0 + 1e-9:
         raise StructuralError("weak-norm certificate escaped the dual unit ball")
-    attained = _q_sum(x, q, phi)
-    if value is None:
-        value = attained
-    if not math.isfinite(value):
-        raise StructuralError(f"weak norm is not finite ({value})")
-    if abs(attained - value) > 1e-9 * max(1.0, value):
-        raise StructuralError("weak-norm certificate does not reproduce the reported value")
     try:
+        attained = _q_sum(x, q, phi)
+        if value is None:
+            value = attained
+        if not math.isfinite(value):
+            raise StructuralError(f"weak norm is not finite ({value})")
+        if abs(attained - value) > 1e-9 * max(1.0, value):
+            raise StructuralError("weak-norm certificate does not reproduce the reported value")
         return WeakNormResult(math.ldexp(value, e), cert, exact)
     except OverflowError:
         raise StructuralError("weak norm exceeds the largest double") from None
@@ -402,14 +398,9 @@ def weak_norm(family: VectorFamily, q: float, budget: SearchBudget = DEFAULT_BUD
     x, e = _rescaled(xc)
     if not x.any():
         value, phi = 0.0, np.eye(1, space.dimension)[0]
-    elif space.family is Family.SEQUENCE_LP and space.exponent == 2.0 and q == 2.0:
+    elif space.exponent == 2.0 and q == 2.0:
         value, phi = _svd_path(x)
-    elif (
-        space.family is Family.SEQUENCE_LP
-        and space.exponent == 1.0
-        and q >= 1.0
-        and space.dimension <= _VERTEX_MAX_DIM
-    ):
+    elif space.exponent == 1.0 and q >= 1.0 and space.dimension <= _VERTEX_MAX_DIM:
         value, phi = None, _vertex_path(x, q)
     elif family.n == 1:
         value, phi = _single_vector_path(space, x)
@@ -427,7 +418,7 @@ def weak_norm_vertex_oracle(family: VectorFamily, q: float) -> float:
     scored 2^16 at a time with plain powers, on the rescaled family.
     """
     space = family.space
-    if space.family is not Family.SEQUENCE_LP or space.exponent != 1.0:
+    if space.exponent != 1.0:
         raise StructuralError("vertex oracle only applies to l_1 families")
     d = space.dimension
     if d > _VERTEX_MAX_DIM:

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BudgetError, DomainError, StructuralError
+from .errors import DomainError, StructuralError
 from .maps import (
-    DEFAULT_TUPLE_BUDGET,
     DenseTensor,
     DiagonalC0,
     HomogeneousPolynomial,
@@ -75,12 +74,10 @@ def _verify_witness(poly: HomogeneousPolynomial, anchors: VectorFamily, cap: flo
         raise StructuralError("witness anchor evaluation fell below |a_k|^(1/p) ||x_k||^m")
 
 
-def tensor_witness(m: int, n: int, tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> MultilinearMap:
-    """The diagonal outer-product map of order m on l_2^n, operator norm 1."""
+def tensor_witness(m: int, n: int) -> MultilinearMap:
+    """The diagonal outer-product map of order m on l_2^n, operator norm 1, held in O(1) memory."""
     if m < 1 or n < 1:
         raise DomainError("tensor witness needs m >= 1 and n >= 1")
-    if float(n) ** m > tuple_budget:
-        raise BudgetError(f"{n}^{m} output coordinates exceed the budget of {tuple_budget}")
     return diagonal_product_map(m, n, lp(2.0, n))
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import summlab as sl
+from summlab.index_lab import exact_cap_violations
 from summlab.maps import _poly_outputs
 from summlab.spaces import coord_norm
 from summlab.weak_norms import family_q_sum
@@ -78,11 +79,8 @@ def test_criterion_3_upper_bound_soundness():
                 _, trace = sl.maximize_quotient(
                     t, n, p, q, random_starts=2, sweeps=6, return_trace=True
                 )
-                for s in trace:
-                    if s.family_descriptor.conservative:
-                        continue
-                    checked += 1
-                    assert s.quotient <= cap, (repr(t.domain), n, p, q, s.quotient, cap)
+                checked += len(exact_cap_violations(trace, -math.inf))
+                assert exact_cap_violations(trace, cap) == [], (repr(t.domain), n, p, q, cap)
     _report(3, True, f"{checked} exact-path quotients under the piecewise caps, zero violations")
 
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import summlab
 from summlab.cli import CONFIG_SCHEMA, EXPERIMENT_P, MAP_KINDS, main, print_bounds, run
 
 
@@ -208,6 +212,43 @@ def test_malformed_experiment_exit_2(tmp_path, capsys, experiment, message, opti
     assert message in capsys.readouterr().err
     # ingest and build errors stop the run before the output directory, or any experiment, exists
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        {**_SLOPE, "map": {"kind": "tensor", "m": 2}, "p": 0.002, "n_grid": [8]},
+        {**_SLOPE, "map": {"kind": "real_even", "m": 2}, "p": 0.001, "n_grid": [8]},
+        {**_SLOPE, "map": {"kind": "cotype", "m": 2}, "p": 0.001, "n_grid": [8]},
+        {**_SLOPE, "map": {"kind": "identity"}, "q": 0.001, "n_grid": [8]},
+    ],
+    ids=["tensor-root", "real-even-root", "cotype-root", "identity-weak-norm"],
+)
+def test_value_beyond_the_float_range_exits_2(tmp_path, experiment):
+    # a separate process, so a traceback on the way out would show on stderr
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiments": [{**experiment, "random_starts": 0, "sweeps": 0}]}))
+    env = {**os.environ, "PYTHONPATH": str(Path(summlab.__file__).parents[1])}
+    argv = [sys.executable, "-m", "summlab.cli", "run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "largest double" in proc.stderr
+
+
+def test_tuple_budget_flag_is_the_only_budget(tmp_path, capsys):
+    # 101^4 tuples: over the default budget, within the flag's
+    cfg = tmp_path / "cfg.json"
+    experiment = {**_SLOPE, "map": {"kind": "tensor", "m": 4}, "n_grid": [101], "strategies": ["basis"]}
+    cfg.write_text(json.dumps({"experiments": [experiment]}))
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main([*argv, "--tuple-budget", "200000000"]) == 0
+    assert main(argv) == 2
+    assert "101^4 tuples exceed the budget of 100000000" in capsys.readouterr().err
+    # an n^m beyond the float range is over the budget, not an OverflowError
+    cfg.write_text(json.dumps({"experiments": [{**experiment, "map": {"kind": "tensor", "m": 400}, "n_grid": [8]}]}))
+    assert main(argv) == 2
+    assert "8^400 tuples exceed the budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

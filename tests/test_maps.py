@@ -116,6 +116,39 @@ def test_dense_symmetric_rejects_asymmetric():
         sl.DenseSymmetric(bad)
 
 
+@pytest.mark.parametrize("field", ["a", "functionals", "targets"])
+def test_witness_body_rejects_non_finite_entries(field):
+    arrays = {"a": np.array([0.5, 0.5]), "functionals": np.eye(2), "targets": np.eye(2)}
+    arrays[field] = arrays[field].copy()
+    arrays[field].flat[-1] = math.nan
+    with pytest.raises(StructuralError, match="must be finite"):
+        sl.WitnessBody(arrays["a"], arrays["functionals"], 0.5, arrays["targets"])
+
+
+def test_dense_symmetric_body_serves_a_multilinear_map(rng):
+    sym = rng.standard_normal((3, 3, 2))
+    sym = sym + sym.transpose(1, 0, 2)
+    dom = (_l2(3), _l2(3))
+    as_sym = sl.MultilinearMap(dom, sl.lp(2, 2), sl.DenseSymmetric(sym))
+    as_dense = sl.MultilinearMap(dom, sl.lp(2, 2), sl.DenseTensor(sym))
+    x, y = _vec(_l2(3), rng.standard_normal(3)), _vec(_l2(3), rng.standard_normal(3))
+    np.testing.assert_array_equal(sl.eval_multilinear(as_sym, [x, y]).coords, sl.eval_multilinear(as_dense, [x, y]).coords)
+    fams = [random_family(rng, _l2(3), 4) for _ in range(2)]
+    assert sl.mixed_power_sum(as_sym, fams, 1.5) == sl.mixed_power_sum(as_dense, fams, 1.5)
+    assert as_sym.fingerprint() == as_dense.fingerprint()
+
+
+def test_power_sum_root_beyond_the_float_range_is_a_structural_error():
+    fams = [sl.VectorFamily.basis(_l2(8), 8)] * 2
+    with pytest.raises(StructuralError, match="largest double"):
+        sl.mixed_power_sum(sl.tensor_witness(2, 8), fams, 0.002)
+    with pytest.raises(StructuralError, match="largest double"):
+        sl.mixed_power_sum(sl.identity_witness(_l2(8)), fams[:1], 0.002)
+    poly, anchors = sl.real_even_witness(2, 0.001, _l2(8), 8)
+    with pytest.raises(StructuralError, match="largest double"):
+        sl.poly_power_sum(poly, anchors, 0.001)
+
+
 def test_mixed_power_sum_diagonal_basis():
     # the full m <= 3, n <= 16 grid stays within the 10^6 tuple envelope
     for m in (1, 2, 3):

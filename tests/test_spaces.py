@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import summlab as sl
 from summlab.errors import DegenerateInputError, DomainError, StructuralError
-from summlab.spaces import coord_norm, dual, norming_rows
+from summlab.spaces import coord_norm, dual, frozen_array, norming_rows
 
 from conftest import random_space
 
@@ -158,6 +158,29 @@ def test_dual_norming_rows_attain_dual_norm(rng):
         want = coord_norm(dual(space), c, axis=1)
         np.testing.assert_allclose(np.einsum("ij,ij->i", c, x), want, rtol=1e-12, atol=0.0)
         np.testing.assert_array_equal(x[3], np.eye(space.dimension)[0])
+
+
+def test_lp_inf_is_the_sup_slice():
+    for d in (1, 3, 8):
+        assert sl.lp(math.inf, d) == sl.sup_slice(d)
+        assert sl.dual(sl.lp(1, d)) == sl.sup_slice(d)
+        assert sl.dual(sl.sup_slice(d)) == sl.lp(1, d)
+        assert sl.lp(math.inf, d).family is sl.Family.SUP_SLICE
+        assert sl.lp(math.inf, d).is_sup and not sl.lp(1e300, d).is_sup
+        assert repr(sl.lp(math.inf, d)) == f"sup^{d}"
+        assert sl.space_from_json({"family": "lp", "p": "inf", "dim": d}) == sl.sup_slice(d)
+    assert sl.lp(2, 3).family is sl.Family.SEQUENCE_LP
+
+
+def test_frozen_array_is_a_read_only_finite_copy():
+    src = np.array([[1, 2], [3, 4]])
+    a = frozen_array(src, "entries")
+    assert a.dtype == float and not a.flags.writeable
+    src[0, 0] = 9
+    assert a[0, 0] == 1.0
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(StructuralError, match="entries must be finite"):
+            frozen_array([1.0, bad], "entries")
 
 
 def test_space_json_roundtrip():

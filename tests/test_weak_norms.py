@@ -417,3 +417,9 @@ def test_weak_norm_never_returns_a_non_finite_value():
     for value in (np.inf, np.nan):
         with pytest.raises(StructuralError, match="not finite"):
             _finish(sl.lp(2, 2), np.eye(2), 0, 2.0, value, phi, exact=True)
+
+
+def test_q_sum_beyond_the_float_range_is_a_structural_error():
+    # eight pairings of 1 at q = 0.001: the q-sum 8^1000 overflows before any value is reported
+    with pytest.raises(StructuralError, match="largest double"):
+        _finish(sl.lp(2, 2), np.ones((8, 2)), 0, 0.001, None, np.array([1.0, 0.0]), exact=True)

@@ -41,8 +41,10 @@ def test_tensor_witness_quotients():
     sample = sl.summing_quotient(sl.tensor_witness(2, 2), [sl.VectorFamily.basis(sl.lp(2, 2), 2)] * 2, 2, 2)
     assert sample.quotient == pytest.approx(2.0, rel=1e-12)
 
+    # the O(1) body is built at any size; the power sum enforces the tuple budget
+    t = sl.tensor_witness(3, 10)
     with pytest.raises(BudgetError):
-        sl.tensor_witness(3, 10, tuple_budget=100)
+        sl.mixed_power_sum(t, [sl.VectorFamily.basis(sl.lp(2, 10), 10)] * 3, 2.0, tuple_budget=100)
 
 
 def test_cotype_witness_construction():
