@@ -40,7 +40,6 @@ from .weak_norms import (
     weak_norm_vertex_oracle,
 )
 from .maps import (
-    DenseSymmetric,
     DenseTensor,
     DiagonalC0,
     HomogeneousPolynomial,

@@ -344,13 +344,8 @@ def _run_slope_experiment(exp: dict, built: list, seed: int, tuple_budget: int) 
         "passed": all(row["passed"] for row in assert_rows),
     }
     if estimate is not None:
-        record["estimate"] = {
-            "label": "empirical slope over the sampled grid (not a converged index)",
-            "slope": estimate.slope,
-            "intercept": estimate.intercept,
-            "residual": estimate.residual,
-            "grid": list(estimate.grid),
-        }
+        label = "empirical slope over the sampled grid (not a converged index)"
+        record["estimate"] = {"label": label, **dataclasses.asdict(estimate)}
     return record
 
 

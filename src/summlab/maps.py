@@ -1,8 +1,8 @@
 """Bounded multilinear maps and homogeneous polynomials.
 
 One dense body, a coefficient tensor of shape d_1 x ... x d_m x d_out,
-serves both kinds of map: a polynomial's is the subclass
-:class:`DenseSymmetric`, which adds only its symmetry check.  The other
+serves both kinds of map: a degree-m polynomial is the diagonal
+P(x) = T(x, ..., x) of any tensor T of shape (d,)*m x d_out.  The other
 multilinear body is the structured outer-product map into a sup slice,
 
     T(x^(1), ..., x^(m)) = ( x^(1)_{j_1} ... x^(m)_{j_m} )_{j_1..j_m},
@@ -23,7 +23,9 @@ The mixed power sum of the outer-product map is a closed form: the sum
 over tuples factorises into a product of per-slot sums.  Dense bodies
 enumerate all n^m argument tuples in chunks of the leading index, and
 all terms go into one correctly rounded sum, so the result depends
-neither on the chunking nor on the row order.
+neither on the chunking nor on the row order; near the edge of the
+float range the norms are rescaled by a power of two.  A linear map's
+operator norm is a weak norm.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import itertools
 import json
 import math
 import struct
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,12 +54,13 @@ from .spaces import (
     sup_slice,
     unit_rows,
 )
-from .weak_norms import VectorFamily
+from .weak_norms import VectorFamily, weak_norm
 
 DEFAULT_TUPLE_BUDGET = 10**8
 _CHUNK_ELEMS = 1 << 20
 _DOM_LETTERS = "abcdef"
 _TUP_LETTERS = "uvwxyz"
+_SMALL = math.ldexp(1.0, 53 - 1022)  # 2^53 times the smallest normal double: underflow moves a larger sum < 1 ulp
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +79,11 @@ class DenseTensor:
         if a.ndim < 2:
             raise StructuralError("dense tensor needs at least one domain axis plus the output axis")
         object.__setattr__(self, "coefficients", a)
+
+
+def _check_shape(body: DenseTensor, want: tuple[int, ...]) -> None:
+    if body.coefficients.shape != want:
+        raise StructuralError(f"tensor shape {body.coefficients.shape} does not match descriptors {want}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,11 +109,7 @@ class MultilinearMap:
         if m < 1:
             raise StructuralError("multilinear map needs arity >= 1")
         if isinstance(self.body, DenseTensor):
-            want = tuple(s.dimension for s in self.domain) + (self.codomain.dimension,)
-            if self.body.coefficients.shape != want:
-                raise StructuralError(
-                    f"tensor shape {self.body.coefficients.shape} does not match descriptors {want}"
-                )
+            _check_shape(self.body, tuple(s.dimension for s in self.domain) + (self.codomain.dimension,))
         else:
             n = self.body.n
             if any(s.dimension != n for s in self.domain):
@@ -124,21 +129,6 @@ class MultilinearMap:
                 fp += repr(self.domain).encode()
             return fp
         return b"denseT" + repr(self.body.coefficients.shape).encode() + self.body.coefficients.tobytes()
-
-
-@dataclass(frozen=True, eq=False)
-class DenseSymmetric(DenseTensor):
-    """Dense tensor of shape (d,)*m x d_out, symmetric in its domain axes."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        a = self.coefficients
-        scale = max(1.0, float(np.abs(a).max()))
-        for i in range(a.ndim - 2):
-            axes = list(range(a.ndim))
-            axes[i], axes[i + 1] = axes[i + 1], axes[i]
-            if np.abs(a - np.transpose(a, axes)).max() > 1e-12 * scale:
-                raise StructuralError("coefficient tensor is not symmetric in its domain axes")
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,19 +165,15 @@ class HomogeneousPolynomial:
     degree: int
     domain: SpaceDescriptor
     codomain: SpaceDescriptor
-    body: DenseSymmetric | WitnessBody
+    body: DenseTensor | WitnessBody
 
     def __post_init__(self) -> None:
         m = self.degree
         if m < 1:
             raise StructuralError("polynomial degree must be >= 1")
         d = self.domain.dimension
-        if isinstance(self.body, DenseSymmetric):
-            want = (d,) * m + (self.codomain.dimension,)
-            if self.body.coefficients.shape != want:
-                raise StructuralError(
-                    f"tensor shape {self.body.coefficients.shape} does not match descriptors {want}"
-                )
+        if isinstance(self.body, DenseTensor):
+            _check_shape(self.body, (d,) * m + (self.codomain.dimension,))
             return
         if self.body.functionals.shape[1] != d:
             raise StructuralError("witness functionals do not match the domain dimension")
@@ -210,7 +196,7 @@ class HomogeneousPolynomial:
             raise StructuralError(f"coefficient normalization sum a^(r/p) = {total} at r = {r}, expected 1")
 
     def fingerprint(self) -> bytes:
-        if isinstance(self.body, DenseSymmetric):
+        if isinstance(self.body, DenseTensor):
             return b"denseP" + struct.pack("<q", self.degree) + self.body.coefficients.tobytes()
         targets = self.body.targets
         tag = b"even" if targets is None else b"cot"
@@ -286,7 +272,7 @@ def eval_polynomial(p: HomogeneousPolynomial, x: Vector) -> Vector:
 def _poly_outputs(p: HomogeneousPolynomial, rows: np.ndarray) -> np.ndarray:
     """P applied to every row of an (k, d) matrix -> (k, d_out)."""
     body = p.body
-    if isinstance(body, DenseSymmetric):
+    if isinstance(body, DenseTensor):
         return _contract(body.coefficients, [rows] * p.degree, "k" * p.degree)
     g = rows @ body.functionals.T
     terms = body.weights * g**p.degree
@@ -313,10 +299,33 @@ def _check_families(t: MultilinearMap, families) -> int:
     return lengths.pop()
 
 
-def _root(total: float, p: float) -> float:
-    """total^(1/p) of a power sum; a root beyond the float range raises StructuralError."""
+def _powers(v: np.ndarray, p: float) -> list[float]:
+    """v^p of a nonnegative array as a list, or [inf] once the largest power reaches 2^960.
+
+    Below that, no power overflows and a sum of up to 2^63 of them stays finite.
+    """
+    top = float(v[v.argmax()])
+    return [math.inf] if top > 1.0 and p * math.log2(top) >= 960.0 else (v**p).tolist()
+
+
+def _root(total: float, p: float, factors: Callable[[], list[Iterable[np.ndarray]]]) -> float:
+    """total^(1/p) of a power sum; a root beyond the float range raises StructuralError.
+
+    The power sum is the product, over the factors in ``factors()``, of the
+    sum of v^p over the entries v of the arrays a factor yields.  A total
+    that is inf or below ``_SMALL`` is summed again, each factor over its
+    v * 2^-e with the largest in [1, 2), and its root scaled back.
+    """
+    e = 0
+    if not _SMALL <= total < math.inf:
+        total = 1.0
+        for blocks, again in zip(factors(), factors()):  # one pass for the scale, one for the sum
+            top = max(float(v[v.argmax()]) for v in blocks)
+            scale = math.frexp(top)[1] - 1 if top > 0.0 else 0
+            total *= math.fsum(itertools.chain.from_iterable((np.ldexp(v, -scale) ** p).tolist() for v in again))
+            e += scale
     try:
-        return total ** (1.0 / p)
+        return math.ldexp(total ** (1.0 / p), e)
     except OverflowError:
         raise StructuralError(f"power sum to the power 1/p = {1.0 / p:g} exceeds the largest double") from None
 
@@ -349,21 +358,22 @@ def mixed_power_sum(
     if isinstance(t.body, DiagonalC0):
         total = 1.0
         for fam in families:
-            total *= math.fsum((np.abs(fam.matrix).max(axis=1) ** p).tolist())
-        return _root(total, p)
+            total *= math.fsum(_powers(np.abs(fam.matrix).max(axis=1), p))
+        return _root(total, p, lambda: [[np.abs(fam.matrix).max(axis=1)] for fam in families])
 
     mats = [fam.matrix for fam in families]
     block_rows = max(1, _CHUNK_ELEMS // max(1, n ** (m - 1) * t.codomain.dimension))
 
-    def chunk_terms():
+    def chunk_norms():
         for lo in range(0, n, block_rows):
             if m == 1:  # one matmul
                 block = mats[0][lo : lo + block_rows] @ t.body.coefficients
             else:
                 block = _contract(t.body.coefficients, [mats[0][lo : lo + block_rows], *mats[1:]], _TUP_LETTERS[:m])
-            yield (coord_norm(t.codomain, block, axis=-1) ** p).ravel().tolist()
+            yield coord_norm(t.codomain, block, axis=-1).ravel()
 
-    return _root(math.fsum(itertools.chain.from_iterable(chunk_terms())), p)
+    total = math.fsum(itertools.chain.from_iterable(_powers(v, p) for v in chunk_norms()))
+    return _root(total, p, lambda: [chunk_norms()])
 
 
 def poly_power_sum(
@@ -382,7 +392,7 @@ def poly_power_sum(
         raise BudgetError(f"{family.n} terms exceed the budget of {tuple_budget}")
     outputs = _poly_outputs(p_map, family.matrix)
     norms = np.atleast_1d(coord_norm(p_map.codomain, outputs, axis=-1))
-    return _root(math.fsum((norms**p).tolist()), p)
+    return _root(math.fsum(_powers(norms, p)), p, lambda: [[norms]])
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +455,7 @@ def _search_multilinear_norm(t: MultilinearMap, budget: SearchBudget) -> Operato
 def _batch_poly_gradients(p: HomogeneousPolynomial, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     body = p.body
     m = p.degree
-    if isinstance(body, DenseSymmetric):
+    if isinstance(body, DenseTensor):
         grad = np.zeros_like(x)
         for slot in range(m):
             grad += _contract(body.coefficients, [None if i == slot else x for i in range(m)], "r" * m, u)
@@ -471,21 +481,16 @@ def _search_polynomial_norm(p: HomogeneousPolynomial, budget: SearchBudget) -> O
     return OperatorNormResult(value, (Vector(p.domain, row),), exact=False)
 
 
-def _basis_vector(space: SpaceDescriptor, index: int) -> Vector:
-    coords = np.zeros(space.dimension)
-    coords[index] = 1.0
-    return Vector(space, coords)
-
-
 def operator_norm(obj, budget: SearchBudget = DEFAULT_BUDGET) -> OperatorNormResult:
     """Operator norm: exact where a closed form exists, else a searched lower bound.
 
     Closed forms: the outer-product map on any domains (norm exactly 1,
     attained at a tuple of first basis vectors);
     dense maps whose domains are all l_1 (the sup over products of l_1
-    balls is attained at basis tuples); linear maps into sup-norm
-    spaces (max dual norm of an output-coordinate functional); and
-    linear maps between Hilbert spaces (top singular value).
+    balls is attained at basis tuples); and linear maps into sup-norm
+    spaces (max dual norm of an output-coordinate functional).  Any other
+    linear map A: E -> l_q^k has the weak l_q norm of the rows of A^T in
+    E* as its norm, exact on the fast paths of ``weak_norm``.
     """
     if isinstance(obj, HomogeneousPolynomial):
         return _search_polynomial_norm(obj, budget)
@@ -493,15 +498,14 @@ def operator_norm(obj, budget: SearchBudget = DEFAULT_BUDGET) -> OperatorNormRes
         raise StructuralError(f"cannot take the operator norm of {type(obj).__name__}")
     t = obj
     if isinstance(t.body, DiagonalC0):
-        cert = tuple(_basis_vector(s, 0) for s in t.domain)
+        cert = tuple(Vector(s, np.eye(1, s.dimension)[0]) for s in t.domain)
         return OperatorNormResult(1.0, cert, exact=True)
     a = t.body.coefficients
     if all(s.exponent == 1.0 for s in t.domain):
-        entry_norms = np.atleast_1d(coord_norm(t.codomain, a, axis=-1))
-        flat = int(np.argmax(entry_norms))
-        idx = np.unravel_index(flat, entry_norms.shape) if entry_norms.ndim else ()
-        cert = tuple(_basis_vector(s, idx[i]) for i, s in enumerate(t.domain))
-        return OperatorNormResult(float(entry_norms.ravel()[flat]), cert, exact=True)
+        entry_norms = coord_norm(t.codomain, a, axis=-1)  # one axis per domain slot, since a has an output axis
+        idx = np.unravel_index(int(np.argmax(entry_norms)), entry_norms.shape)
+        cert = tuple(Vector(s, np.eye(1, s.dimension, i)[0]) for s, i in zip(t.domain, idx))
+        return OperatorNormResult(float(entry_norms[idx]), cert, exact=True)
     if t.arity == 1:
         dom = t.domain[0]
         if t.codomain.is_sup:
@@ -509,9 +513,8 @@ def operator_norm(obj, budget: SearchBudget = DEFAULT_BUDGET) -> OperatorNormRes
             o = int(np.argmax(colnorms))
             cert = (Vector(dom, norming_rows(dual(dom), a.T[o : o + 1])[0]),)
             return OperatorNormResult(float(colnorms[o]), cert, exact=True)
-        if dom.exponent == 2.0 and t.codomain.exponent == 2.0:
-            u_mat, svals, _ = np.linalg.svd(a, full_matrices=False)
-            return OperatorNormResult(float(svals[0]), (Vector(dom, u_mat[:, 0]),), exact=True)
+        res = weak_norm(VectorFamily(dual(dom), a.T), t.codomain.exponent, budget)
+        return OperatorNormResult(res.value, (Vector(dom, res.certificate.coords),), res.exact)
     return _search_multilinear_norm(t, budget)
 
 

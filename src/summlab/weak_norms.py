@@ -364,7 +364,8 @@ def _search(
         def propose(phis: np.ndarray, w: np.ndarray, step: np.ndarray) -> np.ndarray:
             return gradient_step(ball, phis, w @ x, step)
 
-    return multistart_ascent(np.vstack((members, others)), objective, propose, budget)
+    with np.errstate(over="ignore"):  # a value beyond the float range is inf here, and _finish refuses it
+        return multistart_ascent(np.vstack((members, others)), objective, propose, budget)
 
 
 def weak_norm_search(family: VectorFamily, q: float, budget: SearchBudget = DEFAULT_BUDGET) -> WeakNormResult:

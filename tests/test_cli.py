@@ -225,11 +225,13 @@ def test_malformed_experiment_exit_2(tmp_path, capsys, experiment, message, opti
     ids=["tensor-root", "real-even-root", "cotype-root", "identity-weak-norm"],
 )
 def test_value_beyond_the_float_range_exits_2(tmp_path, experiment):
-    # a separate process, so a traceback on the way out would show on stderr
+    # a separate process, so a traceback on the way out would show on stderr; as in the
+    # suite, a RuntimeWarning in the numerics is an error there
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiments": [{**experiment, "random_starts": 0, "sweeps": 0}]}))
     env = {**os.environ, "PYTHONPATH": str(Path(summlab.__file__).parents[1])}
-    argv = [sys.executable, "-m", "summlab.cli", "run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "summlab.cli", "run", "--config", str(cfg)]
+    argv += ["--out", str(tmp_path / "out")]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr

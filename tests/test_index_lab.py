@@ -46,12 +46,26 @@ def test_polynomial_quotient_matches_direct_evaluation():
     # m = 1 polynomial quotient coincides with the linear summing quotient
     ident = sl.identity_witness(sl.lp(2, 3))
     lin = sl.summing_quotient(ident, [_basis(3)], 2, 2)
-    poly1 = sl.HomogeneousPolynomial(1, sl.lp(2, 3), sl.lp(2, 3), sl.DenseSymmetric(np.eye(3)))
+    poly1 = sl.HomogeneousPolynomial(1, sl.lp(2, 3), sl.lp(2, 3), sl.DenseTensor(np.eye(3)))
     pol = sl.polynomial_quotient(poly1, _basis(3), 2, 2)
     assert pol.quotient == pytest.approx(lin.quotient, rel=1e-12)
 
-    zero = sl.HomogeneousPolynomial(2, sl.lp(2, 3), sl.lp(2, 1), sl.DenseSymmetric(np.zeros((3, 3, 1))))
+    zero = sl.HomogeneousPolynomial(2, sl.lp(2, 3), sl.lp(2, 1), sl.DenseTensor(np.zeros((3, 3, 1))))
     assert sl.polynomial_quotient(zero, _basis(3), 2, 2).quotient == 0.0
+
+
+def test_quotients_of_scaled_families_do_not_underflow():
+    # each power ||y||^3 underflows at these scales, yet the quotient is scale-invariant
+    square = sl.HomogeneousPolynomial(2, sl.lp(2, 3), sl.lp(2, 1), sl.DenseTensor(np.eye(3)[..., None]))
+    cases = [
+        (lambda s: sl.summing_quotient(sl.identity_witness(sl.lp(2, 4)), [_basis(4).scaled(s)], 3, 2), 1e-110),
+        (lambda s: sl.summing_quotient(sl.tensor_witness(2, 4), [_basis(4).scaled(s), _basis(4)], 3, 2), 1e-110),
+        (lambda s: sl.polynomial_quotient(square, _basis(3).scaled(s), 3, 2), 1e-60),
+    ]
+    for quotient, scale in cases:
+        want = quotient(1.0).quotient
+        assert want > 1.0
+        assert quotient(scale).quotient == pytest.approx(want, rel=1e-12)
 
 
 def test_conservative_flag_propagates():
@@ -72,7 +86,7 @@ def test_zero_family_is_refused_before_the_power_sum(monkeypatch):
     zero = sl.VectorFamily(sl.lp(2, 3), np.zeros((3, 3)))
     with pytest.raises(DegenerateInputError):
         sl.summing_quotient(sl.tensor_witness(2, 3), [_basis(3), zero], 2, 2)
-    poly = sl.HomogeneousPolynomial(2, sl.lp(2, 3), sl.lp(2, 1), sl.DenseSymmetric(np.ones((3, 3, 1))))
+    poly = sl.HomogeneousPolynomial(2, sl.lp(2, 3), sl.lp(2, 1), sl.DenseTensor(np.ones((3, 3, 1))))
     with pytest.raises(DegenerateInputError):
         sl.polynomial_quotient(poly, zero, 2, 2)
 

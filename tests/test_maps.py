@@ -100,7 +100,7 @@ def test_polynomial_homogeneity_degree_m(rng):
         for perm in itertools.permutations(range(m)):
             sym += np.transpose(coeffs, perm + (m,))
         sym /= math.factorial(m)
-        poly = sl.HomogeneousPolynomial(m, _l2(3), sl.lp(2, 2), sl.DenseSymmetric(sym))
+        poly = sl.HomogeneousPolynomial(m, _l2(3), sl.lp(2, 2), sl.DenseTensor(sym))
         for _ in range(20):
             x = rng.standard_normal(3)
             lam = float(rng.uniform(0.3, 2.5))
@@ -109,11 +109,23 @@ def test_polynomial_homogeneity_degree_m(rng):
             np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
 
-def test_dense_symmetric_rejects_asymmetric():
-    bad = np.zeros((2, 2, 1))
-    bad[0, 1, 0] = 1.0
-    with pytest.raises(StructuralError):
-        sl.DenseSymmetric(bad)
+def test_polynomial_body_need_not_be_symmetric(rng):
+    # P(x) = T(x, ..., x) is the same polynomial for T and for its symmetrization
+    for m in (2, 3):
+        coeffs = rng.standard_normal((3,) * m + (2,))
+        sym = sum(np.transpose(coeffs, perm + (m,)) for perm in itertools.permutations(range(m))) / math.factorial(m)
+        poly = sl.HomogeneousPolynomial(m, _l2(3), sl.lp(1.5, 2), sl.DenseTensor(coeffs))
+        poly_sym = sl.HomogeneousPolynomial(m, _l2(3), sl.lp(1.5, 2), sl.DenseTensor(sym))
+        for _ in range(10):
+            x = _vec(_l2(3), rng.standard_normal(3))
+            np.testing.assert_allclose(
+                sl.eval_polynomial(poly, x).coords, sl.eval_polynomial(poly_sym, x).coords, rtol=1e-12, atol=1e-12
+            )
+        fam = random_family(rng, _l2(3), 5)
+        assert sl.poly_power_sum(poly, fam, 1.5) == pytest.approx(sl.poly_power_sum(poly_sym, fam, 1.5), rel=1e-12)
+        assert poly.fingerprint() == b"denseP" + struct.pack("<q", m) + coeffs.tobytes()
+    with pytest.raises(StructuralError, match="does not match descriptors"):
+        sl.HomogeneousPolynomial(2, _l2(3), sl.lp(2, 2), sl.DenseTensor(np.zeros((3, 2, 2))))
 
 
 @pytest.mark.parametrize("field", ["a", "functionals", "targets"])
@@ -123,19 +135,6 @@ def test_witness_body_rejects_non_finite_entries(field):
     arrays[field].flat[-1] = math.nan
     with pytest.raises(StructuralError, match="must be finite"):
         sl.WitnessBody(arrays["a"], arrays["functionals"], 0.5, arrays["targets"])
-
-
-def test_dense_symmetric_body_serves_a_multilinear_map(rng):
-    sym = rng.standard_normal((3, 3, 2))
-    sym = sym + sym.transpose(1, 0, 2)
-    dom = (_l2(3), _l2(3))
-    as_sym = sl.MultilinearMap(dom, sl.lp(2, 2), sl.DenseSymmetric(sym))
-    as_dense = sl.MultilinearMap(dom, sl.lp(2, 2), sl.DenseTensor(sym))
-    x, y = _vec(_l2(3), rng.standard_normal(3)), _vec(_l2(3), rng.standard_normal(3))
-    np.testing.assert_array_equal(sl.eval_multilinear(as_sym, [x, y]).coords, sl.eval_multilinear(as_dense, [x, y]).coords)
-    fams = [random_family(rng, _l2(3), 4) for _ in range(2)]
-    assert sl.mixed_power_sum(as_sym, fams, 1.5) == sl.mixed_power_sum(as_dense, fams, 1.5)
-    assert as_sym.fingerprint() == as_dense.fingerprint()
 
 
 def test_power_sum_root_beyond_the_float_range_is_a_structural_error():
@@ -278,7 +277,7 @@ def test_poly_power_sum_values():
     assert val == pytest.approx((n ** (1 - p)) ** (1 / p), rel=1e-12)
     assert val**p >= 1.0 - 1e-12
 
-    zero = sl.HomogeneousPolynomial(2, _l2(2), sl.lp(2, 1), sl.DenseSymmetric(np.zeros((2, 2, 1))))
+    zero = sl.HomogeneousPolynomial(2, _l2(2), sl.lp(2, 1), sl.DenseTensor(np.zeros((2, 2, 1))))
     assert sl.poly_power_sum(zero, sl.VectorFamily.basis(_l2(2), 2), 0.7) == 0.0
 
 
@@ -334,6 +333,30 @@ def test_operator_norm_search_on_hilbert_pair(rng):
     assert out.norm() == pytest.approx(res.value, rel=1e-10)
 
 
+@pytest.mark.parametrize("n, norm", [(4, 8.0), (16, 64.0)])
+def test_linear_norm_on_a_sup_slice_is_exact(n, norm):
+    # the Sylvester-Hadamard matrix from sup^n to l_1^n: max over signs s of ||H s||_1 = n^(3/2)
+    h = np.ones((1, 1))
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    t = sl.MultilinearMap((sl.sup_slice(n),), sl.lp(1, n), sl.DenseTensor(h))
+    res = sl.operator_norm(t)
+    assert res.exact and res.value == norm
+    assert res.certificate[0].norm() == 1.0
+    assert sl.eval_multilinear(t, list(res.certificate)).norm() == norm
+
+
+def test_functional_norm_is_the_dual_norm(rng):
+    a = rng.standard_normal(4)
+    t = sl.MultilinearMap((sl.lp(3, 4),), sl.real_line(), sl.DenseTensor(a[:, None]))
+    res = sl.operator_norm(t)
+    assert res.exact
+    assert res.value == pytest.approx(float((np.abs(a) ** 1.5).sum() ** (1 / 1.5)), rel=1e-12)
+    assert res.certificate[0].space == sl.lp(3, 4)
+    assert res.certificate[0].norm() == pytest.approx(1.0, rel=1e-12)
+    assert sl.eval_multilinear(t, list(res.certificate)).norm() == pytest.approx(res.value, rel=1e-12)
+
+
 def test_operator_norm_search_vs_singular_value_oracle(rng):
     # bilinear forms on Hilbert domains: the true norm is the top singular value
     for _ in range(10):
@@ -352,7 +375,7 @@ def test_operator_norm_search_vs_eigenvalue_oracle(rng):
         d = int(rng.integers(2, 6))
         raw = rng.standard_normal((d, d))
         sym = (raw + raw.T) / 2
-        poly = sl.HomogeneousPolynomial(2, _l2(d), sl.lp(2, 1), sl.DenseSymmetric(sym[..., None]))
+        poly = sl.HomogeneousPolynomial(2, _l2(d), sl.lp(2, 1), sl.DenseTensor(sym[..., None]))
         est = sl.operator_norm(poly)
         truth = float(np.abs(np.linalg.eigvalsh(sym)).max())
         assert est.value <= truth * (1 + 1e-9)

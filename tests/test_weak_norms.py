@@ -423,3 +423,9 @@ def test_q_sum_beyond_the_float_range_is_a_structural_error():
     # eight pairings of 1 at q = 0.001: the q-sum 8^1000 overflows before any value is reported
     with pytest.raises(StructuralError, match="largest double"):
         _finish(sl.lp(2, 2), np.ones((8, 2)), 0, 0.001, None, np.array([1.0, 0.0]), exact=True)
+
+
+def test_searched_weak_norm_beyond_the_float_range_is_a_structural_error():
+    # at q = 0.001 the search objective 8^1000 overflows while climbing; the suite turns that warning into an error
+    with pytest.raises(StructuralError, match="largest double"):
+        sl.weak_norm(sl.VectorFamily.basis(sl.lp(2, 8), 8), 0.001)
