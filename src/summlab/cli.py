@@ -7,6 +7,11 @@ and per-experiment plot-data files with two columns log n / log
 quotient.  Timestamps and environment info go to a
 separate metadata.json so results.json stays comparable across runs.
 
+Three tables describe the config language: MAP_KINDS, EXPERIMENT_KINDS
+and ORACLE_CHECKS (the checks of an experiment of kind "oracle").  A row
+holds each key's schema and default and the kind's runner, and
+CONFIG_SCHEMA is generated from the rows.
+
 Exit codes: 0 all declared assertions pass; 1 assertion failure;
 2 config/schema violation, misconfigured experiment, or a value beyond
 the float range.
@@ -18,6 +23,7 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import itertools
 import json
 import math
 import os
@@ -32,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .errors import SummLabError
-from .index_lab import IndexEstimate, bound_table, estimate_index, exact_cap_violations, maximize_quotient
+from .index_lab import bound_table, estimate_index, exact_cap_violations, maximize_quotient, power_cap
 from .maps import DEFAULT_TUPLE_BUDGET, DenseTensor, MultilinearMap, dense_container_to_array, load_dense_container
 from .oracles import CAP_CHECK_MAX_D, HILBERT_CHECK_MAX_D, hilbert_identity_check, identity_cap_check, identity_growth_check
 from .search import SearchBudget
@@ -44,6 +50,7 @@ _NUMBER = {"type": "number"}
 _ABOVE_0 = {"type": "number", "exclusiveMinimum": 0}
 _ABOVE_2 = {"type": "number", "exclusiveMinimum": 2}
 _STRING = {"type": "string"}
+_N_GRID = {"type": "array", "minItems": 1, "items": _POSITIVE}
 _SPACE_SCHEMA = {
     "type": "object",
     "required": ["family"],
@@ -61,17 +68,42 @@ _L2 = {"family": "lp", "p": 2, "dim": "n"}
 EXPERIMENT_P = "the experiment's p"  # default of witness_p
 
 
-class MapKind(NamedTuple):
-    """One map kind of the config.
+class Kind(NamedTuple):
+    """One row of a config table: a map kind, an experiment kind or an oracle check.
 
-    ``keys`` maps each key to (JSON schema, default or None); ``build(args,
-    n)`` gets the spec with its defaults filled in and returns (map, anchor
-    families or None); ``schema`` constrains several keys at once.
+    ``keys`` maps each key to (JSON schema, default or None); ``schema``
+    constrains several keys at once.  ``run`` gets the spec that
+    ``_filled`` completes: a map kind's ``run(args, n)`` returns (map,
+    anchor families or None), and an experiment kind's or an oracle
+    check's ``run(exp, grid, budget, tuple_budget)`` returns its record.
     """
 
     keys: dict
-    build: Callable
+    run: Callable
     schema: dict = {}
+
+
+def _one_or_many(item: dict) -> dict:
+    return {"anyOf": [item, {"type": "array", "items": item}]}
+
+
+def _many(value) -> list:
+    """A value that may be one or a list, as a list."""
+    return value if isinstance(value, list) else [value]
+
+
+# one parameter, two spellings: one value under "p", or a list under "p_values", never both
+_SPELLINGS = {"p_values": "p", "q_values": "q"}
+
+
+def _filled(keys: dict, spec: dict, p: float | None = None) -> dict:
+    """``spec`` with each key of ``keys`` that it lacks at its default.
+
+    A key without a default is None, and EXPERIMENT_P stands for ``p``.  A
+    list spelt ``p_values`` or ``q_values`` is the value of ``p`` or ``q``.
+    """
+    filled = {key: p if default is EXPERIMENT_P else default for key, (_, default) in keys.items()} | spec
+    return filled | {_SPELLINGS[key]: value for key, value in spec.items() if key in _SPELLINGS}
 
 
 def _space(spec: dict, n: int):
@@ -79,30 +111,24 @@ def _space(spec: dict, n: int):
     return space_from_json({**spec, "dim": n} if spec.get("dim", "n") == "n" else spec)
 
 
-def _build_dense(a: dict, n: int):
-    """A dense map at grid point n; ``a["body"]`` is the experiment's one decoded ``DenseTensor``."""
-    domain = tuple(_space(s, n) for s in a["domain"])
-    return MultilinearMap(domain, _space(a["codomain"], n), a["body"]), None
-
-
-# The builders look the witness constructors up in this module's globals at
-# call time, so wrapping ``summlab.cli.<constructor>`` reaches every build.
+# The rows look the witness constructors and oracle checks up in this module's
+# globals at call time, so wrapping ``summlab.cli.<name>`` reaches every call.
 MAP_KINDS = {
-    "tensor": MapKind({"m": (_POSITIVE, 1)}, lambda a, n: (tensor_witness(int(a["m"]), n), None)),
-    "identity": MapKind({"space": (_SPACE_SCHEMA, _L2)}, lambda a, n: (identity_witness(_space(a["space"], n)), None)),
-    "outer_product": MapKind(
+    "tensor": Kind({"m": (_POSITIVE, 1)}, lambda a, n: (tensor_witness(int(a["m"]), n), None)),
+    "identity": Kind({"space": (_SPACE_SCHEMA, _L2)}, lambda a, n: (identity_witness(_space(a["space"], n)), None)),
+    "outer_product": Kind(
         {"m": (_POSITIVE, 2), "space": (_SPACE_SCHEMA, _L1)},
         lambda a, n: (diagonal_product_map(int(a["m"]), n, _space(a["space"], n)), None),
     ),
-    "cotype": MapKind(
+    "cotype": Kind(
         {"m": (_POSITIVE, 2), "witness_p": (_NUMBER, EXPERIMENT_P), "space": (_SPACE_SCHEMA, _L2), "target_r": (_NUMBER, 2.0)},
         lambda a, n: cotype_witness(int(a["m"]), float(a["witness_p"]), _space(a["space"], n), float(a["target_r"]), n),
     ),
-    "real_even": MapKind(
+    "real_even": Kind(
         {"m": (_POSITIVE, 2), "witness_p": (_NUMBER, EXPERIMENT_P), "space": (_SPACE_SCHEMA, _L2)},
         lambda a, n: real_even_witness(int(a["m"]), float(a["witness_p"]), _space(a["space"], n), n),
     ),
-    "dense": MapKind(
+    "dense": Kind(
         {
             "container": (_STRING, None),
             "shape": ({"type": "array", "minItems": 1, "items": _POSITIVE}, None),
@@ -111,7 +137,8 @@ MAP_KINDS = {
             "domain": ({"type": "array", "minItems": 1, "items": _SPACE_SCHEMA}, None),
             "codomain": (_SPACE_SCHEMA, None),
         },
-        _build_dense,
+        # the body is the experiment's one decoded DenseTensor
+        lambda a, n: (MultilinearMap(tuple(_space(s, n) for s in a["domain"]), _space(a["codomain"], n), a["body"]), None),
         {
             "required": ["domain", "codomain"],
             "anyOf": [{"required": ["container"]}, {"required": ["shape", "data"]}, {"required": ["shape", "data_b64"]}],
@@ -120,198 +147,97 @@ MAP_KINDS = {
 }
 
 
-def _build_map(spec: dict, n: int, p: float):
-    """Build the map for one grid point; returns (map, anchor_families_or_None)."""
-    kind = MAP_KINDS[spec["kind"]]
-    defaults = {k: p if d is EXPERIMENT_P else d for k, (_, d) in kind.keys.items() if d is not None}
-    return kind.build({**defaults, **spec}, n)
-
-
-_MAP_SCHEMA = {
-    "type": "object",
-    "required": ["kind"],
-    "properties": {"kind": {"enum": list(MAP_KINDS)}},
-    "allOf": [
-        {
-            "if": {"properties": {"kind": {"const": name}}, "required": ["kind"]},
-            "then": {
-                "properties": {"kind": True, **{key: schema for key, (schema, _) in kind.keys.items()}},
-                "additionalProperties": False,
-                **kind.schema,
-            },
-        }
-        for name, kind in MAP_KINDS.items()
-    ],
-}
-
-
-def _one_or_many(item: dict) -> dict:
-    return {"anyOf": [item, {"type": "array", "items": item}]}
-
-
-def _reads(*keys: str, **ranges: dict) -> dict:
-    """Schema for an experiment kind that reads only name, kind, ``keys`` and ``ranges``.
-
-    ``ranges`` narrows a key to the values the kind accepts, so a bad value
-    stops the run at ingest instead of inside the experiment.  A key and
-    its ``<key>_values`` list spell one parameter, so at most one is given.
-    """
-    one_spelling = {k: {"not": {"required": [f"{k}_values"]}} for k in ranges if f"{k}_values" in ranges}
-    return {"properties": ranges, "propertyNames": {"enum": ["name", "kind", *keys, *ranges]}, "dependentSchemas": one_spelling}
-
-
-_ORACLE_KEYS = {
-    "hilbert_identity": _reads("check", d=_one_or_many({"type": "integer", "minimum": 1, "maximum": HILBERT_CHECK_MAX_D})),
-    "identity_cap": _reads(
-        "check",
-        d=_one_or_many({"type": "integer", "minimum": 1, "maximum": CAP_CHECK_MAX_D}),
-        p=_ABOVE_0,
-        p_values={"type": "array", "items": _ABOVE_0},
-    ),
-    "identity_growth": _reads("check", "n_grid", q=_ABOVE_2, q_values={"type": "array", "items": _ABOVE_2}),
-}
-# every bound table that reads r raises DomainError below 2
-_BOUNDS_KEYS = _reads(
-    m=_one_or_many(_POSITIVE),
-    p=_ABOVE_0,
-    p_values={"type": "array", "items": _ABOVE_0},
-    q=_ABOVE_0,
-    q_values={"type": "array", "items": _ABOVE_0},
-    r=_one_or_many({"type": "number", "minimum": 2}),
-)
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["experiments"],
-    "properties": {
-        "seed": {"type": "integer"},
-        "experiments": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["kind"],
-                "allOf": [
-                    {
-                        "if": {"properties": {"kind": {"const": "slope"}}},
-                        "then": {
-                            "required": ["map", "p", "q", "n_grid"],
-                            **_reads("map", "n_grid", "strategies", "random_starts", "sweeps", "assert", p=_ABOVE_0, q=_ABOVE_0),
-                        },
-                    },
-                    {
-                        "if": {"properties": {"kind": {"const": "oracle"}}},
-                        "then": {"required": ["check"]},
-                    },
-                    *(
-                        {
-                            "if": {"properties": {"kind": {"const": "oracle"}, "check": {"const": check}}, "required": ["check"]},
-                            "then": keys,
-                        }
-                        for check, keys in _ORACLE_KEYS.items()
-                    ),
-                    {"if": {"properties": {"kind": {"const": "bounds"}}}, "then": _BOUNDS_KEYS},
-                ],
-                "properties": {
-                    "name": {"type": "string"},
-                    "kind": {"enum": ["slope", "oracle", "bounds"]},
-                    "map": _MAP_SCHEMA,
-                    "n_grid": {"type": "array", "minItems": 1, "items": {"type": "integer", "minimum": 1}},
-                    "strategies": {"type": "array", "items": {"enum": ["basis", "anchor", "random"]}},
-                    "random_starts": {"type": "integer", "minimum": 0},
-                    "sweeps": {"type": "integer", "minimum": 0},
-                    "assert": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "properties": dict.fromkeys(("slope", "slope_tol", "residual_max", "cap_exponent", "cap_slack"), _NUMBER),
-                    },
-                    "check": {"enum": list(_ORACLE_KEYS)},
+def _tagged(kinds: dict, tag: str = "kind", *outer: str) -> dict:
+    """Schema of an object whose ``tag`` names a row of ``kinds``: it holds ``tag``, ``outer`` and the row's keys only."""
+    return {
+        "type": "object",
+        "required": [tag],
+        "properties": {tag: {"enum": list(kinds)}},
+        "allOf": [
+            {
+                "if": {"properties": {tag: {"const": name}}, "required": [tag]},
+                "then": {
+                    "properties": dict.fromkeys((tag, *outer), True) | {key: schema for key, (schema, _) in kind.keys.items()},
+                    "additionalProperties": False,
+                    **kind.schema,
                 },
-            },
-        },
-    },
+            }
+            for name, kind in kinds.items()
+        ],
+    }
+
+
+# the keys of a slope experiment's "assert" object, all numbers
+ASSERT_KEYS = {
+    key: (_NUMBER, default)
+    for key, default in {"slope": None, "slope_tol": 1e-9, "residual_max": None, "cap_exponent": None, "cap_slack": 1e-6}.items()
 }
-
-# built once: jsonschema.validate would re-check the schema itself on every run
-_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-
-
-def _as_list(value):
-    if value is None:
-        return []
-    return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
 def _build_grid(exp: dict, root: Path) -> list:
     """(map, anchor families or None) for every grid point of a slope experiment."""
-    map_spec = exp["map"]
-    p = float(exp["p"])
+    spec = exp["map"]
+    kind = MAP_KINDS[spec["kind"]]
+    args = _filled(kind.keys, spec, float(exp["p"]))
     try:
-        if map_spec["kind"] == "dense":
+        if spec["kind"] == "dense":
             # one decode and one coefficient copy per experiment, since the body
             # does not depend on n; a container path is relative to the config file
             coeffs = (
-                load_dense_container(root / map_spec["container"])
-                if "container" in map_spec
-                else dense_container_to_array(map_spec)
+                load_dense_container(root / spec["container"])
+                if "container" in spec
+                else dense_container_to_array(spec)
             )
-            map_spec = {**map_spec, "body": DenseTensor(coeffs)}
-        return [_build_map(map_spec, int(n), p) for n in exp["n_grid"]]
+            args["body"] = DenseTensor(coeffs)
+        return [kind.run(args, int(n)) for n in exp["n_grid"]]
     except (KeyError, OSError, TypeError, ValueError) as exc:
-        raise SummLabError(f"bad map spec {exp['map']!r}: {exc!r}") from exc
+        raise SummLabError(f"bad map spec {spec!r}: {exc!r}") from exc
 
 
-def _run_slope_experiment(exp: dict, built: list, seed: int, tuple_budget: int) -> dict:
+def _run_slope_experiment(exp: dict, grid: list, budget: SearchBudget, tuple_budget: int) -> dict:
     p = float(exp["p"])
     q = float(exp["q"])
     n_grid = [int(n) for n in exp["n_grid"]]
-    budget = SearchBudget(seed=seed)
-    strategies = tuple(exp.get("strategies", ["basis", "anchor", "random"]))
     samples = []
     trace_rows = []
     cap_violation = None
-    map_order = None
-    checks = exp.get("assert", {})
-    cap_exp = checks.get("cap_exponent")
-    cap_slack = float(checks.get("cap_slack", 1e-6))
-    for n, (map_obj, anchors) in zip(n_grid, built):
-        map_order = map_obj.degree if hasattr(map_obj, "degree") else map_obj.arity
+    checks = _filled(ASSERT_KEYS, exp["assert"])
+    cap_exp = checks["cap_exponent"]
+    cap_slack = float(checks["cap_slack"])
+    for n, (map_obj, anchors) in zip(n_grid, grid):
         best, trace = maximize_quotient(
             map_obj,
             n,
             p,
             q,
             budget=budget,
-            strategies=strategies,
+            strategies=tuple(exp["strategies"]),
             anchor_families=anchors,
-            random_starts=int(exp.get("random_starts", 2)),
-            sweeps=int(exp.get("sweeps", 8)),
+            random_starts=int(exp["random_starts"]),
+            sweeps=int(exp["sweeps"]),
             tuple_budget=tuple_budget,
             return_trace=True,
         )
         samples.append(best)
         trace_rows.append(len(trace))
         if cap_exp is not None:
-            try:
-                cap = float(n) ** float(cap_exp) * (1.0 + cap_slack)
-            except OverflowError:  # a cap beyond the float range bounds nothing
-                cap = math.inf
+            cap = power_cap(n, cap_exp, cap_slack)
             over = exact_cap_violations(trace, cap)
             if over:
                 cap_violation = {"n": n, "quotient": over[-1].quotient, "cap": cap}
-    estimate: IndexEstimate | None = None
-    if len(set(n_grid)) >= 3:
-        estimate = estimate_index(samples)
+    map_order = map_obj.degree if hasattr(map_obj, "degree") else map_obj.arity
+    estimate = estimate_index(samples) if len(set(n_grid)) >= 3 else None
 
     assert_rows = []
 
     def add_assert(name: str, passed: bool, expected, got) -> None:
         assert_rows.append({"name": name, "passed": bool(passed), "expected": expected, "got": got})
 
-    if "slope" in checks:
-        tol = float(checks.get("slope_tol", 1e-9))
+    if checks["slope"] is not None:
+        tol = float(checks["slope_tol"])
         got = estimate.slope if estimate else None
         add_assert("slope", estimate is not None and abs(got - float(checks["slope"])) <= tol, checks["slope"], got)
-    if "residual_max" in checks:
+    if checks["residual_max"] is not None:
         got = estimate.residual if estimate else None
         add_assert("residual", estimate is not None and got <= float(checks["residual_max"]), checks["residual_max"], got)
     if cap_exp is not None:
@@ -324,7 +250,7 @@ def _run_slope_experiment(exp: dict, built: list, seed: int, tuple_budget: int) 
     ]
     record = {
         "kind": "slope",
-        "name": exp.get("name", "slope"),
+        "name": exp["name"],
         "map": exp["map"],
         "p": p,
         "q": q,
@@ -349,41 +275,118 @@ def _run_slope_experiment(exp: dict, built: list, seed: int, tuple_budget: int) 
     return record
 
 
-def _run_oracle_experiment(exp: dict, seed: int) -> dict:
-    budget = SearchBudget(seed=seed)
-    check = exp["check"]
-    reports = []
-    if check == "hilbert_identity":
-        for d in _as_list(exp.get("d", [1, 2, 4, 9, 16])):
-            reports.append(hilbert_identity_check(int(d), budget))
-    elif check == "identity_growth":
-        for q in _as_list(exp.get("q_values", exp.get("q", [4.0]))):
-            reports.append(identity_growth_check(float(q), exp.get("n_grid", [2, 4, 8, 16]), budget))
-    elif check == "identity_cap":
-        for p in _as_list(exp.get("p_values", exp.get("p", [2.0]))):
-            for d in _as_list(exp.get("d", [4])):
-                reports.append(identity_cap_check(float(p), int(d), budget))
-    else:
-        raise SummLabError(f"unknown oracle check {check!r}")
-    return {
-        "kind": "oracle",
-        "name": exp.get("name", check),
-        "check": check,
-        "reports": [{"name": r.name, "passed": r.passed, "details": r.details} for r in reports],
-        "passed": all(r.passed for r in reports),
-    }
-
-
-def _run_bounds_experiment(exp: dict) -> dict:
+def _run_bounds_experiment(exp: dict, *_) -> dict:
     rows = []
-    for m in _as_list(exp.get("m", 1)):
-        for p in _as_list(exp.get("p_values", exp.get("p", 2.0))):
-            for q in _as_list(exp.get("q_values", exp.get("q", 2.0))):
-                r_list = _as_list(exp.get("r")) or [None]
-                for r in r_list:
-                    for entry in bound_table(int(m), float(p), float(q), None if r is None else float(r)):
-                        rows.append({k: v for k, v in dataclasses.asdict(entry).items() if k != "note"})
-    return {"kind": "bounds", "name": exp.get("name", "bounds"), "rows": rows, "passed": True}
+    for m, p, q, r in itertools.product(*(_many(exp[key]) for key in "mpq"), _many(exp["r"]) or [None]):
+        for entry in bound_table(int(m), float(p), float(q), None if r is None else float(r)):
+            rows.append({k: v for k, v in dataclasses.asdict(entry).items() if k != "note"})
+    return {"kind": "bounds", "name": exp["name"], "rows": rows, "passed": True}
+
+
+def _oracle(check: Callable) -> Callable:
+    """The runner of an oracle experiment whose reports are ``check(exp, budget)``."""
+
+    def run(exp: dict, grid, budget: SearchBudget, tuple_budget: int) -> dict:
+        reports = check(exp, budget)
+        return {
+            "kind": "oracle",
+            "name": exp["name"],
+            "check": exp["check"],
+            "reports": [{"name": r.name, "passed": r.passed, "details": r.details} for r in reports],
+            "passed": all(r.passed for r in reports),
+        }
+
+    return run
+
+
+EXPERIMENT_KINDS = {
+    "slope": Kind(
+        {
+            "name": (_STRING, "slope"),
+            "map": (_tagged(MAP_KINDS), None),
+            "p": (_ABOVE_0, None),
+            "q": (_ABOVE_0, None),
+            "n_grid": (_N_GRID, None),
+            "strategies": ({"type": "array", "items": {"enum": ["basis", "anchor", "random"]}}, ["basis", "anchor", "random"]),
+            "random_starts": ({"type": "integer", "minimum": 0}, 2),
+            "sweeps": ({"type": "integer", "minimum": 0}, 8),
+            "assert": (
+                {"type": "object", "additionalProperties": False, "properties": {k: s for k, (s, _) in ASSERT_KEYS.items()}},
+                {},
+            ),
+        },
+        _run_slope_experiment,
+        {"required": ["map", "p", "q", "n_grid"]},
+    ),
+    "bounds": Kind(
+        {
+            "name": (_STRING, "bounds"),
+            "m": (_one_or_many(_POSITIVE), 1),
+            "p": (_ABOVE_0, 2.0),
+            "p_values": ({"type": "array", "items": _ABOVE_0}, None),
+            "q": (_ABOVE_0, 2.0),
+            "q_values": ({"type": "array", "items": _ABOVE_0}, None),
+            # every bound table that reads r raises DomainError below 2
+            "r": (_one_or_many({"type": "number", "minimum": 2}), None),
+        },
+        _run_bounds_experiment,
+    ),
+}
+# the checks of an experiment of kind "oracle", by its "check" key
+ORACLE_CHECKS = {
+    "hilbert_identity": Kind(
+        {
+            "name": (_STRING, "hilbert_identity"),
+            "d": (_one_or_many({"type": "integer", "minimum": 1, "maximum": HILBERT_CHECK_MAX_D}), [1, 2, 4, 9, 16]),
+        },
+        _oracle(lambda c, budget: [hilbert_identity_check(int(d), budget) for d in _many(c["d"])]),
+    ),
+    "identity_growth": Kind(
+        {
+            "name": (_STRING, "identity_growth"),
+            "q": (_ABOVE_2, 4.0),
+            "q_values": ({"type": "array", "items": _ABOVE_2}, None),
+            "n_grid": (_N_GRID, [2, 4, 8, 16]),
+        },
+        _oracle(lambda c, budget: [identity_growth_check(float(q), c["n_grid"], budget) for q in _many(c["q"])]),
+    ),
+    "identity_cap": Kind(
+        {
+            "name": (_STRING, "identity_cap"),
+            "p": (_ABOVE_0, 2.0),
+            "p_values": ({"type": "array", "items": _ABOVE_0}, None),
+            "d": (_one_or_many({"type": "integer", "minimum": 1, "maximum": CAP_CHECK_MAX_D}), [4]),
+        },
+        _oracle(lambda c, budget: [identity_cap_check(float(p), int(d), budget) for p in _many(c["p"]) for d in _many(c["d"])]),
+    ),
+}
+
+CONFIG_SCHEMA = {
+    "type": "object",
+    "required": ["experiments"],
+    "properties": {
+        "seed": {"type": "integer"},
+        "experiments": {
+            "type": "array",
+            "items": {
+                "properties": {"kind": {"enum": [*EXPERIMENT_KINDS, "oracle"]}},
+                "if": {"properties": {"kind": {"const": "oracle"}}, "required": ["kind"]},
+                "then": _tagged(ORACLE_CHECKS, "check", "kind"),
+                "else": _tagged(EXPERIMENT_KINDS),
+                # after the kinds: best_match reports the first of equally deep errors, so an unknown key names itself
+                "dependentSchemas": {one: {"not": {"required": [many]}} for many, one in _SPELLINGS.items()},
+            },
+        },
+    },
+}
+
+# built once: jsonschema.validate would re-check the schema itself on every run
+_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+
+def _kind_of(exp: dict) -> Kind:
+    """The row of a valid experiment: its check's if it is an oracle experiment, else its kind's."""
+    return ORACLE_CHECKS[exp["check"]] if exp["kind"] == "oracle" else EXPERIMENT_KINDS[exp["kind"]]
 
 
 def _reject_non_finite(token: str):
@@ -409,9 +412,10 @@ def run(config_path, output_dir, seed: int | None = None, tuple_budget: int = DE
     if tuple_budget < 1:
         print(f"config error: the tuple budget must be >= 1, got {tuple_budget}", file=sys.stderr)
         return 2
-    for i, exp in enumerate(config["experiments"]):
-        fitted = {"slope", "residual_max"} & exp.get("assert", {}).keys()
-        if exp["kind"] == "slope" and fitted and len(set(exp["n_grid"])) < 3:
+    experiments = [_filled(_kind_of(exp).keys, exp) for exp in config["experiments"]]
+    for i, exp in enumerate(experiments):
+        fitted = exp["kind"] == "slope" and {"slope", "residual_max"} & exp["assert"].keys()
+        if fitted and len(set(exp["n_grid"])) < 3:
             print(f"config error: experiment {i} asserts {sorted(fitted)} on fewer than 3 distinct n", file=sys.stderr)
             return 2
 
@@ -425,22 +429,15 @@ def run(config_path, output_dir, seed: int | None = None, tuple_budget: int = DE
             print(f"config error: SUMMLAB_SEED={env_seed!r} is not an integer", file=sys.stderr)
             return 2
 
-    def execute(exp: dict, built) -> dict:
-        kind = exp["kind"]
-        if kind == "slope":
-            return _run_slope_experiment(exp, built, seed, tuple_budget)
-        if kind == "oracle":
-            return _run_oracle_experiment(exp, seed)
-        return _run_bounds_experiment(exp)
-
-    experiments = config["experiments"]
     out = Path(output_dir)
     try:
         # every map is built first: a spec that only its constructor rejects stops the run before any output
         grids = [_build_grid(exp, Path(config_path).parent) if exp["kind"] == "slope" else None for exp in experiments]
         out.mkdir(parents=True, exist_ok=True)
         (out / "plotdata").mkdir(exist_ok=True)
-        records = [execute(exp, built) for exp, built in zip(experiments, grids)]
+        records = [
+            _kind_of(exp).run(exp, grid, SearchBudget(seed=seed), tuple_budget) for exp, grid in zip(experiments, grids)
+        ]
     except SummLabError as exc:
         print(f"experiment configuration error: {exc}", file=sys.stderr)
         return 2

@@ -264,6 +264,14 @@ def exact_cap_violations(trace, cap: float) -> list[QuotientSample]:
     return [s for s in trace if not s.family_descriptor.conservative and s.quotient > cap]
 
 
+def power_cap(n: float, exponent: float, slack: float = 0.0) -> float:
+    """n^exponent * (1 + slack), or inf where that is beyond the float range: such a cap bounds nothing."""
+    try:
+        return float(n) ** float(exponent) * (1.0 + slack)
+    except OverflowError:
+        return math.inf
+
+
 def estimate_index(samples) -> IndexEstimate:
     """OLS of log(quotient) on log(n); needs >= 3 samples at distinct n."""
     samples = list(samples)

@@ -24,7 +24,7 @@ over tuples factorises into a product of per-slot sums.  Dense bodies
 enumerate all n^m argument tuples in chunks of the leading index, and
 all terms go into one correctly rounded sum, so the result depends
 neither on the chunking nor on the row order; near the edge of the
-float range the norms are rescaled by a power of two.  A linear map's
+float range the norms are divided by the largest.  A linear map's
 operator norm is a weak norm.
 """
 
@@ -313,21 +313,28 @@ def _root(total: float, p: float, factors: Callable[[], list[Iterable[np.ndarray
 
     The power sum is the product, over the factors in ``factors()``, of the
     sum of v^p over the entries v of the arrays a factor yields.  A total
-    that is inf or below ``_SMALL`` is summed again, each factor over its
-    v * 2^-e with the largest in [1, 2), and its root scaled back.
+    that is not finite or below ``_SMALL`` is summed again, each factor
+    over its v / top with top its largest v, so that no term exceeds 1
+    however large p is, and its root is scaled back by the tops.  A norm
+    that is not finite, from a contraction that overflowed, makes the
+    root not finite.
     """
-    e = 0
+    e, unit = 0, 1.0
     if not _SMALL <= total < math.inf:
         total = 1.0
-        for blocks, again in zip(factors(), factors()):  # one pass for the scale, one for the sum
-            top = max(float(v[v.argmax()]) for v in blocks)
-            scale = math.frexp(top)[1] - 1 if top > 0.0 else 0
-            total *= math.fsum(itertools.chain.from_iterable((np.ldexp(v, -scale) ** p).tolist() for v in again))
-            e += scale
+        for blocks, again in zip(factors(), factors()):  # one pass for the top, one for the sum
+            top = max(float(v[v.argmax()]) for v in blocks) or 1.0  # an all-zero factor sums to 0 either way
+            total *= math.fsum(itertools.chain.from_iterable(((v / top) ** p).tolist() for v in again))
+            frac, exp = math.frexp(top)
+            unit, shift = math.frexp(unit * frac)
+            e += exp + shift
     try:
-        return math.ldexp(total ** (1.0 / p), e)
+        root = math.ldexp(total ** (1.0 / p) * unit, e)
     except OverflowError:
-        raise StructuralError(f"power sum to the power 1/p = {1.0 / p:g} exceeds the largest double") from None
+        root = math.inf
+    if not math.isfinite(root):
+        raise StructuralError(f"power sum to the power 1/p = {1.0 / p:g} exceeds the largest double")
+    return root
 
 
 def mixed_power_sum(
@@ -372,8 +379,9 @@ def mixed_power_sum(
                 block = _contract(t.body.coefficients, [mats[0][lo : lo + block_rows], *mats[1:]], _TUP_LETTERS[:m])
             yield coord_norm(t.codomain, block, axis=-1).ravel()
 
-    total = math.fsum(itertools.chain.from_iterable(_powers(v, p) for v in chunk_norms()))
-    return _root(total, p, lambda: [chunk_norms()])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing contraction leaves a root _root refuses
+        total = math.fsum(itertools.chain.from_iterable(_powers(v, p) for v in chunk_norms()))
+        return _root(total, p, lambda: [chunk_norms()])
 
 
 def poly_power_sum(

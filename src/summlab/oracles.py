@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .index_lab import WEAK2_GROWTH_CONSTANT, estimate_index, exact_cap_violations, maximize_quotient, summing_quotient
+from .index_lab import WEAK2_GROWTH_CONSTANT, estimate_index, exact_cap_violations, maximize_quotient, power_cap, summing_quotient
 from .maps import MultilinearMap, eval_multilinear
 from .search import DEFAULT_BUDGET, SearchBudget
 from .spaces import Vector, coord_norm, dual, lp
@@ -154,7 +154,7 @@ def identity_cap_check(p: float, d: int, budget: SearchBudget = DEFAULT_BUDGET) 
         raise DomainError(f"requires p > 0, got {p}")
     if d > CAP_CHECK_MAX_D:
         raise DomainError(f"cap check is sized for d <= {CAP_CHECK_MAX_D}, got {d}")
-    cap = float(d) ** max(1.0 / p, 0.5) * (1.0 + 1e-6)
+    cap = power_cap(d, max(1.0 / p, 0.5), 1e-6)
     spaces = [lp(2.0, d), lp(1.0, d)]
     total = 0
     exact = 0
@@ -167,8 +167,8 @@ def identity_cap_check(p: float, d: int, budget: SearchBudget = DEFAULT_BUDGET) 
         total += len(trace)
         exact += sum(not s.family_descriptor.conservative for s in trace)
         violations += [{"space": repr(space), "quotient": s.quotient} for s in exact_cap_violations(trace, cap)]
-    basis_denominator = d ** (1.0 / p - 0.5) if p <= 2.0 else 1.0
-    basis_quotient = d ** (1.0 / p) / basis_denominator
+    basis_denominator = power_cap(d, 1.0 / p - 0.5) if p <= 2.0 else 1.0
+    basis_quotient = power_cap(d, 1.0 / p) / basis_denominator
     basis_ok = basis_quotient <= cap
     return CheckReport(
         "identity_cap",

@@ -322,9 +322,9 @@ def _norming_map(space: SpaceDescriptor) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _search(
-    space: SpaceDescriptor, xc: np.ndarray, x: np.ndarray, q: float, budget: SearchBudget
-) -> tuple[float, np.ndarray]:
-    """Multistart ascent for the weak norm of the canonical rows xc, run on their rescaled copy x.
+    space: SpaceDescriptor, xc: np.ndarray, x: np.ndarray, e: int, q: float, budget: SearchBudget
+) -> WeakNormResult:
+    """Multistart ascent for the weak norm of the canonical rows xc = x * 2^e, run on their rescaled copy x.
 
     The seed comes from xc, so it does not change with the rescaling.
     """
@@ -364,8 +364,9 @@ def _search(
         def propose(phis: np.ndarray, w: np.ndarray, step: np.ndarray) -> np.ndarray:
             return gradient_step(ball, phis, w @ x, step)
 
-    with np.errstate(over="ignore"):  # a value beyond the float range is inf here, and _finish refuses it
-        return multistart_ascent(np.vstack((members, others)), objective, propose, budget)
+    starts = np.vstack((members, others))
+    with np.errstate(over="ignore", invalid="ignore"):  # a value beyond the float range is inf or nan; _finish refuses it
+        return _finish(space, x, e, q, *multistart_ascent(starts, objective, propose, budget), exact=False)
 
 
 def weak_norm_search(family: VectorFamily, q: float, budget: SearchBudget = DEFAULT_BUDGET) -> WeakNormResult:
@@ -387,7 +388,7 @@ def weak_norm_search(family: VectorFamily, q: float, budget: SearchBudget = DEFA
         raise DomainError(f"weak norm requires q > 0, got {q}")
     xc = canonical_rows(family.matrix)
     x, e = _rescaled(xc)
-    return _finish(family.space, x, e, q, *_search(family.space, xc, x, q, budget), exact=False)
+    return _search(family.space, xc, x, e, q, budget)
 
 
 def weak_norm(family: VectorFamily, q: float, budget: SearchBudget = DEFAULT_BUDGET) -> WeakNormResult:
@@ -408,7 +409,7 @@ def weak_norm(family: VectorFamily, q: float, budget: SearchBudget = DEFAULT_BUD
     elif space.is_sup and q >= 1.0:
         value, phi = None, _column_path(x, q)
     else:
-        return _finish(space, x, e, q, *_search(space, xc, x, q, budget), exact=False)
+        return _search(space, xc, x, e, q, budget)
     return _finish(space, x, e, q, value, phi, exact=True)
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import summlab
-from summlab.cli import CONFIG_SCHEMA, EXPERIMENT_P, MAP_KINDS, main, print_bounds, run
+from summlab.cli import (
+    ASSERT_KEYS,
+    CONFIG_SCHEMA,
+    EXPERIMENT_KINDS,
+    EXPERIMENT_P,
+    MAP_KINDS,
+    ORACLE_CHECKS,
+    main,
+    print_bounds,
+    run,
+)
 
 
 def _bundled(name):
@@ -153,12 +164,12 @@ _VALID = {**_SLOPE, "map": {"kind": "tensor", "m": 1}, "random_starts": 0, "swee
         ({**_CAP, "p": 3, "p_values": [1]}, "config schema violation"),
         ({**_GROWTH, "q": 3, "q_values": [4]}, "config schema violation"),
         # each kind accepts only the keys it reads
-        ({**_BOUNDS, "assert": {"slope": 123.0}}, "'assert' is not one of"),
+        ({**_BOUNDS, "assert": {"slope": 123.0}}, "('assert' was unexpected)"),
         (
             {"kind": "oracle", "check": "hilbert_identity", "assert": {"slope": 1.0}, "random_starts": 2, "p_values": [1]},
-            "is not one of",
+            "('assert', 'p_values', 'random_starts' were unexpected)",
         ),
-        ({**_VALID, "d": 3, "check": "hilbert_identity", "q_values": [-1], "m": 0}, "is not one of"),
+        ({**_VALID, "d": 3, "check": "hilbert_identity", "q_values": [-1], "m": 0}, "('check', 'd', 'm', 'q_values' were unexpected)"),
     ]] + [
         (_VALID, "config error", ("--tuple-budget", "0")),
         (_VALID, "config error", ("--tuple-budget", "-5")),
@@ -214,28 +225,48 @@ def test_malformed_experiment_exit_2(tmp_path, capsys, experiment, message, opti
     assert not (tmp_path / "out").exists()
 
 
+_QUIET = {"random_starts": 0, "sweeps": 0}
+# configs at the edge of the float range: each exits 0 or 2, never through a traceback
+_DENSE_HUGE = {"kind": "dense", "shape": [2, 2], "data": [1.7e308] * 4, "domain": [_SPACE_2], "codomain": _SPACE_2}
+_FLOAT_EDGE = {
+    "cap-tiny-p": {**_CAP, "p": 1e-300, "d": [4]},
+    # the contraction overflows
+    "dense-overflow": {**_SLOPE, **_QUIET, "map": _DENSE_HUGE, "n_grid": [2]},
+    # the power sum is finite: it tends to the largest norm as p grows
+    "identity-huge-p": {**_SLOPE, "map": {"kind": "identity"}, "p": 1e300, "n_grid": [2], "random_starts": 2, "sweeps": 8},
+    # refused, though the weak norm is finite: the search overflows
+    "identity-huge-q": {**_SLOPE, "map": {"kind": "identity"}, "q": 1e300, "n_grid": [2], "random_starts": 1, "sweeps": 0},
+    "cap-huge-p": {**_CAP, "p": 1e300, "d": [4]},
+}
+
+
 @pytest.mark.parametrize(
-    "experiment",
+    "experiment, code, message",
     [
-        {**_SLOPE, "map": {"kind": "tensor", "m": 2}, "p": 0.002, "n_grid": [8]},
-        {**_SLOPE, "map": {"kind": "real_even", "m": 2}, "p": 0.001, "n_grid": [8]},
-        {**_SLOPE, "map": {"kind": "cotype", "m": 2}, "p": 0.001, "n_grid": [8]},
-        {**_SLOPE, "map": {"kind": "identity"}, "q": 0.001, "n_grid": [8]},
+        ({**_SLOPE, **_QUIET, "map": {"kind": "tensor", "m": 2}, "p": 0.002, "n_grid": [8]}, 2, "largest double"),
+        ({**_SLOPE, **_QUIET, "map": {"kind": "real_even", "m": 2}, "p": 0.001, "n_grid": [8]}, 2, "largest double"),
+        ({**_SLOPE, **_QUIET, "map": {"kind": "cotype", "m": 2}, "p": 0.001, "n_grid": [8]}, 2, "largest double"),
+        ({**_SLOPE, **_QUIET, "map": {"kind": "identity"}, "q": 0.001, "n_grid": [8]}, 2, "largest double"),
+        (_FLOAT_EDGE["cap-tiny-p"], 2, "largest double"),
+        (_FLOAT_EDGE["dense-overflow"], 2, "largest double"),
+        (_FLOAT_EDGE["identity-huge-p"], 0, ""),
+        (_FLOAT_EDGE["identity-huge-q"], 2, "weak norm is not finite"),
+        (_FLOAT_EDGE["cap-huge-p"], 2, "weak norm is not finite"),
     ],
-    ids=["tensor-root", "real-even-root", "cotype-root", "identity-weak-norm"],
+    ids=["tensor-root", "real-even-root", "cotype-root", "identity-weak-norm", *_FLOAT_EDGE],
 )
-def test_value_beyond_the_float_range_exits_2(tmp_path, experiment):
+def test_value_beyond_the_float_range_exits_2(tmp_path, experiment, code, message):
     # a separate process, so a traceback on the way out would show on stderr; as in the
     # suite, a RuntimeWarning in the numerics is an error there
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"experiments": [{**experiment, "random_starts": 0, "sweeps": 0}]}))
+    cfg.write_text(json.dumps({"experiments": [experiment]}))
     env = {**os.environ, "PYTHONPATH": str(Path(summlab.__file__).parents[1])}
     argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "summlab.cli", "run", "--config", str(cfg)]
     argv += ["--out", str(tmp_path / "out")]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert "largest double" in proc.stderr
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert message in proc.stderr
 
 
 def test_tuple_budget_flag_is_the_only_budget(tmp_path, capsys):
@@ -401,6 +432,50 @@ def test_map_builders_call_the_module_constructors(tmp_path, monkeypatch):
     assert calls == list(names)
 
 
+def test_oracle_checks_call_the_module_functions(tmp_path, monkeypatch):
+    # the oracle rows look the checks up in summlab.cli at call time, so wrapping
+    # a module-level name (as a tracer does) sees every call
+    import summlab.cli as cli
+
+    names = ("hilbert_identity_check", "identity_growth_check", "identity_cap_check")
+    calls = []
+    for name in names:
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    experiments = [
+        {"kind": "oracle", "check": "hilbert_identity", "d": [1, 2]},
+        {"kind": "oracle", "check": "identity_growth", "q_values": [3, 4], "n_grid": [2]},
+        {"kind": "oracle", "check": "identity_cap", "p": 2, "d": [2]},
+    ]
+    cfg = tmp_path / "checks.json"
+    cfg.write_text(json.dumps({"experiments": experiments}))
+    assert run(cfg, tmp_path / "out") == 0
+    assert calls == ["hilbert_identity_check"] * 2 + ["identity_growth_check"] * 2 + ["identity_cap_check"]
+
+
+def _readme_line(label: str) -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for line in readme.splitlines() if line.startswith(f"| {label} |")]
+    assert len(lines) == 1, label
+    return lines[0]
+
+
+def test_readme_tables_give_every_key_and_default():
+    rows = [(f"`{name}`", kind.keys) for name, kind in {**MAP_KINDS, **EXPERIMENT_KINDS}.items()]
+    rows += [(f'`oracle`, `"check": "{name}"`', kind.keys) for name, kind in ORACLE_CHECKS.items()]
+    rows.append(("`assert` (in `slope`)", ASSERT_KEYS))
+    for label, keys in rows:
+        line = _readme_line(label)
+        for key, (_, default) in keys.items():
+            assert f"`{key}`" in line, (label, key)
+            if default is EXPERIMENT_P:
+                assert f"`{key}` (the experiment's `p`)" in line, (label, key)
+            elif default is not None:
+                # the default is written as JSON in backticks right after the key
+                written = re.search(rf"`{key}` \(`([^`]*)`\)", line)
+                assert written and json.loads(written.group(1)) == default, (label, key)
+
+
 def test_seed_resolution_env(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "noseed.json"
     cfg.write_text(json.dumps({"experiments": []}))
@@ -510,8 +585,9 @@ def test_main_entrypoint(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "1"]) == 0
 
 
-# Fuzzing the exit-code contract: map specs drawn from MAP_KINDS with dropped
-# keys, mistyped values, unknown keys and bad assert objects.
+# Fuzzing the exit-code contract: experiments drawn from EXPERIMENT_KINDS and
+# ORACLE_CHECKS, with map specs drawn from MAP_KINDS, dropped keys, mistyped
+# values, unknown keys, bad assert objects and values at the edge of the float range.
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 5) | st.floats(-2, 5) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
@@ -522,38 +598,71 @@ _SPACES = st.fixed_dictionaries(
     optional={"p": st.sampled_from([1, 1.5, 2, 3, "inf"]), "dim": st.sampled_from(["n", 2, 4])},
 )
 _DENSE = {"shape": [2, 2], "data": [1.0, 0.5, 0.0, 1.0], "domain": [_SPACE_2], "codomain": _SPACE_2}
-_ASSERT_KEYS = ["slope", "slope_tol", "residual_max", "cap_exponent", "cap_slack"]
+_EXPONENTS = st.sampled_from([0.5, 1, 2, 3, 4, 1e-300, 1e300])
+_SMALL = st.sampled_from([1, 2, 3, 4])
+# the values each experiment key takes when it is well formed, kept small: n and d <= 4, no random starts or sweeps
+_TYPICAL = {
+    "name": st.text(max_size=3),
+    "p": _EXPONENTS,
+    "q": _EXPONENTS,
+    "p_values": st.lists(_EXPONENTS, min_size=1, max_size=2),
+    "q_values": st.lists(_EXPONENTS, min_size=1, max_size=2),
+    "n_grid": st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=3),
+    "strategies": st.lists(st.sampled_from(["basis", "anchor", "random"]), min_size=1, max_size=3),
+    "random_starts": st.just(0),
+    "sweeps": st.just(0),
+    "d": _SMALL | st.lists(_SMALL, min_size=1, max_size=2),
+    "m": _SMALL | st.lists(_SMALL, min_size=1, max_size=2),
+    "r": st.sampled_from([2, 3]),
+}
 
 
 @st.composite
-def _fuzzed_experiments(draw):
+def _fuzzed_maps(draw):
     name = draw(st.sampled_from(list(MAP_KINDS)))
     spec = {"kind": name}
     for key, (_, default) in MAP_KINDS[name].keys.items():
         typical = [v for v in (default, _DENSE.get(key)) if v is not None and v is not EXPERIMENT_P]
         value = st.sampled_from(typical) if typical else st.floats(0.1, 4)
         if draw(st.booleans()):
-            spec[key] = draw(st.one_of(value, st.integers(-1, 4), st.floats(-1, 4), _SPACES, _JSON))
-    spec.update(draw(st.dictionaries(st.text(min_size=1, max_size=6), _JSON, max_size=2)))
-    experiment = {
-        "kind": "slope",
-        "map": spec,
-        "p": draw(st.sampled_from([0.5, 1, 2])),
-        "q": draw(st.sampled_from([1, 2, 3])),
-        "n_grid": draw(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=3)),
-        "random_starts": 0,
-        "sweeps": 0,
-    }
-    if draw(st.booleans()):
-        keys = st.sampled_from(_ASSERT_KEYS + ["slop"])
-        experiment["assert"] = draw(st.dictionaries(keys, st.floats() | _JSON, max_size=3) | _JSON)
+            spec[key] = draw(value if draw(st.integers(0, 3)) else st.one_of(st.integers(-1, 4), st.floats(-1, 4), _SPACES, _JSON))
+    if draw(st.integers(0, 3)) == 0:
+        spec.update(draw(st.dictionaries(st.text(min_size=1, max_size=6), _JSON, max_size=2)))
+    return spec
+
+
+@st.composite
+def _fuzzed_experiments(draw):
+    name = draw(st.sampled_from([*EXPERIMENT_KINDS, *ORACLE_CHECKS]))
+    if name in ORACLE_CHECKS:
+        experiment, kind = {"kind": "oracle", "check": name}, ORACLE_CHECKS[name]
+    else:
+        experiment, kind = {"kind": name}, EXPERIMENT_KINDS[name]
+    keys = kind.keys
+    for key in keys:
+        if key == "map":
+            experiment[key] = draw(_fuzzed_maps())
+        elif key == "assert":
+            if draw(st.booleans()):
+                assert_keys = st.sampled_from([*ASSERT_KEYS, "slop"])
+                experiment[key] = draw(st.dictionaries(assert_keys, st.floats(allow_nan=False, allow_infinity=False), max_size=3))
+        # most keys, and one spelling of a parameter, so that most experiments run
+        elif key in kind.schema.get("required", []) or draw(st.integers(0, 9)) < 8 and key.removesuffix("_values") not in experiment:
+            experiment[key] = draw(_TYPICAL[key])
+    if draw(st.integers(0, 3)) == 0:  # one key mistyped or unknown
+        experiment[draw(st.sampled_from([*keys, "kind", "check", "x"]))] = draw(_JSON)
     return experiment
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(_fuzzed_experiments())
 # n ** 1e308 overflows a float
-@example({**_SLOPE, "map": {"kind": "tensor"}, "random_starts": 0, "sweeps": 0, "assert": {"cap_exponent": 1e308}})
+@example({**_SLOPE, **_QUIET, "map": {"kind": "tensor"}, "assert": {"cap_exponent": 1e308}})
+@example(_FLOAT_EDGE["cap-tiny-p"])
+@example(_FLOAT_EDGE["dense-overflow"])
+@example(_FLOAT_EDGE["identity-huge-p"])
+@example(_FLOAT_EDGE["identity-huge-q"])
+@example(_FLOAT_EDGE["cap-huge-p"])
 def test_fuzzed_map_specs_keep_exit_contract(experiment):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"

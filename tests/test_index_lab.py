@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 import summlab as sl
 from summlab.errors import DegenerateInputError, DomainError, StructuralError, ValidityError
-from summlab.index_lab import cotype_seam_points, exact_cap_violations, mult_upper_branch, pol_cotype_branch_value
+from summlab.index_lab import (
+    cotype_seam_points,
+    exact_cap_violations,
+    mult_upper_branch,
+    pol_cotype_branch_value,
+    power_cap,
+)
 
 
 def _basis(n):
@@ -98,6 +104,15 @@ def test_denominator_beyond_the_float_range_is_a_structural_error(weak):
     res = sl.WeakNormResult(weak, sl.Vector(sl.lp(2, 2), [1.0, 0.0]), True)
     with pytest.raises(StructuralError, match="float range"):
         _quotient_sample(2, lambda: 1.0, [res], 2, sl.SearchBudget(), "direct")
+
+
+def test_power_cap_beyond_the_float_range_is_inf():
+    assert power_cap(4, 1.5, 1e-6) == 4.0**1.5 * (1.0 + 1e-6)
+    assert power_cap(4, 0.5) == 2.0
+    # a cap beyond the largest double bounds nothing
+    assert power_cap(4, 1e300) == math.inf
+    assert power_cap(2, 1024) == math.inf
+    assert power_cap(4, -1e300) == 0.0
 
 
 def test_exact_cap_violations_keep_trace_order_and_skip_conservative():

@@ -148,6 +148,27 @@ def test_power_sum_root_beyond_the_float_range_is_a_structural_error():
         sl.poly_power_sum(poly, anchors, 0.001)
 
 
+def test_overflowing_contraction_is_a_structural_error():
+    # each output coordinate overflows, so its norm is inf or nan before any power is taken
+    t = sl.MultilinearMap((_l2(3),), _l2(3), sl.DenseTensor(np.full((3, 3), 1e300)))
+    fam = sl.VectorFamily(_l2(3), np.full((3, 3), 1e10))
+    with pytest.raises(StructuralError, match="largest double"):
+        sl.mixed_power_sum(t, [fam], 2.0)
+    huge = sl.MultilinearMap((_l2(2),), _l2(2), sl.DenseTensor(np.full((2, 2), 1.7e308)))
+    with pytest.raises(StructuralError, match="largest double"):
+        sl.mixed_power_sum(huge, [sl.VectorFamily.basis(_l2(2), 2)], 2.0)
+
+
+@pytest.mark.parametrize("p", [1e3, 1e300])
+def test_power_sum_at_a_huge_p_tends_to_the_largest_norm(p):
+    # every power ||y||^p with ||y|| > 1 overflows; the sum is taken over ||y|| / max ||y||
+    fam = sl.VectorFamily(_l2(3), np.diag([3.0, 2.0, 3.0]))
+    want = 3.0 * 2.0 ** (1.0 / p)  # two terms reach the largest norm 3
+    assert sl.mixed_power_sum(sl.identity_witness(_l2(3)), [fam], p) == pytest.approx(want, rel=1e-12)
+    outer = sl.tensor_witness(2, 3)
+    assert sl.mixed_power_sum(outer, [fam, fam], p) == pytest.approx(9.0 * 4.0 ** (1.0 / p), rel=1e-12)
+
+
 def test_mixed_power_sum_diagonal_basis():
     # the full m <= 3, n <= 16 grid stays within the 10^6 tuple envelope
     for m in (1, 2, 3):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import summlab as sl
-from summlab.errors import BudgetError, DomainError
+from summlab.errors import BudgetError, DomainError, StructuralError
 
 from conftest import random_family
 
@@ -129,3 +129,11 @@ def test_identity_cap_check_quasi_norm_p():
     assert rep.passed, rep.details
     assert rep.details["exact_path_quotients"] == 0
     assert rep.details["basis_quotient_closed_form"] == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1e-300, 1e300])
+def test_identity_cap_check_beyond_the_float_range_is_a_structural_error(p):
+    # d^(1/p) overflows at p = 1e-300 and the weak 1e300-norm search overflows at
+    # p = 1e300: both are refused as values beyond the float range, not OverflowError
+    with pytest.raises(StructuralError):
+        sl.identity_cap_check(p, 4)
