@@ -175,7 +175,7 @@ ASSERT_KEYS = {
 
 
 def _build_grid(exp: dict, root: Path) -> list:
-    """(map, anchor families or None) for every grid point of a slope experiment."""
+    """(map, anchor families or None) for every grid point of an experiment with a map, at its p and n_grid."""
     spec = exp["map"]
     kind = MAP_KINDS[spec["kind"]]
     args = _filled(kind.keys, spec, float(exp["p"]))
@@ -277,7 +277,7 @@ def _run_slope_experiment(exp: dict, grid: list, budget: SearchBudget, tuple_bud
 
 def _run_bounds_experiment(exp: dict, *_) -> dict:
     rows = []
-    for m, p, q, r in itertools.product(*(_many(exp[key]) for key in "mpq"), _many(exp["r"]) or [None]):
+    for m, p, q, r in itertools.product(*(_many(exp[key]) for key in "mpqr")):
         for entry in bound_table(int(m), float(p), float(q), None if r is None else float(r)):
             rows.append({k: v for k, v in dataclasses.asdict(entry).items() if k != "note"})
     return {"kind": "bounds", "name": exp["name"], "rows": rows, "passed": True}
@@ -414,7 +414,7 @@ def run(config_path, output_dir, seed: int | None = None, tuple_budget: int = DE
         return 2
     experiments = [_filled(_kind_of(exp).keys, exp) for exp in config["experiments"]]
     for i, exp in enumerate(experiments):
-        fitted = exp["kind"] == "slope" and {"slope", "residual_max"} & exp["assert"].keys()
+        fitted = "assert" in exp and {"slope", "residual_max"} & exp["assert"].keys()
         if fitted and len(set(exp["n_grid"])) < 3:
             print(f"config error: experiment {i} asserts {sorted(fitted)} on fewer than 3 distinct n", file=sys.stderr)
             return 2
@@ -432,7 +432,7 @@ def run(config_path, output_dir, seed: int | None = None, tuple_budget: int = DE
     out = Path(output_dir)
     try:
         # every map is built first: a spec that only its constructor rejects stops the run before any output
-        grids = [_build_grid(exp, Path(config_path).parent) if exp["kind"] == "slope" else None for exp in experiments]
+        grids = [_build_grid(exp, Path(config_path).parent) if "map" in exp else None for exp in experiments]
         out.mkdir(parents=True, exist_ok=True)
         (out / "plotdata").mkdir(exist_ok=True)
         records = [

@@ -240,22 +240,7 @@ _FLOAT_EDGE = {
 }
 
 
-@pytest.mark.parametrize(
-    "experiment, code, message",
-    [
-        ({**_SLOPE, **_QUIET, "map": {"kind": "tensor", "m": 2}, "p": 0.002, "n_grid": [8]}, 2, "largest double"),
-        ({**_SLOPE, **_QUIET, "map": {"kind": "real_even", "m": 2}, "p": 0.001, "n_grid": [8]}, 2, "largest double"),
-        ({**_SLOPE, **_QUIET, "map": {"kind": "cotype", "m": 2}, "p": 0.001, "n_grid": [8]}, 2, "largest double"),
-        ({**_SLOPE, **_QUIET, "map": {"kind": "identity"}, "q": 0.001, "n_grid": [8]}, 2, "largest double"),
-        (_FLOAT_EDGE["cap-tiny-p"], 2, "largest double"),
-        (_FLOAT_EDGE["dense-overflow"], 2, "largest double"),
-        (_FLOAT_EDGE["identity-huge-p"], 0, ""),
-        (_FLOAT_EDGE["identity-huge-q"], 2, "weak norm is not finite"),
-        (_FLOAT_EDGE["cap-huge-p"], 2, "weak norm is not finite"),
-    ],
-    ids=["tensor-root", "real-even-root", "cotype-root", "identity-weak-norm", *_FLOAT_EDGE],
-)
-def test_value_beyond_the_float_range_exits_2(tmp_path, experiment, code, message):
+def _run_warnings_as_errors(tmp_path, experiment: dict) -> subprocess.CompletedProcess:
     # a separate process, so a traceback on the way out would show on stderr; as in the
     # suite, a RuntimeWarning in the numerics is an error there
     cfg = tmp_path / "cfg.json"
@@ -264,9 +249,33 @@ def test_value_beyond_the_float_range_exits_2(tmp_path, experiment, code, messag
     argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "summlab.cli", "run", "--config", str(cfg)]
     argv += ["--out", str(tmp_path / "out")]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize(
+    "experiment, message",
+    [
+        ({**_SLOPE, **_QUIET, "map": {"kind": "tensor", "m": 2}, "p": 0.002, "n_grid": [8]}, "largest double"),
+        ({**_SLOPE, **_QUIET, "map": {"kind": "real_even", "m": 2}, "p": 0.001, "n_grid": [8]}, "largest double"),
+        ({**_SLOPE, **_QUIET, "map": {"kind": "cotype", "m": 2}, "p": 0.001, "n_grid": [8]}, "largest double"),
+        ({**_SLOPE, **_QUIET, "map": {"kind": "identity"}, "q": 0.001, "n_grid": [8]}, "largest double"),
+        (_FLOAT_EDGE["cap-tiny-p"], "largest double"),
+        (_FLOAT_EDGE["dense-overflow"], "largest double"),
+        (_FLOAT_EDGE["identity-huge-q"], "weak norm is not finite"),
+        (_FLOAT_EDGE["cap-huge-p"], "weak norm is not finite"),
+    ],
+    ids=["tensor-root", "real-even-root", "cotype-root", "identity-weak-norm", "cap-tiny-p", "dense-overflow", "identity-huge-q", "cap-huge-p"],
+)
+def test_value_beyond_the_float_range_exits_2(tmp_path, experiment, message):
+    proc = _run_warnings_as_errors(tmp_path, experiment)
+    assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
+
+
+def test_power_sum_at_a_huge_p_exits_0(tmp_path):
+    proc = _run_warnings_as_errors(tmp_path, _FLOAT_EDGE["identity-huge-p"])
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_tuple_budget_flag_is_the_only_budget(tmp_path, capsys):
@@ -585,9 +594,9 @@ def test_main_entrypoint(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "1"]) == 0
 
 
-# Fuzzing the exit-code contract: experiments drawn from EXPERIMENT_KINDS and
-# ORACLE_CHECKS, with map specs drawn from MAP_KINDS, dropped keys, mistyped
-# values, unknown keys, bad assert objects and values at the edge of the float range.
+# Fuzzing the exit-code contract: map specs drawn from MAP_KINDS with dropped
+# keys, mistyped values, unknown keys and bad assert objects; and experiments
+# drawn from EXPERIMENT_KINDS and ORACLE_CHECKS, with values at the edge of the float range.
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 5) | st.floats(-2, 5) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
@@ -598,8 +607,10 @@ _SPACES = st.fixed_dictionaries(
     optional={"p": st.sampled_from([1, 1.5, 2, 3, "inf"]), "dim": st.sampled_from(["n", 2, 4])},
 )
 _DENSE = {"shape": [2, 2], "data": [1.0, 0.5, 0.0, 1.0], "domain": [_SPACE_2], "codomain": _SPACE_2}
+_ASSERTS = st.dictionaries(st.sampled_from([*ASSERT_KEYS, "slop"]), st.floats() | _JSON, max_size=3) | _JSON
 _EXPONENTS = st.sampled_from([0.5, 1, 2, 3, 4, 1e-300, 1e300])
 _SMALL = st.sampled_from([1, 2, 3, 4])
+_N_GRIDS = st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=3)
 # the values each experiment key takes when it is well formed, kept small: n and d <= 4, no random starts or sweeps
 _TYPICAL = {
     "name": st.text(max_size=3),
@@ -607,7 +618,7 @@ _TYPICAL = {
     "q": _EXPONENTS,
     "p_values": st.lists(_EXPONENTS, min_size=1, max_size=2),
     "q_values": st.lists(_EXPONENTS, min_size=1, max_size=2),
-    "n_grid": st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=3),
+    "n_grid": _N_GRIDS,
     "strategies": st.lists(st.sampled_from(["basis", "anchor", "random"]), min_size=1, max_size=3),
     "random_starts": st.just(0),
     "sweeps": st.just(0),
@@ -625,10 +636,25 @@ def _fuzzed_maps(draw):
         typical = [v for v in (default, _DENSE.get(key)) if v is not None and v is not EXPERIMENT_P]
         value = st.sampled_from(typical) if typical else st.floats(0.1, 4)
         if draw(st.booleans()):
-            spec[key] = draw(value if draw(st.integers(0, 3)) else st.one_of(st.integers(-1, 4), st.floats(-1, 4), _SPACES, _JSON))
-    if draw(st.integers(0, 3)) == 0:
-        spec.update(draw(st.dictionaries(st.text(min_size=1, max_size=6), _JSON, max_size=2)))
+            spec[key] = draw(st.one_of(value, st.integers(-1, 4), st.floats(-1, 4), _SPACES, _JSON))
+    spec.update(draw(st.dictionaries(st.text(min_size=1, max_size=6), _JSON, max_size=2)))
     return spec
+
+
+@st.composite
+def _fuzzed_slopes(draw):
+    experiment = {
+        "kind": "slope",
+        "map": draw(_fuzzed_maps()),
+        "p": draw(st.sampled_from([0.5, 1, 2])),
+        "q": draw(st.sampled_from([1, 2, 3])),
+        "n_grid": draw(_N_GRIDS),
+        "random_starts": 0,
+        "sweeps": 0,
+    }
+    if draw(st.booleans()):
+        experiment["assert"] = draw(_ASSERTS)
+    return experiment
 
 
 @st.composite
@@ -644,8 +670,7 @@ def _fuzzed_experiments(draw):
             experiment[key] = draw(_fuzzed_maps())
         elif key == "assert":
             if draw(st.booleans()):
-                assert_keys = st.sampled_from([*ASSERT_KEYS, "slop"])
-                experiment[key] = draw(st.dictionaries(assert_keys, st.floats(allow_nan=False, allow_infinity=False), max_size=3))
+                experiment[key] = draw(_ASSERTS)
         # most keys, and one spelling of a parameter, so that most experiments run
         elif key in kind.schema.get("required", []) or draw(st.integers(0, 9)) < 8 and key.removesuffix("_values") not in experiment:
             experiment[key] = draw(_TYPICAL[key])
@@ -654,18 +679,27 @@ def _fuzzed_experiments(draw):
     return experiment
 
 
-@settings(max_examples=150, deadline=None)
-@given(_fuzzed_experiments())
+def _exit_code(experiment: dict) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps({"experiments": [experiment]}))
+        return main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out"), "--threads", "1"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fuzzed_slopes())
 # n ** 1e308 overflows a float
 @example({**_SLOPE, **_QUIET, "map": {"kind": "tensor"}, "assert": {"cap_exponent": 1e308}})
+def test_fuzzed_map_specs_keep_exit_contract(experiment):
+    assert _exit_code(experiment) in (0, 1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fuzzed_experiments())
 @example(_FLOAT_EDGE["cap-tiny-p"])
 @example(_FLOAT_EDGE["dense-overflow"])
 @example(_FLOAT_EDGE["identity-huge-p"])
 @example(_FLOAT_EDGE["identity-huge-q"])
 @example(_FLOAT_EDGE["cap-huge-p"])
-def test_fuzzed_map_specs_keep_exit_contract(experiment):
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "cfg.json"
-        cfg.write_text(json.dumps({"experiments": [experiment]}))
-        code = main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "out"), "--threads", "1"])
-    assert code in (0, 1, 2)
+def test_fuzzed_experiments_keep_exit_contract(experiment):
+    assert _exit_code(experiment) in (0, 1, 2)
