@@ -26,7 +26,6 @@ import datetime
 import itertools
 import json
 import math
-import os
 import re
 import sys
 from collections.abc import Callable
@@ -38,10 +37,19 @@ import numpy as np
 
 from . import __version__
 from .errors import SummLabError
-from .index_lab import bound_table, estimate_index, exact_cap_violations, maximize_quotient, power_cap
+from .index_lab import (
+    DEFAULT_CAP_SLACK,
+    DEFAULT_RANDOM_STARTS,
+    DEFAULT_SWEEPS,
+    bound_table,
+    estimate_index,
+    exact_cap_violations,
+    maximize_quotient,
+    power_cap,
+)
 from .maps import DEFAULT_TUPLE_BUDGET, DenseTensor, MultilinearMap, dense_container_to_array, load_dense_container
 from .oracles import CAP_CHECK_MAX_D, HILBERT_CHECK_MAX_D, hilbert_identity_check, identity_cap_check, identity_growth_check
-from .search import SearchBudget
+from .search import DEFAULT_BUDGET, SearchBudget
 from .spaces import space_from_json
 from .witnesses import cotype_witness, diagonal_product_map, identity_witness, real_even_witness, tensor_witness
 
@@ -65,7 +73,6 @@ _SPACE_SCHEMA = {
 }
 _L1 = {"family": "lp", "p": 1, "dim": "n"}
 _L2 = {"family": "lp", "p": 2, "dim": "n"}
-EXPERIMENT_P = "the experiment's p"  # default of witness_p
 
 
 class Kind(NamedTuple):
@@ -73,9 +80,10 @@ class Kind(NamedTuple):
 
     ``keys`` maps each key to (JSON schema, default or None); ``schema``
     constrains several keys at once.  ``run`` gets the spec that
-    ``_filled`` completes: a map kind's ``run(args, n)`` returns (map,
-    anchor families or None), and an experiment kind's or an oracle
-    check's ``run(exp, grid, budget, tuple_budget)`` returns its record.
+    ``_filled`` completes: a map kind's ``run(args, n)``, whose ``args``
+    also hold the experiment's ``p``, returns (map, anchor family or
+    None), and an experiment kind's or an oracle check's ``run(exp, grid,
+    budget, tuple_budget)`` returns its record.
     """
 
     keys: dict
@@ -96,13 +104,13 @@ def _many(value) -> list:
 _SPELLINGS = {"p_values": "p", "q_values": "q"}
 
 
-def _filled(keys: dict, spec: dict, p: float | None = None) -> dict:
+def _filled(keys: dict, spec: dict) -> dict:
     """``spec`` with each key of ``keys`` that it lacks at its default.
 
-    A key without a default is None, and EXPERIMENT_P stands for ``p``.  A
-    list spelt ``p_values`` or ``q_values`` is the value of ``p`` or ``q``.
+    A key without a default is None.  A list spelt ``p_values`` or
+    ``q_values`` is the value of ``p`` or ``q``.
     """
-    filled = {key: p if default is EXPERIMENT_P else default for key, (_, default) in keys.items()} | spec
+    filled = {key: default for key, (_, default) in keys.items()} | spec
     return filled | {_SPELLINGS[key]: value for key, value in spec.items() if key in _SPELLINGS}
 
 
@@ -121,12 +129,12 @@ MAP_KINDS = {
         lambda a, n: (diagonal_product_map(int(a["m"]), n, _space(a["space"], n)), None),
     ),
     "cotype": Kind(
-        {"m": (_POSITIVE, 2), "witness_p": (_NUMBER, EXPERIMENT_P), "space": (_SPACE_SCHEMA, _L2), "target_r": (_NUMBER, 2.0)},
-        lambda a, n: cotype_witness(int(a["m"]), float(a["witness_p"]), _space(a["space"], n), float(a["target_r"]), n),
+        {"m": (_POSITIVE, 2), "space": (_SPACE_SCHEMA, _L2), "target_r": (_NUMBER, 2.0)},
+        lambda a, n: cotype_witness(int(a["m"]), a["p"], _space(a["space"], n), float(a["target_r"]), n),
     ),
     "real_even": Kind(
-        {"m": (_POSITIVE, 2), "witness_p": (_NUMBER, EXPERIMENT_P), "space": (_SPACE_SCHEMA, _L2)},
-        lambda a, n: real_even_witness(int(a["m"]), float(a["witness_p"]), _space(a["space"], n), n),
+        {"m": (_POSITIVE, 2), "space": (_SPACE_SCHEMA, _L2)},
+        lambda a, n: real_even_witness(int(a["m"]), a["p"], _space(a["space"], n), n),
     ),
     "dense": Kind(
         {
@@ -170,15 +178,15 @@ def _tagged(kinds: dict, tag: str = "kind", *outer: str) -> dict:
 # the keys of a slope experiment's "assert" object, all numbers
 ASSERT_KEYS = {
     key: (_NUMBER, default)
-    for key, default in {"slope": None, "slope_tol": 1e-9, "residual_max": None, "cap_exponent": None, "cap_slack": 1e-6}.items()
+    for key, default in {"slope": None, "slope_tol": 1e-9, "residual_max": None, "cap_exponent": None, "cap_slack": DEFAULT_CAP_SLACK}.items()
 }
 
 
 def _build_grid(exp: dict, root: Path) -> list:
-    """(map, anchor families or None) for every grid point of an experiment with a map, at its p and n_grid."""
+    """(map, anchor family or None) for every grid point of an experiment with a map, at its p and n_grid."""
     spec = exp["map"]
     kind = MAP_KINDS[spec["kind"]]
-    args = _filled(kind.keys, spec, float(exp["p"]))
+    args = _filled(kind.keys, spec) | {"p": float(exp["p"])}  # a witness is built at the experiment's p
     try:
         if spec["kind"] == "dense":
             # one decode and one coefficient copy per experiment, since the body
@@ -211,7 +219,6 @@ def _run_slope_experiment(exp: dict, grid: list, budget: SearchBudget, tuple_bud
             p,
             q,
             budget=budget,
-            strategies=tuple(exp["strategies"]),
             anchor_families=anchors,
             random_starts=int(exp["random_starts"]),
             sweeps=int(exp["sweeps"]),
@@ -307,9 +314,8 @@ EXPERIMENT_KINDS = {
             "p": (_ABOVE_0, None),
             "q": (_ABOVE_0, None),
             "n_grid": (_N_GRID, None),
-            "strategies": ({"type": "array", "items": {"enum": ["basis", "anchor", "random"]}}, ["basis", "anchor", "random"]),
-            "random_starts": ({"type": "integer", "minimum": 0}, 2),
-            "sweeps": ({"type": "integer", "minimum": 0}, 8),
+            "random_starts": ({"type": "integer", "minimum": 0}, DEFAULT_RANDOM_STARTS),
+            "sweeps": ({"type": "integer", "minimum": 0}, DEFAULT_SWEEPS),
             "assert": (
                 {"type": "object", "additionalProperties": False, "properties": {k: s for k, (s, _) in ASSERT_KEYS.items()}},
                 {},
@@ -420,14 +426,7 @@ def run(config_path, output_dir, seed: int | None = None, tuple_budget: int = DE
             return 2
 
     if seed is None:
-        seed = config.get("seed")
-    if seed is None:
-        env_seed = os.environ.get("SUMMLAB_SEED", "42")
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            print(f"config error: SUMMLAB_SEED={env_seed!r} is not an integer", file=sys.stderr)
-            return 2
+        seed = config.get("seed", DEFAULT_BUDGET.seed)
 
     out = Path(output_dir)
     try:
@@ -524,7 +523,7 @@ def main(argv=None) -> int:
     run_parser = sub.add_parser("run", help="execute a JSON experiment config")
     run_parser.add_argument("--config", required=True, help="path to the experiment config")
     run_parser.add_argument("--out", required=True, help="output directory")
-    run_parser.add_argument("--seed", type=int, default=None, help="global seed (default 42; SUMMLAB_SEED overrides the default when this flag is absent)")
+    run_parser.add_argument("--seed", type=int, default=None, help=f"global seed (default: the config's seed, else {DEFAULT_BUDGET.seed})")
     run_parser.add_argument("--threads", type=int, default=None, help="accepted and unused: experiments run serially")
     run_parser.add_argument("--tuple-budget", type=int, default=DEFAULT_TUPLE_BUDGET, help="max tuples per mixed power sum")
 

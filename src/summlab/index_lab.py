@@ -39,6 +39,12 @@ from .weak_norms import VectorFamily, WeakNormResult, weak_norm
 # ---------------------------------------------------------------------------
 
 
+# the family search's effort, and the relative slack of every n^e cap
+DEFAULT_RANDOM_STARTS = 2
+DEFAULT_SWEEPS = 8
+DEFAULT_CAP_SLACK = 1e-6
+
+
 @dataclass(frozen=True, eq=False)
 class Provenance:
     """How a quotient sample was produced.
@@ -50,10 +56,12 @@ class Provenance:
     """
 
     strategy: str
-    seed: int | None
-    conservative: bool
     weak_norm_exact: tuple[bool, ...]
     certificates: tuple[np.ndarray, ...] = ()
+
+    @property
+    def conservative(self) -> bool:
+        return not all(self.weak_norm_exact)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,17 +89,14 @@ class IndexEstimate:
     grid: tuple[int, ...]
 
 
-def _quotient_sample(
-    n: int, numerator: Callable[[], float], results, power: int, budget: SearchBudget, strategy: str
-) -> QuotientSample:
+def _quotient_sample(n: int, numerator: Callable[[], float], results, power: int, strategy: str) -> QuotientSample:
     """numerator() over (the product of the weak norms)^power; an all-zero family is refused before the numerator runs."""
     denom = 1.0
     for res in results:
         if res.value == 0.0:
             raise DegenerateInputError("weak norm of an all-zero family: quotient undefined")
         denom *= res.value
-    exact = tuple(res.exact for res in results)
-    prov = Provenance(strategy, budget.seed, not all(exact), exact, tuple(res.certificate.coords for res in results))
+    prov = Provenance(strategy, tuple(res.exact for res in results), tuple(res.certificate.coords for res in results))
     value = numerator()
     try:
         return QuotientSample(n, value / denom**power, prov)
@@ -116,7 +121,7 @@ def summing_quotient(
     if _weak_results is None:
         _weak_results = [weak_norm(fam, q, budget) for fam in families]
     return _quotient_sample(
-        families[0].n, lambda: mixed_power_sum(t, families, p, tuple_budget=tuple_budget), _weak_results, 1, budget, strategy
+        families[0].n, lambda: mixed_power_sum(t, families, p, tuple_budget=tuple_budget), _weak_results, 1, strategy
     )
 
 
@@ -134,7 +139,7 @@ def polynomial_quotient(
     """Power sum of P over the family divided by (weak-q norm)^degree."""
     res = _weak_result if _weak_result is not None else weak_norm(family, q, budget)
     return _quotient_sample(
-        family.n, lambda: poly_power_sum(p_map, family, p, tuple_budget=tuple_budget), [res], p_map.degree, budget, strategy
+        family.n, lambda: poly_power_sum(p_map, family, p, tuple_budget=tuple_budget), [res], p_map.degree, strategy
     )
 
 
@@ -145,24 +150,24 @@ def maximize_quotient(
     q: float,
     *,
     budget: SearchBudget = DEFAULT_BUDGET,
-    strategies=("basis", "anchor", "random"),
-    anchor_families=None,
-    random_starts: int = 4,
-    sweeps: int = 16,
+    anchor_families: VectorFamily | None = None,
+    random_starts: int = DEFAULT_RANDOM_STARTS,
+    sweeps: int = DEFAULT_SWEEPS,
     tuple_budget: int = DEFAULT_TUPLE_BUDGET,
     threads: int = 1,
     return_trace: bool = False,
 ):
-    """Best quotient over basis, anchor, and refined random families.
+    """Best quotient over the basis family, the anchor family, and refined random families.
 
-    Strategies run in a fixed order and ties resolve toward the earlier
-    strategy; the random strategy perturbs one vector at a time, keeps
-    the move if the quotient rises, and halves the step once a full
-    sweep fails.  Not deterministic under a fixed budget seed alone: the
-    weak-norm cache below is keyed on ``id(fam)`` without keeping ``fam``
-    alive, so a reused id can return another family's weak norm and the
-    trace depends on heap layout (ROADMAP defect D1).  ``threads`` is
-    accepted and unused.
+    They run in that order, the anchor family (one family in every slot)
+    only when given, and ties resolve toward the earlier one; each
+    random start perturbs one vector at a time, keeps the move if the
+    quotient rises, and halves the step once a full sweep fails.  Not
+    deterministic under a fixed budget seed alone: the weak-norm cache
+    below is keyed on ``id(fam)`` without keeping ``fam`` alive, so a
+    reused id can return another family's weak norm and the trace
+    depends on heap layout (ROADMAP defect D1).  ``threads`` is accepted
+    and unused.
     """
     if n < 1:
         raise DomainError("family length must be >= 1")
@@ -190,68 +195,51 @@ def maximize_quotient(
             map_obj, fams, p, q, budget, tuple_budget=tuple_budget, strategy=label, _weak_results=results
         )
 
-    best: QuotientSample | None = None
-    trace: list[QuotientSample] = []
+    best = evaluate([VectorFamily.basis(s, n) for s in domains], "basis")
+    trace: list[QuotientSample] = [best]
 
     def consider(sample: QuotientSample) -> None:
         nonlocal best
         trace.append(sample)
-        if best is None or sample.quotient > best.quotient:
+        if sample.quotient > best.quotient:
             best = sample
 
-    for strategy in strategies:
-        if strategy == "basis":
-            consider(evaluate([VectorFamily.basis(s, n) for s in domains], "basis"))
-        elif strategy == "anchor":
-            if anchor_families is None:
-                continue
-            fams = anchor_families if isinstance(anchor_families, (list, tuple)) else [anchor_families] * len(domains)
-            fams = list(fams)
-            if len(fams) != len(domains):
-                raise StructuralError("one anchor family per domain slot is required")
-            for fam, space in zip(fams, domains):
-                if fam.space != space or fam.n != n:
-                    raise StructuralError("anchor families must match the domains and the length n")
-            consider(evaluate(fams, "anchor"))
-        elif strategy == "random":
-            rng = np.random.default_rng(
-                derive_seed(budget.seed, "maximize_quotient", map_obj.fingerprint(), n, float(p), float(q))
-            )
-            for start in range(random_starts):
-                fams = []
-                for space in domains:
-                    fams.append(VectorFamily(space, unit_rows(space, rng.standard_normal((n, space.dimension)))))
-                label = f"random[{start}]"
-                current = evaluate(fams, label)
-                consider(current)
-                sigma = 0.5
-                for _ in range(sweeps):
-                    improved = False
-                    for slot, space in enumerate(domains):
-                        for k in range(n):
-                            mat = fams[slot].matrix.copy()
-                            row = mat[k] + sigma * rng.standard_normal(space.dimension)
-                            nr = float(coord_norm(space, row))
-                            if nr == 0.0:
-                                continue
-                            mat[k] = row / nr
-                            trial = list(fams)
-                            trial[slot] = VectorFamily(space, mat)
-                            sample = evaluate(trial, label + "+ascent")
-                            consider(sample)
-                            if sample.quotient > current.quotient:
-                                fams = trial
-                                current = sample
-                                improved = True
-                    if not improved:
-                        sigma *= 0.5
-                        if sigma < 1e-3:
-                            break
-        else:
-            raise StructuralError(f"unknown strategy {strategy!r}")
+    if anchor_families is not None:
+        if any(anchor_families.space != space for space in domains) or anchor_families.n != n:
+            raise StructuralError("the anchor family must match every domain and the length n")
+        consider(evaluate([anchor_families] * len(domains), "anchor"))
 
-    if best is None:
-        raise StructuralError("no strategy produced a sample")
+    rng = np.random.default_rng(derive_seed(budget.seed, "maximize_quotient", map_obj.fingerprint(), n, float(p), float(q)))
+    for start in range(random_starts):
+        fams = []
+        for space in domains:
+            fams.append(VectorFamily(space, unit_rows(space, rng.standard_normal((n, space.dimension)))))
+        label = f"random[{start}]"
+        current = evaluate(fams, label)
+        consider(current)
+        sigma = 0.5
+        for _ in range(sweeps):
+            improved = False
+            for slot, space in enumerate(domains):
+                for k in range(n):
+                    mat = fams[slot].matrix.copy()
+                    row = mat[k] + sigma * rng.standard_normal(space.dimension)
+                    nr = float(coord_norm(space, row))
+                    if nr == 0.0:
+                        continue
+                    mat[k] = row / nr
+                    trial = list(fams)
+                    trial[slot] = VectorFamily(space, mat)
+                    sample = evaluate(trial, label + "+ascent")
+                    consider(sample)
+                    if sample.quotient > current.quotient:
+                        fams = trial
+                        current = sample
+                        improved = True
+            if not improved:
+                sigma *= 0.5
+                if sigma < 1e-3:
+                    break
     return (best, trace) if return_trace else best
 
 
@@ -329,7 +317,7 @@ def mult_upper_branch(m: int, p: float, q: float, which: str) -> float:
     if which == "low_q":
         return m / p
     if which == "p_ge_q":
-        return m * q / (2.0 * p)
+        return m * q / p / 2.0  # not / (2.0 * p), which is inf, and the value 0, for p >= 2^1023
     if which == "p_lt_q":
         return m * (q * p - 2.0 * p + 2.0 * q) / (2.0 * q * p)
     raise StructuralError(f"unknown branch {which!r}")

@@ -398,9 +398,9 @@ def poly_power_sum(
         raise StructuralError(f"family in {family.space} does not match domain {p_map.domain}")
     if family.n > tuple_budget:
         raise BudgetError(f"{family.n} terms exceed the budget of {tuple_budget}")
-    outputs = _poly_outputs(p_map, family.matrix)
-    norms = np.atleast_1d(coord_norm(p_map.codomain, outputs, axis=-1))
-    return _root(math.fsum(_powers(norms, p)), p, lambda: [[norms]])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing polynomial leaves a root _root refuses
+        norms = np.atleast_1d(coord_norm(p_map.codomain, _poly_outputs(p_map, family.matrix), axis=-1))
+        return _root(math.fsum(_powers(norms, p)), p, lambda: [[norms]])
 
 
 # ---------------------------------------------------------------------------

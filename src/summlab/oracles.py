@@ -18,7 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .index_lab import WEAK2_GROWTH_CONSTANT, estimate_index, exact_cap_violations, maximize_quotient, power_cap, summing_quotient
+from .index_lab import (
+    DEFAULT_CAP_SLACK,
+    WEAK2_GROWTH_CONSTANT,
+    estimate_index,
+    exact_cap_violations,
+    maximize_quotient,
+    power_cap,
+    summing_quotient,
+    upper_bound_mult,
+    weak2_growth_exponent,
+)
 from .maps import MultilinearMap, eval_multilinear
 from .search import DEFAULT_BUDGET, SearchBudget
 from .spaces import Vector, coord_norm, dual, lp
@@ -90,7 +100,7 @@ def hilbert_identity_check(d: int, budget: SearchBudget = DEFAULT_BUDGET) -> Che
     """The 2-summing quotient of the identity on l_2^d at n = d equals sqrt(d).
 
     The basis family attains sqrt(d) exactly and no searched family may
-    exceed it beyond 1e-6 relative slack.
+    exceed it by more than an absolute 1e-6.
     """
     if not (1 <= d <= HILBERT_CHECK_MAX_D):
         raise DomainError(f"check is sized for 1 <= d <= {HILBERT_CHECK_MAX_D}, got {d}")
@@ -98,7 +108,7 @@ def hilbert_identity_check(d: int, budget: SearchBudget = DEFAULT_BUDGET) -> Che
     ident = identity_witness(space)
     expected = math.sqrt(d)
     basis = summing_quotient(ident, [VectorFamily.basis(space, d)], 2.0, 2.0, budget)
-    best = maximize_quotient(ident, d, 2.0, 2.0, budget=budget, random_starts=2, sweeps=8)
+    best = maximize_quotient(ident, d, 2.0, 2.0, budget=budget)
     basis_exact = abs(basis.quotient - expected) <= 1e-12 * expected
     in_window = expected - 1e-9 <= best.quotient <= expected + 1e-6
     return CheckReport(
@@ -116,32 +126,31 @@ def hilbert_identity_check(d: int, budget: SearchBudget = DEFAULT_BUDGET) -> Che
 
 def identity_growth_check(q: float, n_grid, budget: SearchBudget = DEFAULT_BUDGET) -> CheckReport:
     """Identity on l_2^n at (q, 2): quotients >= n^(1/q)/(2e), slope = 1/q +- 0.01."""
-    if q <= 2.0:
-        raise DomainError(f"growth check requires q > 2, got {q}")
+    exponent = weak2_growth_exponent(q)
     n_grid = [int(n) for n in n_grid]
     samples = []
     floors_ok = True
     rows = []
     for n in n_grid:
         ident = identity_witness(lp(2.0, n))
-        best = maximize_quotient(ident, n, q, 2.0, budget=budget, random_starts=2, sweeps=8)
-        floor = WEAK2_GROWTH_CONSTANT * n ** (1.0 / q)
+        best = maximize_quotient(ident, n, q, 2.0, budget=budget)
+        floor = WEAK2_GROWTH_CONSTANT * n**exponent
         floors_ok = floors_ok and best.quotient >= floor
         rows.append({"n": n, "quotient": best.quotient, "floor": floor})
         samples.append(best)
-    details: dict = {"q": q, "rows": rows, "expected_slope": 1.0 / q}
+    details: dict = {"q": q, "rows": rows, "expected_slope": exponent}
     if len(set(n_grid)) >= 3:
         est = estimate_index(samples)
         details["slope"] = est.slope
         details["residual"] = est.residual
-        slope_ok = abs(est.slope - 1.0 / q) <= 0.01
+        slope_ok = abs(est.slope - exponent) <= 0.01
     else:
         slope_ok = True
     return CheckReport("identity_growth", bool(floors_ok and slope_ok), details)
 
 
 def identity_cap_check(p: float, d: int, budget: SearchBudget = DEFAULT_BUDGET) -> CheckReport:
-    """Every exact-path identity quotient at (p, p), n = d, obeys d^max(1/p, 1/2).
+    """Every exact-path identity quotient at (p, p), n = d, obeys d^max(1/p, 1/2), the order-1 upper bound.
 
     Runs the family search on l_2^d and (when the vertex path applies)
     l_1^d; only quotients whose weak norms came from exact paths enter
@@ -154,16 +163,14 @@ def identity_cap_check(p: float, d: int, budget: SearchBudget = DEFAULT_BUDGET) 
         raise DomainError(f"requires p > 0, got {p}")
     if d > CAP_CHECK_MAX_D:
         raise DomainError(f"cap check is sized for d <= {CAP_CHECK_MAX_D}, got {d}")
-    cap = power_cap(d, max(1.0 / p, 0.5), 1e-6)
+    cap = power_cap(d, upper_bound_mult(1, p, p), DEFAULT_CAP_SLACK)
     spaces = [lp(2.0, d), lp(1.0, d)]
     total = 0
     exact = 0
     violations = []
     for space in spaces:
         ident = identity_witness(space)
-        _, trace = maximize_quotient(
-            ident, d, p, p, budget=budget, random_starts=2, sweeps=8, return_trace=True
-        )
+        _, trace = maximize_quotient(ident, d, p, p, budget=budget, return_trace=True)
         total += len(trace)
         exact += sum(not s.family_descriptor.conservative for s in trace)
         violations += [{"space": repr(space), "quotient": s.quotient} for s in exact_cap_violations(trace, cap)]

@@ -247,7 +247,7 @@ def test_criterion_9_property_suite():
         c = float(rng.uniform(0.1, 10))
         grid = sorted(rng.choice([2, 3, 4, 6, 8, 12, 16], size=4, replace=False))
         samples = [
-            sl.QuotientSample(int(n), c * float(n) ** slope, sl.Provenance("synthetic", None, False, ()))
+            sl.QuotientSample(int(n), c * float(n) ** slope, sl.Provenance("synthetic", ()))
             for n in grid
         ]
         est = sl.estimate_index(samples)

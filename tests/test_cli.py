@@ -21,7 +21,6 @@ from summlab.cli import (
     ASSERT_KEYS,
     CONFIG_SCHEMA,
     EXPERIMENT_KINDS,
-    EXPERIMENT_P,
     MAP_KINDS,
     ORACLE_CHECKS,
     main,
@@ -170,6 +169,10 @@ _VALID = {**_SLOPE, "map": {"kind": "tensor", "m": 1}, "random_starts": 0, "swee
             "('assert', 'p_values', 'random_starts' were unexpected)",
         ),
         ({**_VALID, "d": 3, "check": "hilbert_identity", "q_values": [-1], "m": 0}, "('check', 'd', 'm', 'q_values' were unexpected)"),
+        # the family search always runs basis, anchor and random families; a witness is built at the experiment's p
+        ({**_VALID, "strategies": ["basis"]}, "('strategies' was unexpected)"),
+        ({**_VALID, "p": 0.5, "map": {"kind": "cotype", "witness_p": 0.5}}, "('witness_p' was unexpected)"),
+        ({**_VALID, "p": 0.5, "map": {"kind": "real_even", "witness_p": 0.5}}, "('witness_p' was unexpected)"),
     ]] + [
         (_VALID, "config error", ("--tuple-budget", "0")),
         (_VALID, "config error", ("--tuple-budget", "-5")),
@@ -210,6 +213,9 @@ _VALID = {**_SLOPE, "map": {"kind": "tensor", "m": 1}, "random_starts": 0, "swee
         "bounds-with-assert",
         "oracle-with-foreign-keys",
         "slope-with-foreign-keys",
+        "slope-with-strategies",
+        "cotype-with-witness-p",
+        "real-even-with-witness-p",
         "tuple-budget-zero",
         "tuple-budget-negative",
     ],
@@ -281,7 +287,7 @@ def test_power_sum_at_a_huge_p_exits_0(tmp_path):
 def test_tuple_budget_flag_is_the_only_budget(tmp_path, capsys):
     # 101^4 tuples: over the default budget, within the flag's
     cfg = tmp_path / "cfg.json"
-    experiment = {**_SLOPE, "map": {"kind": "tensor", "m": 4}, "n_grid": [101], "strategies": ["basis"]}
+    experiment = {**_SLOPE, **_QUIET, "map": {"kind": "tensor", "m": 4}, "n_grid": [101]}
     cfg.write_text(json.dumps({"experiments": [experiment]}))
     argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
     assert main([*argv, "--tuple-budget", "200000000"]) == 0
@@ -296,8 +302,8 @@ def test_tuple_budget_flag_is_the_only_budget(tmp_path, capsys):
 @pytest.mark.parametrize(
     "bad_map",
     [
-        {"kind": "cotype", "witness_p": 2.5, "target_r": 2},
-        {"kind": "real_even", "m": 3, "witness_p": 0.5},
+        {"kind": "cotype", "target_r": 2},  # at the experiment's p = 2
+        {"kind": "real_even", "m": 3},
         {"kind": "dense", "container": "no-such-file.json", "domain": [_SPACE_2], "codomain": _SPACE_2},
     ],
     ids=["cotype-p-at-least-r", "odd-real-even", "missing-container"],
@@ -384,14 +390,14 @@ def test_all_map_kinds_execute(tmp_path):
                     {
                         "name": "cotype-wit",
                         "kind": "slope",
-                        "map": {"kind": "cotype", "m": 2, "target_r": 2, "witness_p": 0.5},
+                        "map": {"kind": "cotype", "m": 2, "target_r": 2},
                         "p": 0.5, "q": 1, "n_grid": [2, 3, 4],
                         "random_starts": 0, "sweeps": 0,
                     },
                     {
                         "name": "real-even-wit",
                         "kind": "slope",
-                        "map": {"kind": "real_even", "m": 2, "witness_p": 0.4},
+                        "map": {"kind": "real_even", "m": 2},
                         "p": 0.4, "q": 2, "n_grid": [2, 3, 4],
                         "random_starts": 0, "sweeps": 0,
                     },
@@ -432,9 +438,9 @@ def test_map_builders_call_the_module_constructors(tmp_path, monkeypatch):
     for name in names:
         original = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
-    kinds = [{"kind": k} for k in ("tensor", "identity", "outer_product")]
-    kinds += [{"kind": "cotype", "witness_p": 0.5}, {"kind": "real_even", "witness_p": 0.5}]
-    experiments = [{**_SLOPE, "map": spec, "n_grid": [2], "random_starts": 0, "sweeps": 0} for spec in kinds]
+    kinds = [{"kind": k} for k in ("tensor", "identity", "outer_product", "cotype", "real_even")]
+    # p < 1, where the real_even witness exists
+    experiments = [{**_SLOPE, **_QUIET, "p": 0.5, "map": spec, "n_grid": [2]} for spec in kinds]
     cfg = tmp_path / "kinds.json"
     cfg.write_text(json.dumps({"experiments": experiments}))
     assert run(cfg, tmp_path / "out") == 0
@@ -477,27 +483,27 @@ def test_readme_tables_give_every_key_and_default():
         line = _readme_line(label)
         for key, (_, default) in keys.items():
             assert f"`{key}`" in line, (label, key)
-            if default is EXPERIMENT_P:
-                assert f"`{key}` (the experiment's `p`)" in line, (label, key)
-            elif default is not None:
+            if default is not None:
                 # the default is written as JSON in backticks right after the key
                 written = re.search(rf"`{key}` \(`([^`]*)`\)", line)
                 assert written and json.loads(written.group(1)) == default, (label, key)
 
 
-def test_seed_resolution_env(tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "noseed.json"
-    cfg.write_text(json.dumps({"experiments": []}))
+def test_seed_resolution_precedence(tmp_path, monkeypatch):
+    # the --seed flag wins, then the config's "seed", then 42; the environment plays no part
     monkeypatch.setenv("SUMMLAB_SEED", "99")
-    run(cfg, tmp_path / "o1")
-    assert json.loads((tmp_path / "o1" / "results.json").read_text())["seed"] == 99
-    # an explicit flag wins over the environment
-    run(cfg, tmp_path / "o2", seed=5)
-    assert json.loads((tmp_path / "o2" / "results.json").read_text())["seed"] == 5
-    # an unparsable seed is a config error, not a traceback
+
+    def seed_of(config: dict, *flag: str) -> int:
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg), "--out", str(out), *flag]) == 0
+        return json.loads((out / "results.json").read_text())["seed"]
+
+    assert seed_of({"seed": 7, "experiments": []}, "--seed", "5") == 5
+    assert seed_of({"seed": 7, "experiments": []}) == 7
+    assert seed_of({"experiments": []}) == 42
     monkeypatch.setenv("SUMMLAB_SEED", "abc")
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o3")]) == 2
-    assert "SUMMLAB_SEED" in capsys.readouterr().err
+    assert seed_of({"experiments": []}) == 42
 
 
 def test_container_path_relative_to_config(tmp_path, monkeypatch):
@@ -619,7 +625,6 @@ _TYPICAL = {
     "p_values": st.lists(_EXPONENTS, min_size=1, max_size=2),
     "q_values": st.lists(_EXPONENTS, min_size=1, max_size=2),
     "n_grid": _N_GRIDS,
-    "strategies": st.lists(st.sampled_from(["basis", "anchor", "random"]), min_size=1, max_size=3),
     "random_starts": st.just(0),
     "sweeps": st.just(0),
     "d": _SMALL | st.lists(_SMALL, min_size=1, max_size=2),
@@ -633,7 +638,7 @@ def _fuzzed_maps(draw):
     name = draw(st.sampled_from(list(MAP_KINDS)))
     spec = {"kind": name}
     for key, (_, default) in MAP_KINDS[name].keys.items():
-        typical = [v for v in (default, _DENSE.get(key)) if v is not None and v is not EXPERIMENT_P]
+        typical = [v for v in (default, _DENSE.get(key)) if v is not None]
         value = st.sampled_from(typical) if typical else st.floats(0.1, 4)
         if draw(st.booleans()):
             spec[key] = draw(st.one_of(value, st.integers(-1, 4), st.floats(-1, 4), _SPACES, _JSON))

@@ -103,7 +103,7 @@ def test_denominator_beyond_the_float_range_is_a_structural_error(weak):
 
     res = sl.WeakNormResult(weak, sl.Vector(sl.lp(2, 2), [1.0, 0.0]), True)
     with pytest.raises(StructuralError, match="float range"):
-        _quotient_sample(2, lambda: 1.0, [res], 2, sl.SearchBudget(), "direct")
+        _quotient_sample(2, lambda: 1.0, [res], 2, "direct")
 
 
 def test_power_cap_beyond_the_float_range_is_inf():
@@ -118,7 +118,7 @@ def test_power_cap_beyond_the_float_range_is_inf():
 def test_exact_cap_violations_keep_trace_order_and_skip_conservative():
 
     def sample(quotient, exact):
-        return sl.QuotientSample(4, quotient, sl.Provenance("direct", 0, not all(exact), exact))
+        return sl.QuotientSample(4, quotient, sl.Provenance("direct", exact))
 
     trace = [
         sample(3.0, (True,)),
@@ -171,7 +171,7 @@ def test_maximize_quotient_deterministic():
 
 
 def _samples(pairs):
-    return [sl.QuotientSample(n, v, sl.Provenance("synthetic", None, False, ())) for n, v in pairs]
+    return [sl.QuotientSample(n, v, sl.Provenance("synthetic", ())) for n, v in pairs]
 
 
 def test_estimate_index_exact_power_law():
@@ -246,6 +246,14 @@ def test_upper_bound_mult_values():
     assert sl.upper_bound_mult(1, 1, 1) == pytest.approx(1.0, abs=1e-15)
     assert sl.upper_bound_mult(2, 1, 4) == pytest.approx(2.5, abs=1e-15)
     assert sl.upper_bound_mult(1, 3, 2) == pytest.approx(1 / 3, abs=1e-15)
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-300, 0.3, 1.0, 2.0, 2.5, 7.0, 1e300, 2.0**1023, 1.7976931348623157e308])
+def test_identity_cap_exponents_are_the_closed_forms(p):
+    # identity_cap_check reads these two; 2.0 * p is beyond the float range from p = 2^1023 on
+    assert sl.upper_bound_mult(1, p, p) == max(1.0 / p, 0.5)
+    if p > 2.0:
+        assert sl.weak2_growth_exponent(p) == 1.0 / p
 
 
 @settings(deadline=None, max_examples=300)

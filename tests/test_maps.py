@@ -157,6 +157,13 @@ def test_overflowing_contraction_is_a_structural_error():
     huge = sl.MultilinearMap((_l2(2),), _l2(2), sl.DenseTensor(np.full((2, 2), 1.7e308)))
     with pytest.raises(StructuralError, match="largest double"):
         sl.mixed_power_sum(huge, [sl.VectorFamily.basis(_l2(2), 2)], 2.0)
+    # polynomials too, refused without a RuntimeWarning, which the suite makes an error
+    dense = sl.HomogeneousPolynomial(2, _l2(3), sl.lp(2, 1), sl.DenseTensor(np.full((3, 3, 1), 1e300)))
+    with pytest.raises(StructuralError, match="largest double"):
+        sl.poly_power_sum(dense, sl.VectorFamily(_l2(3), np.full((3, 3), 1e10)), 2.0)
+    witness, _ = sl.cotype_witness(2, 0.5, _l2(3), 3.0, 3)
+    with pytest.raises(StructuralError, match="largest double"):
+        sl.poly_power_sum(witness, sl.VectorFamily(_l2(3), np.full((3, 3), 1e200)), 0.5)
 
 
 @pytest.mark.parametrize("p", [1e3, 1e300])
