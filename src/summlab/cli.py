@@ -442,14 +442,22 @@ def run(config_path, output_dir, seed: int | None = None, tuple_budget: int = DE
         return 2
 
     results = {"seed": seed, "tuple_budget": tuple_budget, "experiments": records}
-    (out / "results.json").write_text(json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     metadata = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "summlab": __version__,
         "numpy": np.__version__,
         "config": str(config_path),
     }
-    (out / "metadata.json").write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    try:  # NaN and Infinity are not JSON: refuse them rather than write a file no JSON parser accepts
+        texts = {
+            name: json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            for name, document in (("results.json", results), ("metadata.json", metadata))
+        }
+    except ValueError as exc:
+        print(f"result error: a non-finite number cannot be written as JSON ({exc})", file=sys.stderr)
+        return 2
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="utf-8")
 
     with open(out / "bounds.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

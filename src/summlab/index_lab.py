@@ -319,7 +319,10 @@ def mult_upper_branch(m: int, p: float, q: float, which: str) -> float:
     if which == "p_ge_q":
         return m * q / p / 2.0  # not / (2.0 * p), which is inf, and the value 0, for p >= 2^1023
     if which == "p_lt_q":
-        return m * (q * p - 2.0 * p + 2.0 * q) / (2.0 * q * p)
+        den = 2.0 * q * p
+        value = m * (q * p - 2.0 * p + 2.0 * q) / den if 0.0 < den < math.inf else math.inf
+        # where q * p over- or underflows: the same bound as m(1/2 - 1/q + 1/p), which stays finite
+        return value if math.isfinite(value) else m * (0.5 - 1.0 / q + 1.0 / p)
     raise StructuralError(f"unknown branch {which!r}")
 
 

@@ -44,6 +44,10 @@ DEFAULT_BUDGET = SearchBudget()
 # an ascent stalls while the best value's relative improvement stays within this
 REL_TOL = 1e-10
 
+# canonical_rows tries a one-key sort from this many columns on; below it
+# the extra sort costs more than the lexsort passes it would save
+_ONE_KEY_MIN_WIDTH = 16
+
 
 def derive_seed(global_seed: int, op_name: str, *parts) -> int:
     """64-bit seed from (global seed, operation name, instance payload)."""
@@ -72,12 +76,21 @@ def canonical_rows(matrix: np.ndarray) -> np.ndarray:
     Row order never matters mathematically for the quantities computed
     from a family, so sorting first makes exact paths bit-identical
     under permutations and makes derived seeds permutation-invariant.
+    ``lexsort`` makes one pass per column.  From ``_ONE_KEY_MIN_WIDTH``
+    columns on, the rows are sorted by their first entry alone, and that
+    order is kept when it is strictly increasing: it is then the
+    lexicographic order.  Otherwise (a tie, -0.0 against 0.0 included)
+    the full ``lexsort`` decides, so the order is the same either way.
     """
     m = np.ascontiguousarray(matrix, dtype=np.float64)
     if m.shape[0] <= 1:
         return m
-    order = np.lexsort(m.T[::-1])
-    return m[order]
+    if m.shape[1] >= _ONE_KEY_MIN_WIDTH:
+        order = m[:, 0].argsort()
+        first = m[order, 0]
+        if (first[1:] > first[:-1]).all():
+            return m[order]
+    return m[np.lexsort(m.T[::-1])]
 
 
 def quasi_random_directions(count: int, dim: int, seed: int) -> np.ndarray:

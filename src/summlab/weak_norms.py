@@ -13,8 +13,10 @@ so no power of an entry under- or overflows at any scale: the weak
 norm is 1-homogeneous and the certificate does not depend on scale.
 Exact fast paths cover the cases where the sup
 has a certified finite witness set (Hilbert domain at q = 2 via the top
-singular value; cube dual balls via vertex enumeration; l_1 dual balls
-via +/- basis extreme points; single-vector families).  On the cube at
+right singular vector, taken from one ``eigh`` of the smaller Gram
+matrix, x^T x or x x^T, at a fraction of an SVD's cost; cube dual balls
+via vertex enumeration; l_1 dual balls via +/- basis extreme points;
+single-vector families).  On the cube at
 q = 2 each vertex value is the quadratic form s^T G s of the Gram matrix
 G of the sorted rows.  It splits into two half-width sign tables and one
 cross-term gemm, so each of the 2^(d-1) vertices costs two additions.
@@ -24,9 +26,10 @@ its first min(d, 11) signs and the rest: one gemm scores the low sign
 patterns against the rows and one the high patterns, and each high row
 is added to the low scores in one reused buffer of 2^10 x n doubles
 that stays in cache.  Powers there are products and square roots at
-q in {1, 1.5, 3, 4} and ``np.power`` otherwise.  On every vertex and
-column path the reported value is recomputed from the sorted rows at
-the chosen extreme point.  Everything else
+q in {1, 1.5, 3, 4} and ``np.power`` otherwise.  On the Hilbert, vertex and
+column paths the reported value is recomputed from the sorted rows at
+the chosen certificate, so it is attained: on the Hilbert path it is
+the top singular value to rounding and never above it.  Everything else
 falls back to a multistart search from norming, spectral and seeded
 Gaussian start directions.  For q >= 1 the objective is convex, and
 each row climbs by Boyd's power iteration: the next row is the linear
@@ -183,12 +186,20 @@ def _finish(
         raise StructuralError("weak norm exceeds the largest double") from None
 
 
-def _svd_path(x: np.ndarray) -> tuple[float, np.ndarray]:
-    _, svals, vh = np.linalg.svd(x, full_matrices=False)
-    phi = vh[0]
-    if phi[int(np.argmax(np.abs(phi)))] < 0:
-        phi = -phi
-    return float(svals[0]), phi
+def _svd_path(x: np.ndarray) -> np.ndarray:
+    """Top right singular vector of x, from one eigendecomposition of the smaller Gram matrix.
+
+    ``eigh`` lists eigenvalues in ascending order and the last column is
+    taken, so of tied top directions a basis family gets e_d.  The sign
+    makes the largest |entry| positive.
+    """
+    n, d = x.shape
+    if n >= d:
+        phi = np.linalg.eigh(x.T @ x)[1][:, -1]
+    else:  # phi = x^T u / ||x^T u|| for the top eigenvector u of x x^T
+        phi = x.T @ np.linalg.eigh(x @ x.T)[1][:, -1]
+        phi /= math.sqrt(phi @ phi)
+    return -phi if phi[int(np.argmax(np.abs(phi)))] < 0 else phi
 
 
 @functools.lru_cache(maxsize=None)
@@ -401,7 +412,7 @@ def weak_norm(family: VectorFamily, q: float, budget: SearchBudget = DEFAULT_BUD
     if not x.any():
         value, phi = 0.0, np.eye(1, space.dimension)[0]
     elif space.exponent == 2.0 and q == 2.0:
-        value, phi = _svd_path(x)
+        value, phi = None, _svd_path(x)
     elif space.exponent == 1.0 and q >= 1.0 and space.dimension <= _VERTEX_MAX_DIM:
         value, phi = None, _vertex_path(x, q)
     elif family.n == 1:

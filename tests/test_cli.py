@@ -580,6 +580,28 @@ def test_bounds_experiment_csv(tmp_path):
     assert any(line.startswith("mult_upper,2,2.0,2.0") for line in lines)
 
 
+def test_bounds_at_huge_p_and_q_are_finite(tmp_path):
+    # q * p overflows; m(qp - 2p + 2q)/(2qp) gave NaN here, m(1/2 - 1/q + 1/p) is 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiments": [{"kind": "bounds", "m": 2, "p": 1e200, "q": 1e250}]}))
+    assert run(cfg, tmp_path / "out") == 0
+    text = (tmp_path / "out" / "results.json").read_text()
+    assert "NaN" not in text
+    rows = json.loads(text)["experiments"][0]["rows"]
+    assert [row["value"] for row in rows if row["kind"] == "mult_upper"] == [1.0]
+    assert "nan" not in (tmp_path / "out" / "bounds.csv").read_text()
+
+
+def test_non_finite_result_exits_2(tmp_path, capsys):
+    # m/p is inf at p = 5e-324: no results.json or metadata.json holding Infinity is written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiments": [{"kind": "bounds", "m": 2, "p": 5e-324, "q": 1}]}))
+    assert run(cfg, tmp_path / "out") == 2
+    assert "non-finite number cannot be written as JSON" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "results.json").exists()
+    assert not (tmp_path / "out" / "metadata.json").exists()
+
+
 def test_print_bounds_output(capsys):
     print_bounds(2, 2.0, 2.0, 2.0)
     out = capsys.readouterr().out

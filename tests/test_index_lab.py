@@ -256,6 +256,26 @@ def test_identity_cap_exponents_are_the_closed_forms(p):
         assert sl.weak2_growth_exponent(p) == 1.0 / p
 
 
+@pytest.mark.parametrize(
+    "p, q, want",
+    [(1e200, 1e250, 1.0), (3.0, 1e308, 2.0 * (0.5 + 1.0 / 3.0)), (1e-10, 1.7e308, 2.0 * (0.5 + 1e10)), (1e300, 1.7e308, 1.0)],
+)
+def test_mult_upper_stays_finite_where_q_times_p_overflows(p, q, want):
+    # m(qp - 2p + 2q)/(2qp) is inf / inf = nan, or inf, once q * p or 2q is beyond the float range
+    assert sl.upper_bound_mult(2, p, q) == mult_upper_branch(2, p, q, "p_lt_q") == pytest.approx(want, rel=1e-15)
+
+
+def test_mult_upper_keeps_its_bits_where_q_times_p_is_finite(rng):
+    # the finite-range form is kept, so every bound written before keeps its bits
+    for _ in range(20000):
+        m = int(rng.integers(1, 6))
+        q = 2.0 + float(np.exp(rng.uniform(-30, 300)))
+        p = q * float(np.exp(rng.uniform(-300, 0)))
+        want = m * (q * p - 2.0 * p + 2.0 * q) / (2.0 * q * p)
+        if math.isfinite(want) and want > 0:
+            assert mult_upper_branch(m, p, q, "p_lt_q") == want
+
+
 @settings(deadline=None, max_examples=300)
 @given(
     st.integers(min_value=1, max_value=5),

@@ -214,6 +214,18 @@ def test_mixed_power_sum_partition_independence(rng):
         maps_mod._CHUNK_ELEMS = old
 
 
+def test_mixed_power_sum_chunking_at_benchmark_size(rng, monkeypatch):
+    # the dense power-sum benchmark's size: one chunk, 2^16-entry chunks, and one row per chunk agree bit for bit
+    space = _l2(16)
+    t = sl.MultilinearMap((space, space), _l2(8), sl.DenseTensor(rng.standard_normal((16, 16, 8)) / 16.0))
+    fams = [random_family(rng, space, 200) for _ in range(2)]
+    values = []
+    for chunk in (1 << 20, 1 << 16, 7):
+        monkeypatch.setattr(maps, "_CHUNK_ELEMS", chunk)
+        values.append(sl.mixed_power_sum(t, fams, 3.0))
+    assert values[0] == values[1] == values[2]
+
+
 @pytest.mark.parametrize("rows", [(2.0**53, 1.0, 1.0, 1.0), (2.0**53, 1.0, 1.0)])
 def test_mixed_power_sum_is_one_correctly_rounded_sum(monkeypatch, rows):
     # rounding each chunk's sum first gives 2^53 + 2 for (2^53, 1 | 1, 1) instead of 2^53 + 4

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import summlab as sl
-from summlab.search import gradient_step, multistart_ascent, quasi_random_directions
+from summlab.search import canonical_rows, gradient_step, multistart_ascent, quasi_random_directions
 from summlab.spaces import unit_rows
 
 C = np.array([3.0, -1.0, 2.0, 0.0])
@@ -101,3 +101,23 @@ assert not sl.operator_norm(t).exact
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
+
+
+def _tied_variants(m):
+    """m and copies with ties in the first column: rounded, constant, +/-0.0, duplicate rows."""
+    constant, zeros = m.copy(), m.copy()
+    constant[:, 0] = m[0, 0]
+    zeros[::2, 0], zeros[1::2, 0] = 0.0, -0.0
+    return [m, np.round(m), constant, zeros, np.vstack((m, m[::-1]))]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 20), (6, 1), (5, 3), (9, 8), (9, 15), (9, 16), (40, 17), (64, 64), (128, 128)])
+def test_canonical_rows_is_the_lexicographic_order(rng, shape):
+    # the same permutation as a full lexsort, so rows and derived seeds keep their bits; bytes tell -0.0 from 0.0
+    for m in _tied_variants(rng.standard_normal(shape)):
+        assert canonical_rows(m).tobytes() == m[np.lexsort(m.T[::-1])].tobytes()
+    # one +/-0.0 pair whose second entries put -0.0 after 0.0, in a column of distinct entries
+    m = rng.standard_normal(shape)
+    if shape[0] >= 2 and shape[1] >= 2:
+        m[:2, 0], m[:2, 1] = (0.0, -0.0), (-1.0, 1.0)
+    assert canonical_rows(m).tobytes() == m[np.lexsort(m.T[::-1])].tobytes()

@@ -1,6 +1,7 @@
 """Weak-norm fast paths, the search fallback, and their invariants."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -243,6 +244,41 @@ def test_forced_search_against_svd(rng, small_budget):
         assert not srch.exact
         assert srch.value <= svd.value + 1e-9
         assert srch.value >= svd.value * (1 - 1e-9)
+
+
+def _hilbert_families(rng):
+    """(label, matrix) pairs for the Hilbert path: every shape and degeneracy it meets."""
+    shapes = [(1, 1), (2, 2), (5, 2), (2, 5), (40, 8), (8, 40), (200, 16), (3, 128), (128, 128)]
+    cases = [(f"random {n}x{d}", rng.standard_normal((n, d))) for n, d in shapes]
+    cases.append(("rank 1", np.outer(rng.standard_normal(7), rng.standard_normal(5))))
+    cases.append(("rank 2 of 6", rng.standard_normal((9, 2)) @ rng.standard_normal((2, 6))))
+    cases.append(("zero column", np.hstack((rng.standard_normal((6, 3)), np.zeros((6, 1))))))
+    for n, d in [(4, 4), (3, 8), (10, 4), (128, 128)]:  # basis and cycling-basis families
+        cases.append((f"basis {n} in l_2^{d}", sl.VectorFamily.basis(sl.lp(2, d), n).matrix))
+    return cases
+
+
+@pytest.mark.parametrize("scale", [0, 500, -500])
+def test_hilbert_path_is_the_top_singular_value(rng, scale):
+    for label, x in _hilbert_families(rng):
+        fam = sl.VectorFamily(sl.lp(2, x.shape[1]), np.ldexp(x, scale))
+        res = sl.weak_norm(fam, 2.0)
+        sigma = np.linalg.svd(x, compute_uv=False)[0]
+        assert res.exact, label
+        assert res.value == pytest.approx(math.ldexp(sigma, scale), rel=1e-13, abs=0), label
+        phi = res.certificate.coords
+        assert res.certificate.space == sl.lp(2, x.shape[1])
+        assert math.sqrt(phi @ phi) == pytest.approx(1.0, rel=1e-14), label
+        assert family_q_sum(fam, 2.0, phi) == res.value, label  # the value is the certificate's own q-sum
+
+
+def test_hilbert_path_permutation_bit_identical(rng):
+    for label, x in _hilbert_families(rng):
+        fam = sl.VectorFamily(sl.lp(2, x.shape[1]), x)
+        r1 = sl.weak_norm(fam, 2.0)
+        r2 = sl.weak_norm(fam.permuted(rng.permutation(fam.n)), 2.0)
+        assert r1.value == r2.value, label
+        np.testing.assert_array_equal(r1.certificate.coords, r2.certificate.coords)
 
 
 def test_random_l2_q2_vs_sampling_oracle(rng):
