@@ -336,12 +336,20 @@ def upper_bound_pol(m: int, p: float, q: float) -> float:
         raise ValidityError(f"polynomial upper bound is only claimed for p < q/m (p = {p}, q/m = {q / m})")
     if q <= 2.0:
         return 1.0 / p
-    return 1.0 / p + m * (q - 2.0) / (2.0 * q)
+    value = 1.0 / p + m * (q - 2.0) / (2.0 * q)
+    # where m(q - 2) and 2q overflow: the same bound as 1/p + m(1/2 - 1/q), which stays finite
+    return value if math.isfinite(value) else 1.0 / p + m * (0.5 - 1.0 / q)
 
 
 def cotype_seam_points(m: int, q: float, r: float) -> tuple[float, float]:
-    """The two breakpoints rq/(mr + q) and 2r/(mr + 2)."""
-    return r * q / (m * r + q), 2.0 * r / (m * r + 2.0)
+    """The two breakpoints rq/(mr + q) and 2r/(mr + 2).
+
+    Where a product or sum in them overflows they are q/(m + q/r) and
+    2/(m + 2/r), the same points, which stay finite.
+    """
+    if max(m * r + q, r * q, 2.0 * r, m * r + 2.0) < math.inf:
+        return r * q / (m * r + q), 2.0 * r / (m * r + 2.0)
+    return q / (m + q / r), 2.0 / (m + 2.0 / r)
 
 
 def pol_cotype_branch_value(branch: str, m: int, p: float, q: float, r: float) -> float:
@@ -349,9 +357,12 @@ def pol_cotype_branch_value(branch: str, m: int, p: float, q: float, r: float) -
     if branch in ("a", "c"):
         return m / 2.0
     if branch == "b":
-        return (m * p + 2.0) / (2.0 * p) - (m * r + q) / (r * q)
+        value = (m * p + 2.0) / (2.0 * p) - (m * r + q) / (r * q)
+        # where m r + q or r q overflows: the same value as m/2 + 1/p - m/q - 1/r, which stays finite
+        return value if math.isfinite(value) else m / 2.0 + 1.0 / p - m / q - 1.0 / r
     if branch == "d":
-        return (r - p) / (p * r)
+        # where p r overflows: the same value as 1/p - 1/r
+        return (r - p) / (p * r) if p * r < math.inf else 1.0 / p - 1.0 / r
     raise StructuralError(f"unknown branch {branch!r}")
 
 

@@ -22,13 +22,15 @@ construction.
 The mixed power sum of the outer-product map is a closed form: the sum
 over tuples factorises into a product of per-slot sums.  Dense bodies
 enumerate all n^m argument tuples in chunks of the leading index, each
-of about 2^16 output entries: a chunk's temporaries (512 KiB each) then
-stay in cache, where those of 2^20 entries (8 MiB each) did not, and a
-power sum took up to twice as long.  All terms go into one correctly
-rounded sum, so the result depends neither on the chunking nor on the
-row order; near the edge of the float range the norms are divided by
-the largest.  A linear map's
-operator norm is a weak norm.
+of about 2^16 output entries, so a chunk's temporaries stay in cache.
+From arity 2 on a chunk is laid out output axis first, and each tuple's
+norm is a reduction along that long, contiguous axis.  Every term goes
+into one exact sum, rounded once: below 2^12 terms ``math.fsum`` over a
+list, from there on a binned sum of the terms' mantissas by exponent,
+which runs at array speed.  So the result depends neither on the
+chunking nor on the row order; near the edge of the float range the
+norms are divided by the largest.  A linear map's operator norm is a
+weak norm.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ from .weak_norms import VectorFamily, weak_norm
 
 DEFAULT_TUPLE_BUDGET = 10**8
 _CHUNK_ELEMS = 1 << 16  # output entries per dense chunk; see the module docstring
+_BINNED_MIN_TERMS = 1 << 12  # from this many terms on the binned sum beats math.fsum; both are exact
+_BIN_TERMS = 1 << 26  # a bin's float sums of mantissa halves stay exact below this many terms
+_BIN_UNIT = 1 << 1126  # a binned sum counts in units of 2^-1126: 2^-1074 is 2^52 of them
 _DOM_LETTERS = "abcdef"
 _TUP_LETTERS = "uvwxyz"
 _SMALL = math.ldexp(1.0, 53 - 1022)  # 2^53 times the smallest normal double: underflow moves a larger sum < 1 ulp
@@ -224,12 +229,15 @@ def _einsum_path(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> list:
     return np.einsum_path(subscripts, *(np.broadcast_to(0.0, s) for s in shapes), optimize="greedy")[0]
 
 
-def _contract(coefficients: np.ndarray, mats, letters: str, u: np.ndarray | None = None) -> np.ndarray:
+def _contract(
+    coefficients: np.ndarray, mats, letters: str, u: np.ndarray | None = None, *, output_first: bool = False
+) -> np.ndarray:
     """einsum of a coefficient tensor with one (k_i, d_i) matrix per domain axis i.
 
     ``letters[i]`` names matrix i's row index: one shared letter gives a batch,
     distinct letters every tuple.  A ``None`` matrix leaves its axis free;
-    ``u`` (batch x d_out) contracts the output axis.
+    ``u`` (batch x d_out) contracts the output axis.  The output axis comes
+    last, or first with ``output_first``.
     """
     dom = _DOM_LETTERS[: len(mats)]
     kept = [i for i, mat in enumerate(mats) if mat is not None]
@@ -237,7 +245,8 @@ def _contract(coefficients: np.ndarray, mats, letters: str, u: np.ndarray | None
     operands = [mats[i] for i in kept] + [coefficients]
     free = "".join(dom[i] for i in range(len(mats)) if mats[i] is None)
     if u is None:
-        out = "".join(dict.fromkeys(letters[i] for i in kept)) + free + "o"
+        out = "".join(dict.fromkeys(letters[i] for i in kept)) + free
+        out = "o" + out if output_first else out + "o"
     else:
         subs.append(letters[0] + "o")
         operands.append(u)
@@ -302,6 +311,28 @@ def _check_families(t: MultilinearMap, families) -> int:
     return lengths.pop()
 
 
+def _binned_sum(w: np.ndarray) -> int:
+    """The exact sum of a finite float array's fewer than ``_BIN_TERMS`` entries, in units of 1 / ``_BIN_UNIT``.
+
+    An entry is M 2^(e - 53) with e from ``frexp`` and M an integer below
+    2^53, so it is M 2^i units with i = e + 1073 >= 0.  The entries are
+    binned by i, and each bin sums M's high 27 bits and its low 26 bits
+    (as a fraction of 2^26) apart: below 2^26 entries both float sums are
+    exact.  The bins then fold into one integer.
+    """
+    high, exp = np.frexp(w)
+    high *= 134217728.0  # 2^27: now M / 2^26, with 26 fraction bits
+    whole = np.floor(high)
+    high -= whole
+    exp += 1073
+    hi, lo = np.bincount(exp, weights=whole), np.bincount(exp, weights=high)
+    bins = np.flatnonzero(hi + lo)
+    total = 0
+    for i, h, f in zip(bins.tolist(), hi[bins].tolist(), lo[bins].tolist()):
+        total += ((int(h) << 26) + int(f * 67108864.0)) << i
+    return total
+
+
 def _powers(v: np.ndarray, p: float) -> list[float]:
     """v^p of a nonnegative array as a list, or [inf] once the largest power reaches 2^960.
 
@@ -311,23 +342,45 @@ def _powers(v: np.ndarray, p: float) -> list[float]:
     return [math.inf] if top > 1.0 and p * math.log2(top) >= 960.0 else (v**p).tolist()
 
 
-def _root(total: float, p: float, factors: Callable[[], list[Iterable[np.ndarray]]]) -> float:
+def _power_total(blocks: Iterable[np.ndarray], p: float, count: int) -> float:
+    """The correctly rounded sum of v^p over the ``count`` entries v of the nonnegative arrays ``blocks`` yields.
+
+    Below ``_BINNED_MIN_TERMS`` it is one ``math.fsum`` of the lists of
+    :func:`_powers`, which is faster there.  From there on each block is
+    binned exactly and the integer total divided once, which rounds it
+    correctly, subnormals included; as with ``math.fsum`` of ``_powers``,
+    a NaN entry gives NaN and a power of 2^960 or more gives inf, and then
+    the remaining blocks are not read.
+    """
+    if count < _BINNED_MIN_TERMS:
+        return math.fsum(itertools.chain.from_iterable(_powers(v, p) for v in blocks))
+    exact = 0
+    for v in blocks:
+        top = float(v[v.argmax()])  # argmax stops at the first NaN
+        if not top <= 1.0 and not p * math.log2(top) < 960.0:
+            return top if math.isnan(top) else math.inf
+        w = v**p
+        exact += sum(_binned_sum(w[lo : lo + _BIN_TERMS]) for lo in range(0, w.size, _BIN_TERMS))
+    return exact / _BIN_UNIT
+
+
+def _root(total: float, p: float, count: int, factors: Callable[[], list[Iterable[np.ndarray]]]) -> float:
     """total^(1/p) of a power sum; a root beyond the float range raises StructuralError.
 
     The power sum is the product, over the factors in ``factors()``, of the
-    sum of v^p over the entries v of the arrays a factor yields.  A total
-    that is not finite or below ``_SMALL`` is summed again, each factor
-    over its v / top with top its largest v, so that no term exceeds 1
-    however large p is, and its root is scaled back by the tops.  A norm
-    that is not finite, from a contraction that overflowed, makes the
-    root not finite.
+    sum of v^p over the ``count`` entries v of the arrays a factor yields.
+    A total that is not finite or below ``_SMALL`` is summed again, each
+    factor over its v / top with top its largest v, so that no term
+    exceeds 1 however large p is, and its root is scaled back by the
+    tops.  A norm that is not finite, from a contraction that overflowed,
+    makes the root not finite.
     """
     e, unit = 0, 1.0
     if not _SMALL <= total < math.inf:
         total = 1.0
         for blocks, again in zip(factors(), factors()):  # one pass for the top, one for the sum
             top = max(float(v[v.argmax()]) for v in blocks) or 1.0  # an all-zero factor sums to 0 either way
-            total *= math.fsum(itertools.chain.from_iterable(((v / top) ** p).tolist() for v in again))
+            total *= _power_total((v / top for v in again), p, count)
             frac, exp = math.frexp(top)
             unit, shift = math.frexp(unit * frac)
             e += exp + shift
@@ -353,8 +406,8 @@ def mixed_power_sum(
     sum_tuples prod_i a_{i,k_i}^p = prod_i sum_k a_{i,k}^p with
     a_{i,k} = ||x^(i)_k||_inf, each slot reduced with exact summation.
     Dense maps are enumerated chunk by chunk on the leading index, and
-    all n^m terms go into one correctly rounded (Shewchuk) sum, so
-    neither the chunking nor the row order changes a bit of the value.
+    all n^m terms go into one exact sum, rounded once, so neither the
+    chunking nor the row order changes a bit of the value.
     """
     if p <= 0:
         raise DomainError(f"power sum requires p > 0, got {p}")
@@ -368,8 +421,8 @@ def mixed_power_sum(
     if isinstance(t.body, DiagonalC0):
         total = 1.0
         for fam in families:
-            total *= math.fsum(_powers(np.abs(fam.matrix).max(axis=1), p))
-        return _root(total, p, lambda: [[np.abs(fam.matrix).max(axis=1)] for fam in families])
+            total *= _power_total([np.abs(fam.matrix).max(axis=1)], p, n)
+        return _root(total, p, n, lambda: [[np.abs(fam.matrix).max(axis=1)] for fam in families])
 
     mats = [fam.matrix for fam in families]
     block_rows = max(1, _CHUNK_ELEMS // max(1, n ** (m - 1) * t.codomain.dimension))
@@ -378,13 +431,15 @@ def mixed_power_sum(
         for lo in range(0, n, block_rows):
             if m == 1:  # one matmul
                 block = mats[0][lo : lo + block_rows] @ t.body.coefficients
-            else:
-                block = _contract(t.body.coefficients, [mats[0][lo : lo + block_rows], *mats[1:]], _TUP_LETTERS[:m])
-            yield coord_norm(t.codomain, block, axis=-1).ravel()
+                yield coord_norm(t.codomain, block, axis=-1).ravel()
+            else:  # output axis first, so each norm reduces along one long contiguous axis
+                rows = [mats[0][lo : lo + block_rows], *mats[1:]]
+                block = _contract(t.body.coefficients, rows, _TUP_LETTERS[:m], output_first=True)
+                yield coord_norm(t.codomain, block, axis=0).ravel()
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing contraction leaves a root _root refuses
-        total = math.fsum(itertools.chain.from_iterable(_powers(v, p) for v in chunk_norms()))
-        return _root(total, p, lambda: [chunk_norms()])
+        total = _power_total(chunk_norms(), p, n**m)
+        return _root(total, p, n**m, lambda: [chunk_norms()])
 
 
 def poly_power_sum(
@@ -403,7 +458,7 @@ def poly_power_sum(
         raise BudgetError(f"{family.n} terms exceed the budget of {tuple_budget}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing polynomial leaves a root _root refuses
         norms = np.atleast_1d(coord_norm(p_map.codomain, _poly_outputs(p_map, family.matrix), axis=-1))
-        return _root(math.fsum(_powers(norms, p)), p, lambda: [[norms]])
+        return _root(_power_total([norms], p, family.n), p, family.n, lambda: [[norms]])
 
 
 # ---------------------------------------------------------------------------

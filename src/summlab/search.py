@@ -70,27 +70,50 @@ def derive_seed(global_seed: int, op_name: str, *parts) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def _row_keys(a: np.ndarray) -> np.ndarray:
+    """One byte string per row of a finite float array, ordered as the rows are lexicographically.
+
+    A float's bits, with the sign bit flipped when it is positive and
+    every bit flipped when it is negative, order as unsigned integers as
+    the floats do; -0.0 is first made +0.0.  Stored big-endian, a row's
+    keys then compare byte by byte as its entries compare in turn.
+    """
+    bits = (a + 0.0).view(np.uint64)
+    keys = bits >> np.uint64(63)
+    np.negative(keys, out=keys)
+    keys |= np.uint64(1 << 63)
+    keys ^= bits
+    return keys.byteswap(inplace=True).view(f"V{8 * a.shape[1]}").ravel()
+
+
 def canonical_rows(matrix: np.ndarray) -> np.ndarray:
-    """Rows sorted lexicographically.
+    """Rows sorted lexicographically, equal rows in their given order.
 
     Row order never matters mathematically for the quantities computed
     from a family, so sorting first makes exact paths bit-identical
     under permutations and makes derived seeds permutation-invariant.
     ``lexsort`` makes one pass per column.  From ``_ONE_KEY_MIN_WIDTH``
-    columns on, the rows are sorted by their first entry alone, and that
-    order is kept when it is strictly increasing: it is then the
-    lexicographic order.  Otherwise (a tie, -0.0 against 0.0 included)
-    the full ``lexsort`` decides, so the order is the same either way.
+    columns on, the rows are sorted by their first entry alone, and only
+    the runs of tied first entries (-0.0 against 0.0 included) are then
+    sorted again, by whole rows at once through :func:`_row_keys`.  The
+    order is the same as ``lexsort``'s either way.
     """
     m = np.ascontiguousarray(matrix, dtype=np.float64)
     if m.shape[0] <= 1:
         return m
-    if m.shape[1] >= _ONE_KEY_MIN_WIDTH:
-        order = m[:, 0].argsort()
-        first = m[order, 0]
-        if (first[1:] > first[:-1]).all():
-            return m[order]
-    return m[np.lexsort(m.T[::-1])]
+    if m.shape[1] < _ONE_KEY_MIN_WIDTH:
+        return m[np.lexsort(m.T[::-1])]
+    order = m[:, 0].argsort()
+    first = m[order, 0]
+    ties = first[1:] == first[:-1]
+    if ties.any():
+        tied = np.zeros(len(order), dtype=bool)
+        tied[1:] = ties
+        tied[:-1] |= ties
+        # the tied rows, in given order, sorted stably by whole rows, fill the runs' slots
+        rows = np.sort(order[tied])
+        order[tied] = rows[_row_keys(m[rows]).argsort(kind="stable")]
+    return m[order]
 
 
 def quasi_random_directions(count: int, dim: int, seed: int) -> np.ndarray:

@@ -106,21 +106,26 @@ def dual(space: SpaceDescriptor) -> SpaceDescriptor:
 
 
 def _scaled_power_norm(a: np.ndarray, p: float, axis: int) -> np.ndarray | float:
+    """The l_p norm along ``axis`` of a nonnegative array, which it overwrites.
+
+    Working in place spares a full-size temporary per step, whose fresh
+    pages cost more than the arithmetic.
+    """
     if a.ndim == 1:  # as a one-row matrix: scalar ** rounds differently from array **
         return _scaled_power_norm(a[None, :], p, -1)[0]
     # rescale by the max modulus so powers never underflow to a false zero
     amax = a.max(axis=axis, keepdims=True)
-    scaled = a / np.where(amax > 0.0, amax, 1.0)
+    a /= np.where(amax > 0.0, amax, 1.0)
     if p == 2.0:
-        body = np.sqrt((scaled * scaled).sum(axis=axis))
+        body = np.sqrt(np.multiply(a, a, out=a).sum(axis=axis))
     else:
-        body = (scaled**p).sum(axis=axis) ** (1.0 / p)
+        body = np.power(a, p, out=a).sum(axis=axis) ** (1.0 / p)
     return body * np.squeeze(amax, axis=axis)
 
 
 def coord_norm(space: SpaceDescriptor, coords: np.ndarray, axis: int = -1) -> np.ndarray | float:
     """Norm of coordinate array(s) under the space's norm, along ``axis``."""
-    a = np.abs(np.asarray(coords, dtype=float))
+    a = np.abs(np.asarray(coords, dtype=float))  # a new array, which _scaled_power_norm may overwrite
     if space.is_sup:
         return a.max(axis=axis)
     p = space.exponent

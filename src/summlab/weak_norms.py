@@ -163,15 +163,24 @@ def family_q_sum(family: VectorFamily, q: float, phi: np.ndarray) -> float:
 
 
 def _finish(
-    space: SpaceDescriptor, x: np.ndarray, e: int, q: float, value: float | None, phi: np.ndarray, exact: bool
+    space: SpaceDescriptor,
+    x: np.ndarray,
+    e: int,
+    q: float,
+    value: float | None,
+    phi: np.ndarray,
+    exact: bool,
+    unit: bool = False,
 ) -> WeakNormResult:
     """The result for the family with rows x * 2^e, from its value and certificate on the rows x.
 
     A value of None stands for the certificate's own q-sum, which is what
-    the vertex and column paths report.
+    the vertex and column paths report.  ``unit`` marks a certificate of
+    dual norm 1 by construction, a sign vector or a basis vector, whose
+    norm is not taken again.
     """
     cert = Vector(dual(space), phi)
-    if cert.norm() > 1.0 + 1e-9:
+    if not unit and cert.norm() > 1.0 + 1e-9:
         raise StructuralError("weak-norm certificate escaped the dual unit ball")
     try:
         attained = _q_sum(x, q, phi)
@@ -409,19 +418,20 @@ def weak_norm(family: VectorFamily, q: float, budget: SearchBudget = DEFAULT_BUD
     space = family.space
     xc = canonical_rows(family.matrix)
     x, e = _rescaled(xc)
+    # unit: phi is a basis or sign vector
     if not x.any():
-        value, phi = 0.0, np.eye(1, space.dimension)[0]
+        value, phi, unit = 0.0, np.eye(1, space.dimension)[0], True
     elif space.exponent == 2.0 and q == 2.0:
-        value, phi = None, _svd_path(x)
+        value, phi, unit = None, _svd_path(x), False
     elif space.exponent == 1.0 and q >= 1.0 and space.dimension <= _VERTEX_MAX_DIM:
-        value, phi = None, _vertex_path(x, q)
+        value, phi, unit = None, _vertex_path(x, q), True
     elif family.n == 1:
-        value, phi = _single_vector_path(space, x)
+        (value, phi), unit = _single_vector_path(space, x), False
     elif space.is_sup and q >= 1.0:
-        value, phi = None, _column_path(x, q)
+        value, phi, unit = None, _column_path(x, q), True
     else:
         return _search(space, xc, x, e, q, budget)
-    return _finish(space, x, e, q, value, phi, exact=True)
+    return _finish(space, x, e, q, value, phi, exact=True, unit=unit)
 
 
 def weak_norm_vertex_oracle(family: VectorFamily, q: float) -> float:

@@ -592,6 +592,20 @@ def test_bounds_at_huge_p_and_q_are_finite(tmp_path):
     assert "nan" not in (tmp_path / "out" / "bounds.csv").read_text()
 
 
+@pytest.mark.parametrize("p, q, r", [(1.0, 1e308, 1e308), (0.5, 1e308, 1e300)])
+def test_bounds_at_huge_q_and_r_are_finite(tmp_path, p, q, r):
+    # m(q - 2) and 2q overflow in the polynomial upper bound, mr + q and rq in the cotype seams;
+    # both configs wrote NaN, then exited 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiments": [{"kind": "bounds", "m": 2, "p": p, "q": q, "r": [r]}]}))
+    assert run(cfg, tmp_path / "out") == 0
+    rows = json.loads((tmp_path / "out" / "results.json").read_text())["experiments"][0]["rows"]
+    values = {row["kind"]: row["value"] for row in rows}
+    assert values["pol_upper"] == 1.0 / p + 2.0 * (0.5 - 1.0 / q)
+    assert values["pol_lower_cotype"] == 1.0  # branch (c), m/2: p is at most 2r/(mr + 2), which is 1 to rounding
+    assert "nan" not in (tmp_path / "out" / "bounds.csv").read_text()
+
+
 def test_non_finite_result_exits_2(tmp_path, capsys):
     # m/p is inf at p = 5e-324: no results.json or metadata.json holding Infinity is written
     cfg = tmp_path / "cfg.json"

@@ -314,6 +314,23 @@ def test_lower_bound_pol_cotype_values():
     assert pol_cotype_branch_value("d", 2, p_seam, 2, 2) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_cotype_bound_at_huge_r_takes_the_limit_forms():
+    # mr + q, rq and pr overflow at r = 1e308; the seams are then q/m and 2/m, branch (b) is
+    # m/2 + 1/p - m/q - 1/r and branch (d) 1/p - 1/r, each finite and on the right side of its seam
+    m, q, r = 2, 1.5, 1e308
+    assert cotype_seam_points(m, q, r) == (0.75, 1.0)
+    assert sl.lower_bound_pol_cotype(m, 0.6, q, r) == 1.0  # below rq/(mr + q): branch (a)
+    assert sl.lower_bound_pol_cotype(m, 0.9, q, r) == pytest.approx(1.0 + 1 / 0.9 - 2 / 1.5, rel=1e-15)
+    with pytest.raises(ValidityError):
+        sl.lower_bound_pol_cotype(m, 1.5, q, r)  # past 2r/(mr + 2): no claim
+    assert sl.lower_bound_pol_cotype(m, 2.0, 3.0, r) == 0.5
+    for branch, p in (("b", 0.9), ("d", 2.0)):
+        assert math.isfinite(pol_cotype_branch_value(branch, m, p, q, r))
+    # finite forms keep their bits
+    assert cotype_seam_points(2, 1.5, 3.0) == (3.0 * 1.5 / (2 * 3.0 + 1.5), 2.0 * 3.0 / (2 * 3.0 + 2.0))
+    assert pol_cotype_branch_value("b", 2, 0.7, 1.5, 3.0) == (2 * 0.7 + 2.0) / (2.0 * 0.7) - (2 * 3.0 + 1.5) / (3.0 * 1.5)
+
+
 def test_lower_bound_pol_cotype_errors():
     with pytest.raises(DomainError):
         sl.lower_bound_pol_cotype(2, 0.5, 1, 1.5)  # r < 2

@@ -10,6 +10,7 @@ import pytest
 import summlab as sl
 from summlab import maps
 from summlab.errors import BudgetError, DomainError, StructuralError
+from summlab.spaces import coord_norm
 
 from conftest import random_family
 
@@ -157,6 +158,11 @@ def test_overflowing_contraction_is_a_structural_error():
     huge = sl.MultilinearMap((_l2(2),), _l2(2), sl.DenseTensor(np.full((2, 2), 1.7e308)))
     with pytest.raises(StructuralError, match="largest double"):
         sl.mixed_power_sum(huge, [sl.VectorFamily.basis(_l2(2), 2)], 2.0)
+    # 64^2 tuples: the binned sum's path
+    t = sl.MultilinearMap((_l2(3), _l2(3)), _l2(2), sl.DenseTensor(np.full((3, 3, 2), 1e300)))
+    fam = sl.VectorFamily(_l2(3), np.full((64, 3), 1e10))
+    with pytest.raises(StructuralError, match="largest double"):
+        sl.mixed_power_sum(t, [fam, fam], 2.0)
     # polynomials too, refused without a RuntimeWarning, which the suite makes an error
     dense = sl.HomogeneousPolynomial(2, _l2(3), sl.lp(2, 1), sl.DenseTensor(np.full((3, 3, 1), 1e300)))
     with pytest.raises(StructuralError, match="largest double"):
@@ -172,6 +178,10 @@ def test_power_sum_at_a_huge_p_tends_to_the_largest_norm(p):
     fam = sl.VectorFamily(_l2(3), np.diag([3.0, 2.0, 3.0]))
     want = 3.0 * 2.0 ** (1.0 / p)  # two terms reach the largest norm 3
     assert sl.mixed_power_sum(sl.identity_witness(_l2(3)), [fam], p) == pytest.approx(want, rel=1e-12)
+    # 4,098 terms: the binned sum's path, two in three at the largest norm
+    many = sl.VectorFamily(_l2(3), np.tile(np.diag([3.0, 2.0, 3.0]), (1366, 1)))
+    want = 3.0 * 2732.0 ** (1.0 / p)
+    assert sl.mixed_power_sum(sl.identity_witness(_l2(3)), [many], p) == pytest.approx(want, rel=1e-12)
     outer = sl.tensor_witness(2, 3)
     assert sl.mixed_power_sum(outer, [fam, fam], p) == pytest.approx(9.0 * 4.0 ** (1.0 / p), rel=1e-12)
 
@@ -197,21 +207,21 @@ def test_mixed_power_sum_zero_map():
     assert sl.mixed_power_sum(t, [sl.VectorFamily.basis(space, 2)], 1.5) == 0.0
 
 
-def test_mixed_power_sum_partition_independence(rng):
-    # the compensated reduction must not depend on the chunking
-    import summlab.maps as maps_mod
-
+def test_mixed_power_sum_partition_independence(rng, monkeypatch):
+    # one exact sum, rounded once, at every chunk size: math.fsum over the same norms,
+    # below the binned sum's cut-off (7^2 tuples) and above it (70^2)
     space = _l2(3)
-    t = sl.MultilinearMap((space, space), sl.lp(3, 2), sl.DenseTensor(rng.standard_normal((3, 3, 2))))
-    fams = [random_family(rng, space, 7) for _ in range(2)]
-    baseline = sl.mixed_power_sum(t, fams, 1.3)
-    old = maps_mod._CHUNK_ELEMS
-    try:
-        for chunk in (1, 7, 64):
-            maps_mod._CHUNK_ELEMS = chunk
-            assert sl.mixed_power_sum(t, fams, 1.3) == baseline
-    finally:
-        maps_mod._CHUNK_ELEMS = old
+    coefficients = rng.standard_normal((3, 3, 2))
+    t = sl.MultilinearMap((space, space), sl.lp(3, 2), sl.DenseTensor(coefficients))
+    for n in (7, 70):
+        fams = [random_family(rng, space, n) for _ in range(2)]
+        outputs = np.einsum("ua,vb,abo->ouv", fams[0].matrix, fams[1].matrix, coefficients)
+        norms = coord_norm(t.codomain, outputs, axis=0).ravel()
+        assert (norms.size >= maps._BINNED_MIN_TERMS) == (n == 70)
+        want = math.fsum((norms**1.3).tolist()) ** (1 / 1.3)
+        for chunk in (1, 7, 64, 1 << 14, 1 << 16):
+            monkeypatch.setattr(maps, "_CHUNK_ELEMS", chunk)
+            assert sl.mixed_power_sum(t, fams, 1.3) == want
 
 
 def test_mixed_power_sum_chunking_at_benchmark_size(rng, monkeypatch):
@@ -226,17 +236,68 @@ def test_mixed_power_sum_chunking_at_benchmark_size(rng, monkeypatch):
     assert values[0] == values[1] == values[2]
 
 
-@pytest.mark.parametrize("rows", [(2.0**53, 1.0, 1.0, 1.0), (2.0**53, 1.0, 1.0)])
+@pytest.mark.parametrize("rows", [(2.0**53, 1.0, 1.0, 1.0), (2.0**53, 1.0, 1.0), (2.0**53,) + (1.0,) * maps._BINNED_MIN_TERMS])
 def test_mixed_power_sum_is_one_correctly_rounded_sum(monkeypatch, rows):
-    # rounding each chunk's sum first gives 2^53 + 2 for (2^53, 1 | 1, 1) instead of 2^53 + 4
+    # rounding each chunk's sum first gives 2^53 + 2 for (2^53, 1 | 1, 1) instead of 2^53 + 4,
+    # and 2^53 for 2^53 followed by 2^12 ones instead of 2^53 + 2^12
     space = sl.lp(1, 1)
     t = sl.identity_witness(space)
     expected = math.fsum(rows)
-    for chunk in (1, 2, 3, 7, maps._CHUNK_ELEMS):
-        monkeypatch.setattr(maps, "_CHUNK_ELEMS", chunk)
-        for order in itertools.permutations(rows):
-            fam = sl.VectorFamily(space, np.array(order)[:, None])
+    orders = itertools.permutations(rows) if len(rows) <= 4 else [rows, rows[::-1]]
+    for order in orders:
+        fam = sl.VectorFamily(space, np.array(order)[:, None])
+        for chunk in (1, 2, 3, 7, maps._CHUNK_ELEMS):
+            monkeypatch.setattr(maps, "_CHUNK_ELEMS", chunk)
             assert sl.mixed_power_sum(t, [fam], 1.0) == expected
+
+
+def _spread_terms(rng, size):
+    """Nonnegative doubles whose exponents spread over +/-700, with zeros and subnormals among them."""
+    w = np.abs(rng.standard_normal(size)) * np.exp2(rng.integers(-700, 701, size).astype(float))
+    w[rng.random(size) < 0.1] = 0.0
+    subnormal = rng.random(size) < 0.1
+    w[subnormal] = rng.random(subnormal.sum()) * 2.0**-1022
+    return w
+
+
+@pytest.mark.parametrize("size", [1, 100, maps._BINNED_MIN_TERMS - 1, maps._BINNED_MIN_TERMS, maps._BINNED_MIN_TERMS + 1, 50_000])
+def test_binned_sum_equals_fsum(rng, size):
+    # both paths of _power_total give the one correctly rounded sum, split into blocks or not
+    for _ in range(5):
+        w = _spread_terms(rng, size)
+        expected = math.fsum(w.tolist())
+        assert maps._binned_sum(w) / maps._BIN_UNIT == expected
+        blocks = [b for b in np.array_split(w, [size // 3, size // 2]) if b.size]
+        for count in (1, size, maps._BINNED_MIN_TERMS):  # below the cut-off: math.fsum; from it on: binned
+            assert maps._power_total(iter(blocks), 1.0, count) == expected
+    tiny = np.full(size, 2.0**-1074)  # the smallest subnormal, summed exactly
+    assert maps._binned_sum(tiny) / maps._BIN_UNIT == math.fsum(tiny.tolist()) == size * 2.0**-1074
+
+
+def test_power_total_of_a_non_finite_block():
+    # what math.fsum gives: NaN for a NaN term, inf for a power beyond 2^960
+    for count in (3, maps._BINNED_MIN_TERMS):
+        assert math.isnan(maps._power_total([np.array([1.0, math.nan, 2.0])], 2.0, count))
+        assert maps._power_total([np.array([1.0]), np.array([2.0**500])], 2.0, count) == math.inf
+        assert maps._power_total([np.array([1.0, math.inf])], 2.0, count) == math.inf
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_output_major_norms_match_row_major_norms(rng, m):
+    # a norm along the output axis laid out first sums in order; along the last axis numpy sums
+    # 8 entries or more pairwise, so those norms agree to rounding only
+    letters = "uvw"[:m]
+    for cod_p in (1.0, 2.0, 3.0, math.inf):
+        for d_out in range(1, 17):
+            cod = sl.lp(cod_p, d_out)
+            coefficients = rng.standard_normal((3,) * m + (d_out,))
+            mats = [rng.standard_normal((int(rng.integers(1, 6)), 3)) for _ in range(m)]
+            rows = coord_norm(cod, maps._contract(coefficients, mats, letters), axis=-1)
+            cols = coord_norm(cod, maps._contract(coefficients, mats, letters, output_first=True), axis=0)
+            if d_out < 8 or cod.is_sup:
+                assert rows.tobytes() == cols.tobytes()
+            else:
+                np.testing.assert_allclose(cols, rows, rtol=1e-15, atol=0.0)
 
 
 def test_mixed_power_sum_arity_one_matches_reference(rng):

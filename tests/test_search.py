@@ -121,3 +121,19 @@ def test_canonical_rows_is_the_lexicographic_order(rng, shape):
     if shape[0] >= 2 and shape[1] >= 2:
         m[:2, 0], m[:2, 1] = (0.0, -0.0), (-1.0, 1.0)
     assert canonical_rows(m).tobytes() == m[np.lexsort(m.T[::-1])].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (50, 16), (200, 16), (32, 32), (128, 128), (40, 17)])
+def test_canonical_rows_sorts_tied_runs_as_lexsort_does(rng, shape):
+    # basis families (cycling past the dimension), small integers with scattered -0.0, and a few
+    # tied first entries among distinct ones: only the tied runs are sorted again
+    n, d = shape
+    basis = np.zeros(shape)
+    basis[np.arange(n), np.arange(n) % d] = 1.0
+    ints = rng.integers(-2, 3, shape).astype(float)
+    ints[rng.random(shape) < 0.2] = -0.0
+    few = rng.standard_normal(shape)
+    few[: n // 5, 0] = 0.5
+    few[n // 5 : n // 4] = few[0]
+    for m in (basis, -basis, ints, few, few[rng.permutation(n)]):
+        assert canonical_rows(m).tobytes() == m[np.lexsort(m.T[::-1])].tobytes()

@@ -10,7 +10,7 @@ import summlab as sl
 from summlab.errors import BudgetError, DomainError, StructuralError
 from summlab.search import canonical_rows
 from summlab.spaces import norming_rows
-from summlab.weak_norms import _finish, _norming_map, family_q_sum
+from summlab.weak_norms import _finish, _norming_map, _rescaled, family_q_sum
 
 from conftest import random_family, random_space
 
@@ -191,6 +191,21 @@ def test_vertex_oracle_budget_error():
     fam = sl.VectorFamily.basis(sl.lp(1, 21), 2)
     with pytest.raises(BudgetError):
         sl.weak_norm_vertex_oracle(fam, 2.0)
+
+
+def test_vertex_and_column_certificates_are_unit_by_construction(rng):
+    # _finish takes no dual norm of a sign or basis vector; the dual norm is exactly 1,
+    # and the result is bit for bit the one of the checked finish
+    cases = [(sl.lp(1, d), q) for d in (1, 4, 12, 16) for q in VERTEX_QS + (2.0,)]
+    cases += [(sl.sup_slice(d), q) for d in (1, 3, 7) for q in (1.0, 1.5, 2.0, 4.0)]
+    for space, q in cases:
+        for fam in (random_family(rng, space, int(rng.integers(2, 9))), sl.VectorFamily.basis(space, 5)):
+            res = sl.weak_norm(fam, q)
+            assert res.exact and res.certificate.norm() == 1.0
+            x, e = _rescaled(canonical_rows(fam.matrix))
+            checked = _finish(space, x, e, q, None, res.certificate.coords, exact=True)
+            assert checked.value == res.value
+            assert checked.certificate.coords.tobytes() == res.certificate.coords.tobytes()
 
 
 def test_sup_slice_column_path(rng):
