@@ -41,6 +41,7 @@ from .index_lab import (
     DEFAULT_CAP_SLACK,
     DEFAULT_RANDOM_STARTS,
     DEFAULT_SWEEPS,
+    MIN_DISTINCT_N,
     bound_table,
     estimate_index,
     exact_cap_violations,
@@ -233,7 +234,7 @@ def _run_slope_experiment(exp: dict, grid: list, budget: SearchBudget, tuple_bud
             if over:
                 cap_violation = {"n": n, "quotient": over[-1].quotient, "cap": cap}
     map_order = map_obj.degree if hasattr(map_obj, "degree") else map_obj.arity
-    estimate = estimate_index(samples) if len(set(n_grid)) >= 3 else None
+    estimate = estimate_index(samples) if len(set(n_grid)) >= MIN_DISTINCT_N else None
 
     assert_rows = []
 
@@ -395,8 +396,17 @@ def _kind_of(exp: dict) -> Kind:
     return ORACLE_CHECKS[exp["check"]] if exp["kind"] == "oracle" else EXPERIMENT_KINDS[exp["kind"]]
 
 
-def _reject_non_finite(token: str):
-    raise ValueError(f"non-finite number {token} is not allowed")
+def _number(kind: type, test: Callable = lambda x: True) -> Callable[[str], float]:
+    """A parser of ``kind`` literals that raises ValueError unless the value is a finite double that passes ``test``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (abs(value) <= sys.float_info.max and test(value)):  # False for NaN, inf and ints beyond the float range
+            raise ValueError(f"number {text} is not allowed")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type when it refuses an argument
+    return parse
 
 
 def _slug(text: str) -> str:
@@ -407,7 +417,7 @@ def run(config_path, output_dir, seed: int | None = None, tuple_budget: int = DE
     """Execute a config serially; returns the process exit code."""
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
-            config = json.load(fh, parse_constant=_reject_non_finite)
+            config = json.load(fh, parse_constant=_number(float), parse_float=_number(float), parse_int=_number(int))
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -421,8 +431,8 @@ def run(config_path, output_dir, seed: int | None = None, tuple_budget: int = DE
     experiments = [_filled(_kind_of(exp).keys, exp) for exp in config["experiments"]]
     for i, exp in enumerate(experiments):
         fitted = "assert" in exp and {"slope", "residual_max"} & exp["assert"].keys()
-        if fitted and len(set(exp["n_grid"])) < 3:
-            print(f"config error: experiment {i} asserts {sorted(fitted)} on fewer than 3 distinct n", file=sys.stderr)
+        if fitted and len(set(exp["n_grid"])) < MIN_DISTINCT_N:
+            print(f"config error: experiment {i} asserts {sorted(fitted)} on fewer than {MIN_DISTINCT_N} distinct n", file=sys.stderr)
             return 2
 
     if seed is None:
@@ -536,10 +546,11 @@ def main(argv=None) -> int:
     run_parser.add_argument("--tuple-budget", type=int, default=DEFAULT_TUPLE_BUDGET, help="max tuples per mixed power sum")
 
     bounds_parser = sub.add_parser("bounds", help="print the closed-form bound table at one parameter point")
-    bounds_parser.add_argument("--m", type=int, required=True)
-    bounds_parser.add_argument("--p", type=float, required=True)
-    bounds_parser.add_argument("--q", type=float, required=True)
-    bounds_parser.add_argument("--r", type=float, default=None)
+    # the ranges of a bounds experiment; argparse exits 2 on any other value
+    bounds_parser.add_argument("--m", type=_number(int, lambda m: m >= 1), required=True)
+    bounds_parser.add_argument("--p", type=_number(float, lambda p: p > 0), required=True)
+    bounds_parser.add_argument("--q", type=_number(float, lambda q: q > 0), required=True)
+    bounds_parser.add_argument("--r", type=_number(float, lambda r: r >= 2), default=None)
 
     args = parser.parse_args(argv)
     if args.command == "run":

@@ -260,12 +260,16 @@ def power_cap(n: float, exponent: float, slack: float = 0.0) -> float:
         return math.inf
 
 
+# estimate_index fits a slope only through at least this many distinct n
+MIN_DISTINCT_N = 3
+
+
 def estimate_index(samples) -> IndexEstimate:
-    """OLS of log(quotient) on log(n); needs >= 3 samples at distinct n."""
+    """OLS of log(quotient) on log(n); needs samples at ``MIN_DISTINCT_N`` or more distinct n."""
     samples = list(samples)
     ns = [s.n for s in samples]
-    if len(set(ns)) < 3:
-        raise StructuralError("regression needs at least 3 samples at distinct n")
+    if len(set(ns)) < MIN_DISTINCT_N:
+        raise StructuralError(f"regression needs at least {MIN_DISTINCT_N} samples at distinct n")
     for s in samples:
         if s.quotient <= 0:
             raise DomainError("regression needs strictly positive quotients")
@@ -285,7 +289,7 @@ def estimate_index(samples) -> IndexEstimate:
 def _check_mpq(m: int, p: float, q: float) -> None:
     if m < 1 or int(m) != m:
         raise DomainError(f"order m must be a positive integer, got {m}")
-    if p <= 0 or q <= 0:
+    if not (p > 0 and q > 0):  # written so that NaN fails it
         raise DomainError(f"exponents must be positive, got p = {p}, q = {q}")
 
 
@@ -397,9 +401,9 @@ def _pol_lower(m: int, p: float, q: float, r: float | None) -> _Selection:
         if r is None:
             if m % 2 != 0:
                 raise DomainError(f"even degree required, got m = {m}")
-        elif r < 2.0:
+        elif not r >= 2.0:  # each guard is written so that NaN fails it
             raise DomainError(f"cotype parameter must satisfy r >= 2, got {r}")
-        elif p >= r:
+        elif not p < r:
             raise DomainError(f"requires p < r, got p = {p}, r = {r}")
         if q < 1.0:
             raise ValidityError(f"no claim for q < 1 (q = {q})")
@@ -529,7 +533,7 @@ def weak2_growth_exponent(q: float) -> float:
     The accompanying universal constant 1/(2e) is reported alongside as
     WEAK2_GROWTH_CONSTANT but never asserted in growth tests.
     """
-    if q <= 2.0:
+    if not q > 2.0:  # written so that NaN fails it
         raise DomainError(f"requires q > 2, got {q}")
     return 1.0 / q
 

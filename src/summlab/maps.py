@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import base64
 import functools
-import itertools
 import json
 import math
 import struct
@@ -333,48 +332,44 @@ def _binned_sum(w: np.ndarray) -> int:
     return total
 
 
-def _powers(v: np.ndarray, p: float) -> list[float]:
-    """v^p of a nonnegative array as a list, or [inf] once the largest power reaches 2^960.
-
-    Below that, no power overflows and a sum of up to 2^63 of them stays finite.
-    """
-    top = float(v[v.argmax()])
-    return [math.inf] if top > 1.0 and p * math.log2(top) >= 960.0 else (v**p).tolist()
-
-
 def _power_total(blocks: Iterable[np.ndarray], p: float, count: int) -> float:
     """The correctly rounded sum of v^p over the ``count`` entries v of the nonnegative arrays ``blocks`` yields.
 
-    Below ``_BINNED_MIN_TERMS`` it is one ``math.fsum`` of the lists of
-    :func:`_powers`, which is faster there.  From there on each block is
-    binned exactly and the integer total divided once, which rounds it
-    correctly, subnormals included; as with ``math.fsum`` of ``_powers``,
-    a NaN entry gives NaN and a power of 2^960 or more gives inf, and then
-    the remaining blocks are not read.
+    A block whose largest entry is NaN gives NaN, and one whose largest
+    power reaches 2^960 gives inf; then the remaining blocks are not
+    read.  Below that no power overflows, and a sum of up to 2^63 of
+    them stays finite.  Below ``_BINNED_MIN_TERMS`` the powers go into
+    one ``math.fsum``, which is faster there.  From there on each block
+    is binned exactly and the integer total divided once, which rounds
+    it correctly, subnormals included.
     """
-    if count < _BINNED_MIN_TERMS:
-        return math.fsum(itertools.chain.from_iterable(_powers(v, p) for v in blocks))
+    binned = count >= _BINNED_MIN_TERMS
+    terms: list[float] = []
     exact = 0
     for v in blocks:
         top = float(v[v.argmax()])  # argmax stops at the first NaN
         if not top <= 1.0 and not p * math.log2(top) < 960.0:
             return top if math.isnan(top) else math.inf
         w = v**p
-        exact += sum(_binned_sum(w[lo : lo + _BIN_TERMS]) for lo in range(0, w.size, _BIN_TERMS))
-    return exact / _BIN_UNIT
+        if binned:
+            exact += sum(_binned_sum(w[lo : lo + _BIN_TERMS]) for lo in range(0, w.size, _BIN_TERMS))
+        else:
+            terms += w.tolist()
+    return exact / _BIN_UNIT if binned else math.fsum(terms)
 
 
-def _root(total: float, p: float, count: int, factors: Callable[[], list[Iterable[np.ndarray]]]) -> float:
-    """total^(1/p) of a power sum; a root beyond the float range raises StructuralError.
+def _root(p: float, count: int, factors: Callable[[], list[Iterable[np.ndarray]]]) -> float:
+    """The p-th root of a power sum; a root beyond the float range raises StructuralError.
 
     The power sum is the product, over the factors in ``factors()``, of the
     sum of v^p over the ``count`` entries v of the arrays a factor yields.
-    A total that is not finite or below ``_SMALL`` is summed again, each
+    A product that is not finite or below ``_SMALL`` is summed again, each
     factor over its v / top with top its largest v, so that no term
     exceeds 1 however large p is, and its root is scaled back by the
     tops.  A norm that is not finite, from a contraction that overflowed,
     makes the root not finite.
     """
+    total = math.prod(_power_total(blocks, p, count) for blocks in factors())
     e, unit = 0, 1.0
     if not _SMALL <= total < math.inf:
         total = 1.0
@@ -419,10 +414,8 @@ def mixed_power_sum(
         raise BudgetError(f"{n}^{m} tuples exceed the budget of {tuple_budget}")
 
     if isinstance(t.body, DiagonalC0):
-        total = 1.0
-        for fam in families:
-            total *= _power_total([np.abs(fam.matrix).max(axis=1)], p, n)
-        return _root(total, p, n, lambda: [[np.abs(fam.matrix).max(axis=1)] for fam in families])
+        norms = [np.abs(fam.matrix).max(axis=1) for fam in families]  # taken once, read by both passes of _root
+        return _root(p, n, lambda: [[v] for v in norms])
 
     mats = [fam.matrix for fam in families]
     block_rows = max(1, _CHUNK_ELEMS // max(1, n ** (m - 1) * t.codomain.dimension))
@@ -438,8 +431,7 @@ def mixed_power_sum(
                 yield coord_norm(t.codomain, block, axis=0).ravel()
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing contraction leaves a root _root refuses
-        total = _power_total(chunk_norms(), p, n**m)
-        return _root(total, p, n**m, lambda: [chunk_norms()])
+        return _root(p, n**m, lambda: [chunk_norms()])
 
 
 def poly_power_sum(
@@ -458,7 +450,7 @@ def poly_power_sum(
         raise BudgetError(f"{family.n} terms exceed the budget of {tuple_budget}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing polynomial leaves a root _root refuses
         norms = np.atleast_1d(coord_norm(p_map.codomain, _poly_outputs(p_map, family.matrix), axis=-1))
-        return _root(_power_total([norms], p, family.n), p, family.n, lambda: [[norms]])
+        return _root(p, family.n, lambda: [[norms]])
 
 
 # ---------------------------------------------------------------------------

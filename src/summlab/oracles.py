@@ -20,6 +20,7 @@ import numpy as np
 from .errors import BudgetError, DomainError
 from .index_lab import (
     DEFAULT_CAP_SLACK,
+    MIN_DISTINCT_N,
     WEAK2_GROWTH_CONSTANT,
     estimate_index,
     exact_cap_violations,
@@ -139,7 +140,7 @@ def identity_growth_check(q: float, n_grid, budget: SearchBudget = DEFAULT_BUDGE
         rows.append({"n": n, "quotient": best.quotient, "floor": floor})
         samples.append(best)
     details: dict = {"q": q, "rows": rows, "expected_slope": exponent}
-    if len(set(n_grid)) >= 3:
+    if len(set(n_grid)) >= MIN_DISTINCT_N:
         est = estimate_index(samples)
         details["slope"] = est.slope
         details["residual"] = est.residual

@@ -93,10 +93,10 @@ def canonical_rows(matrix: np.ndarray) -> np.ndarray:
     from a family, so sorting first makes exact paths bit-identical
     under permutations and makes derived seeds permutation-invariant.
     ``lexsort`` makes one pass per column.  From ``_ONE_KEY_MIN_WIDTH``
-    columns on, the rows are sorted by their first entry alone, and only
-    the runs of tied first entries (-0.0 against 0.0 included) are then
-    sorted again, by whole rows at once through :func:`_row_keys`.  The
-    order is the same as ``lexsort``'s either way.
+    columns on, the rows are sorted by their first entry alone, and if two
+    first entries tie (-0.0 against 0.0 included), all rows are sorted
+    again, stably and by whole rows at once, through :func:`_row_keys`.
+    The order is the same as ``lexsort``'s either way.
     """
     m = np.ascontiguousarray(matrix, dtype=np.float64)
     if m.shape[0] <= 1:
@@ -105,14 +105,8 @@ def canonical_rows(matrix: np.ndarray) -> np.ndarray:
         return m[np.lexsort(m.T[::-1])]
     order = m[:, 0].argsort()
     first = m[order, 0]
-    ties = first[1:] == first[:-1]
-    if ties.any():
-        tied = np.zeros(len(order), dtype=bool)
-        tied[1:] = ties
-        tied[:-1] |= ties
-        # the tied rows, in given order, sorted stably by whole rows, fill the runs' slots
-        rows = np.sort(order[tied])
-        order[tied] = rows[_row_keys(m[rows]).argsort(kind="stable")]
+    if (first[1:] == first[:-1]).any():
+        order = _row_keys(m).argsort(kind="stable")
     return m[order]
 
 

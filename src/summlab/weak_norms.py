@@ -16,7 +16,7 @@ has a certified finite witness set (Hilbert domain at q = 2 via the top
 right singular vector, taken from one ``eigh`` of the smaller Gram
 matrix, x^T x or x x^T, at a fraction of an SVD's cost; cube dual balls
 via vertex enumeration; l_1 dual balls via +/- basis extreme points;
-single-vector families).  On the cube at
+single-vector families via the vector's norming functional).  On the cube at
 q = 2 each vertex value is the quadratic form s^T G s of the Gram matrix
 G of the sorted rows.  It splits into two half-width sign tables and one
 cross-term gemm, so each of the 2^(d-1) vertices costs two additions.
@@ -26,9 +26,9 @@ its first min(d, 11) signs and the rest: one gemm scores the low sign
 patterns against the rows and one the high patterns, and each high row
 is added to the low scores in one reused buffer of 2^10 x n doubles
 that stays in cache.  Powers there are products and square roots at
-q in {1, 1.5, 3, 4} and ``np.power`` otherwise.  On the Hilbert, vertex and
-column paths the reported value is recomputed from the sorted rows at
-the chosen certificate, so it is attained: on the Hilbert path it is
+q in {1, 1.5, 3, 4} and ``np.power`` otherwise.  On every exact path
+the reported value is recomputed from the sorted rows at the chosen
+certificate, so it is attained: on the Hilbert path it is
 the top singular value to rounding and never above it.  Everything else
 falls back to a multistart search from norming, spectral and seeded
 Gaussian start directions.  For q >= 1 the objective is convex, and
@@ -65,7 +65,6 @@ from .spaces import (
     coord_norm,
     dual,
     frozen_array,
-    norming_functional,
     norming_rows,
     unit_rows,
 )
@@ -175,7 +174,7 @@ def _finish(
     """The result for the family with rows x * 2^e, from its value and certificate on the rows x.
 
     A value of None stands for the certificate's own q-sum, which is what
-    the vertex and column paths report.  ``unit`` marks a certificate of
+    every exact path reports.  ``unit`` marks a certificate of
     dual norm 1 by construction, a sign vector or a basis vector, whose
     norm is not taken again.
     """
@@ -297,32 +296,22 @@ def _column_path(xc: np.ndarray, q: float) -> np.ndarray:
     return phi
 
 
-def _single_vector_path(space: SpaceDescriptor, x: np.ndarray) -> tuple[float, np.ndarray]:
-    v = Vector(space, x[0])
-    return v.norm(), norming_functional(space, v).coords
-
-
 def _norming_map(space: SpaceDescriptor) -> Callable[[np.ndarray], np.ndarray]:
     """``norming_rows(space, ·)``, specialised once per search.
 
     Row g goes to the unit vector phi of dual(space) that maximises
-    <phi, g>: g / ||g||_2 on l_2, sign(g) on l_1, and
-    sign(g) |g|^(p-1) / ||g||_p^(p-1) on l_p.  A batch with a zero row
-    (whose image is e_1) goes to ``norming_rows`` itself.  Row sums are
-    products with a ones vector: a reduction along short rows costs more
-    than the matrix-vector product.
+    <phi, g>: g / ||g||_2 on l_2 and sign(g) |g|^(p-1) / ||g||_p^(p-1)
+    on l_p, 1 < p < inf.  A batch with a zero row (whose image is e_1)
+    goes to ``norming_rows`` itself.  Row sums are products with a ones
+    vector: a reduction along short rows costs more than the
+    matrix-vector product.  On l_1 and sup slices, ``norming_rows`` is
+    the step.
     """
-    if space.is_sup:
-        return functools.partial(norming_rows, space)
     p = space.exponent
+    if p == 1.0 or space.is_sup:
+        return functools.partial(norming_rows, space)
     ones = np.ones(space.dimension)
-    if p == 1.0:
-
-        def step(g: np.ndarray) -> np.ndarray:
-            s = np.sign(g)
-            return s if s.any(axis=1).all() else norming_rows(space, g)
-
-    elif p == 2.0:
+    if p == 2.0:
 
         def step(g: np.ndarray) -> np.ndarray:
             nrm = np.sqrt(np.square(g) @ ones)
@@ -420,18 +409,18 @@ def weak_norm(family: VectorFamily, q: float, budget: SearchBudget = DEFAULT_BUD
     x, e = _rescaled(xc)
     # unit: phi is a basis or sign vector
     if not x.any():
-        value, phi, unit = 0.0, np.eye(1, space.dimension)[0], True
+        phi, unit = np.eye(1, space.dimension)[0], True
     elif space.exponent == 2.0 and q == 2.0:
-        value, phi, unit = None, _svd_path(x), False
+        phi, unit = _svd_path(x), False
     elif space.exponent == 1.0 and q >= 1.0 and space.dimension <= _VERTEX_MAX_DIM:
-        value, phi, unit = None, _vertex_path(x, q), True
-    elif family.n == 1:
-        (value, phi), unit = _single_vector_path(space, x), False
+        phi, unit = _vertex_path(x, q), True
+    elif family.n == 1:  # the one vector's norming functional
+        phi, unit = norming_rows(space, x)[0], False
     elif space.is_sup and q >= 1.0:
-        value, phi, unit = None, _column_path(x, q), True
+        phi, unit = _column_path(x, q), True
     else:
         return _search(space, xc, x, e, q, budget)
-    return _finish(space, x, e, q, value, phi, exact=True, unit=unit)
+    return _finish(space, x, e, q, None, phi, exact=True, unit=unit)
 
 
 def weak_norm_vertex_oracle(family: VectorFamily, q: float) -> float:

@@ -140,6 +140,12 @@ _VALID = {**_SLOPE, "map": {"kind": "tensor", "m": 1}, "random_starts": 0, "swee
         ({**_SLOPE, "map": {"kind": "tensor", "m": 1}, "assert": {"cap_exponent": math.nan}}, "config error"),
         ({**_SLOPE, "p": math.nan, "map": {"kind": "tensor", "m": 1}}, "config error"),
         ({**_SLOPE, "q": math.inf, "map": {"kind": "tensor", "m": 1}}, "config error"),
+        # a number literal beyond the float range is refused as NaN and Infinity are
+        ({**_BOUNDS, "p": 10**400}, "config error"),
+        ({**_BOUNDS, "m": 10**400}, "config error"),
+        ({**_VALID, "p": 10**400}, "config error"),
+        ({**_VALID, "assert": {"slope": 10**400}}, "config error"),
+        ({**_CAP, "p": 10**400}, "config error"),
         # out-of-range parameters are rejected at ingest, not by the experiment that reads them
         ({**_VALID, "p": 0}, "config schema violation"),
         ({**_VALID, "q": -1}, "config schema violation"),
@@ -190,6 +196,11 @@ _VALID = {**_SLOPE, "map": {"kind": "tensor", "m": 1}, "random_starts": 0, "swee
         "nan-cap",
         "nan-p",
         "infinity-q",
+        "bounds-p-400-digits",
+        "bounds-m-400-digits",
+        "slope-p-400-digits",
+        "assert-slope-400-digits",
+        "cap-p-400-digits",
         "slope-p-zero",
         "slope-q-negative",
         "hilbert-d-above-32",
@@ -468,25 +479,29 @@ def test_oracle_checks_call_the_module_functions(tmp_path, monkeypatch):
     assert calls == ["hilbert_identity_check"] * 2 + ["identity_growth_check"] * 2 + ["identity_cap_check"]
 
 
-def _readme_line(label: str) -> str:
+def _readme_config_rows() -> dict:
+    """Label -> keys cell of every table row in README's "Config schema" section."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    lines = [line for line in readme.splitlines() if line.startswith(f"| {label} |")]
-    assert len(lines) == 1, label
-    return lines[0]
+    section = readme[readme.index("### Config schema") :]
+    section = section[: section.index("\n## ")]
+    rows = [line.strip("|").split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    return {cells[0].strip(): cells[1] for cells in rows}
 
 
 def test_readme_tables_give_every_key_and_default():
+    # each row names exactly its kind's keys, and a key's default, written as JSON
+    # in backticks right after it, is there exactly when the kind has one
     rows = [(f"`{name}`", kind.keys) for name, kind in {**MAP_KINDS, **EXPERIMENT_KINDS}.items()]
     rows += [(f'`oracle`, `"check": "{name}"`', kind.keys) for name, kind in ORACLE_CHECKS.items()]
     rows.append(("`assert` (in `slope`)", ASSERT_KEYS))
+    written = _readme_config_rows()
+    assert sorted(written) == sorted(label for label, _ in rows)
     for label, keys in rows:
-        line = _readme_line(label)
+        named = {m.group(1): m.group(2) for m in re.finditer(r"`(\w+)`(?: \(`([^`]*)`\))?", written[label])}
+        assert sorted(named) == sorted(keys), label
         for key, (_, default) in keys.items():
-            assert f"`{key}`" in line, (label, key)
-            if default is not None:
-                # the default is written as JSON in backticks right after the key
-                written = re.search(rf"`{key}` \(`([^`]*)`\)", line)
-                assert written and json.loads(written.group(1)) == default, (label, key)
+            shown = None if named[key] is None else json.loads(named[key])
+            assert shown == default and (named[key] is None) == (default is None), (label, key)
 
 
 def test_seed_resolution_precedence(tmp_path, monkeypatch):
@@ -614,6 +629,51 @@ def test_non_finite_result_exits_2(tmp_path, capsys):
     assert "non-finite number cannot be written as JSON" in capsys.readouterr().err
     assert not (tmp_path / "out" / "results.json").exists()
     assert not (tmp_path / "out" / "metadata.json").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        '{"kind": "bounds", "p": 1e309}',
+        '{"kind": "bounds", "q": -1e309}',
+        '{"kind": "slope", "map": {"kind": "tensor"}, "p": 1e309, "q": 2, "n_grid": [2, 3, 4]}',
+        # read as inf, this cap would assert nothing and the run would exit 0
+        '{"kind": "slope", "map": {"kind": "tensor"}, "p": 2, "q": 2, "n_grid": [2, 3, 4], "assert": {"cap_exponent": 1e309}}',
+    ],
+    ids=["bounds-p", "bounds-q-negative", "slope-p", "cap-exponent"],
+)
+def test_float_literal_beyond_the_float_range_exits_2(tmp_path, capsys, experiment):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"experiments": [' + experiment + "]}")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--m", "2", "--p", "nan", "--q", "2"],
+        ["--m", "2", "--p", "0.5", "--q", "nan"],
+        ["--m", "2", "--p", "0.5", "--q", "2", "--r", "nan"],
+        ["--m", "2", "--p", "inf", "--q", "2"],
+        ["--m", "2", "--p", "1e309", "--q", "2"],
+        ["--m", "2", "--p", "0", "--q", "2"],
+        ["--m", "2", "--p", "1", "--q", "-2"],
+        ["--m", "2", "--p", "1", "--q", "2", "--r", "1.5"],
+        ["--m", "2", "--p", "1", "--q", "2", "--r", "inf"],
+        ["--m", "0", "--p", "1", "--q", "2"],
+        ["--m", str(10**400), "--p", "1", "--q", "2"],
+    ],
+    ids=["p-nan", "q-nan", "r-nan", "p-inf", "p-1e309", "p-zero", "q-negative", "r-below-2", "r-inf", "m-zero", "m-400-digits"],
+)
+def test_bounds_arguments_outside_the_bounds_experiment_ranges_exit_2(capsys, argv):
+    # the ranges a bounds experiment takes: m >= 1, p and q finite and > 0, r finite and >= 2
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bounds", *argv])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and captured.out == ""
 
 
 def test_print_bounds_output(capsys):

@@ -475,6 +475,29 @@ def test_bound_table_assembly():
     assert not any(e.valid for e in sl.bound_table(0, 0.5, 0.0, 2.0))
 
 
+@pytest.mark.parametrize(
+    "args, reading",
+    [
+        ((2, math.nan, 2.0), None),
+        ((2, 0.5, math.nan), None),
+        ((1, math.nan, 2.0, 3.0), None),
+        ((2, 0.5, 2.0, math.nan), {"pol_lower_cotype"}),
+        ((1, 3.0, 2.0, math.nan), {"pol_lower_cotype", "exact"}),
+    ],
+    ids=["p", "q", "p-with-r", "r", "r-at-m1-q2"],
+)
+def test_nan_parameter_makes_every_bound_that_reads_it_invalid(args, reading):
+    # every guard is a comparison that NaN fails; ``reading`` None: every bound reads the NaN
+    entries = sl.bound_table(*args)
+    assert not any(e.valid for e in entries if reading is None or e.kind in reading)
+    assert all(math.isfinite(e.value) for e in entries if e.valid)
+
+
+def test_weak2_growth_exponent_refuses_nan():
+    with pytest.raises(DomainError):
+        sl.weak2_growth_exponent(math.nan)
+
+
 _MULT_BRANCH_KEYS = {
     "q<=2: m/p": "low_q",
     "q>=2, p>=q: mq/(2p)": "p_ge_q",
