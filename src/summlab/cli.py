@@ -9,8 +9,8 @@ separate metadata.json so results.json stays comparable across runs.
 
 Three tables describe the config language: MAP_KINDS, EXPERIMENT_KINDS
 and ORACLE_CHECKS (the checks of an experiment of kind "oracle").  A row
-holds each key's schema and default and the kind's runner, and
-CONFIG_SCHEMA is generated from the rows.
+holds each key's schema and default and the kind's runner, and a run
+validates its config by walking it through the rows.
 
 Exit codes: 0 all declared assertions pass; 1 assertion failure;
 2 config/schema violation, misconfigured experiment, or a value beyond
@@ -26,13 +26,13 @@ import datetime
 import itertools
 import json
 import math
+import operator
 import re
 import sys
 from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -54,24 +54,110 @@ from .search import DEFAULT_BUDGET, SearchBudget
 from .spaces import space_from_json
 from .witnesses import cotype_witness, diagonal_product_map, identity_witness, real_even_witness, tensor_witness
 
+# JSON Schema's types (Draft 2020-12): true and false are no numbers, and a float such as 2.0 is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool) or isinstance(v, float) and v.is_integer(),
+}
+# keyword: (a number breaks it, message)
+_LIMITS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+}
+
+
+class _Violation(Exception):
+    """A config value that breaks its schema: (message, the value's path in the config, whether it has its schema's type)."""
+
+
+def _check(value, schema: dict, path: list) -> None:
+    """Raise _Violation unless ``value``, at ``path`` in a config, is valid under ``schema``.
+
+    ``schema`` uses the JSON Schema keywords that the tables use, with
+    jsonschema's messages, and ``_tagged``'s "tag" and "rows".  An
+    object's keys are checked before its values.
+    """
+
+    def fail(message: str, *at) -> None:
+        raise _Violation(message, [*path, *at], "type" in schema)
+
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        raise _Violation(f"{value!r} is not of type {schema['type']!r}", path, False)
+    if "const" in schema and value != schema["const"]:
+        fail(f"{schema['const']!r} was expected")
+    for keyword, (breaks, words) in _LIMITS.items():
+        if keyword in schema and breaks(value, schema[keyword]):
+            fail(f"{value!r} {words} {schema[keyword]!r}")
+    if "minItems" in schema and len(value) < schema["minItems"]:
+        fail(f"{value!r} " + ("should be non-empty" if schema["minItems"] == 1 else "is too short"))
+    for i, item in enumerate(value if "items" in schema else ()):
+        _check(item, schema["items"], [*path, i])
+    extras = sorted(value.keys() - schema["properties"].keys()) if schema.get("additionalProperties") is False else []
+    if extras:
+        verb = "was" if len(extras) == 1 else "were"
+        fail(f"Additional properties are not allowed ({', '.join(map(repr, extras))} {verb} unexpected)")
+    for key in schema.get("required", ()):
+        if key not in value:
+            fail(f"{key!r} is a required property")
+    if "rows" in schema:
+        name, rows = value[schema["tag"]], schema["rows"]
+        if not (isinstance(name, str) and name in rows):  # a list or a dict names no row, and has no hash
+            fail(f"{name!r} is not one of {list(rows)!r}", schema["tag"])
+        _check(value, rows[name], path)
+    if "anyOf" in schema:
+        errors = []
+        for branch in schema["anyOf"]:
+            try:
+                _check(value, branch, path)
+                break
+            except _Violation as exc:
+                errors.append(exc)
+        else:
+            # as jsonschema's best_match: the deepest error, then one whose value has its schema's type;
+            # a tie names no branch
+            ranks = [(-len(exc.args[1]), not exc.args[2]) for exc in errors]
+            if ranks.count(min(ranks)) > 1:
+                fail(f"{value!r} is not valid under any of the given schemas")
+            raise errors[ranks.index(min(ranks))]
+    for key, item in schema.get("properties", {}).items():
+        if key in value:
+            _check(value[key], item, [*path, key])
+
+
+def _tagged(rows: dict, tag: str = "kind", *outer: str) -> dict:
+    """Schema of an object whose ``tag`` names a row of ``rows``: a Kind, or the schema of the objects it names.
+
+    An object that names a Kind holds ``tag``, ``outer`` and the row's keys only.
+    """
+
+    def closed(kind: Kind) -> dict:
+        keys = dict.fromkeys((tag, *outer), {}) | {key: schema for key, (schema, _) in kind.keys.items()}
+        return {"properties": keys, "additionalProperties": False, **kind.schema}
+
+    rows = {name: row if isinstance(row, dict) else closed(row) for name, row in rows.items()}
+    return {"type": "object", "required": [tag], "tag": tag, "rows": rows}
+
+
 _POSITIVE = {"type": "integer", "minimum": 1}
 _NUMBER = {"type": "number"}
 _ABOVE_0 = {"type": "number", "exclusiveMinimum": 0}
 _ABOVE_2 = {"type": "number", "exclusiveMinimum": 2}
 _STRING = {"type": "string"}
 _N_GRID = {"type": "array", "minItems": 1, "items": _POSITIVE}
-_SPACE_SCHEMA = {
-    "type": "object",
-    "required": ["family"],
-    "additionalProperties": False,
+_SPACE = {
     "properties": {
-        "family": {"enum": ["lp", "sup"]},
+        "family": {},
         "p": {"anyOf": [{"type": "number"}, {"const": "inf"}]},
         "dim": {"anyOf": [{"type": "integer", "minimum": 1}, {"const": "n"}]},
     },
-    "if": {"properties": {"family": {"const": "lp"}}},
-    "then": {"required": ["p"]},
+    "additionalProperties": False,
 }
+# an l_p space needs its p
+_SPACE_SCHEMA = _tagged({"lp": {**_SPACE, "required": ["p"]}, "sup": _SPACE}, "family")
 _L1 = {"family": "lp", "p": 1, "dim": "n"}
 _L2 = {"family": "lp", "p": 2, "dim": "n"}
 
@@ -154,26 +240,6 @@ MAP_KINDS = {
         },
     ),
 }
-
-
-def _tagged(kinds: dict, tag: str = "kind", *outer: str) -> dict:
-    """Schema of an object whose ``tag`` names a row of ``kinds``: it holds ``tag``, ``outer`` and the row's keys only."""
-    return {
-        "type": "object",
-        "required": [tag],
-        "properties": {tag: {"enum": list(kinds)}},
-        "allOf": [
-            {
-                "if": {"properties": {tag: {"const": name}}, "required": [tag]},
-                "then": {
-                    "properties": dict.fromkeys((tag, *outer), True) | {key: schema for key, (schema, _) in kind.keys.items()},
-                    "additionalProperties": False,
-                    **kind.schema,
-                },
-            }
-            for name, kind in kinds.items()
-        ],
-    }
 
 
 # the keys of a slope experiment's "assert" object, all numbers
@@ -368,27 +434,13 @@ ORACLE_CHECKS = {
     ),
 }
 
-CONFIG_SCHEMA = {
+# an experiment of kind "oracle" names its check
+_EXPERIMENT = _tagged({**EXPERIMENT_KINDS, "oracle": _tagged(ORACLE_CHECKS, "check", "kind")})
+_CONFIG = {
     "type": "object",
     "required": ["experiments"],
-    "properties": {
-        "seed": {"type": "integer"},
-        "experiments": {
-            "type": "array",
-            "items": {
-                "properties": {"kind": {"enum": [*EXPERIMENT_KINDS, "oracle"]}},
-                "if": {"properties": {"kind": {"const": "oracle"}}, "required": ["kind"]},
-                "then": _tagged(ORACLE_CHECKS, "check", "kind"),
-                "else": _tagged(EXPERIMENT_KINDS),
-                # after the kinds: best_match reports the first of equally deep errors, so an unknown key names itself
-                "dependentSchemas": {one: {"not": {"required": [many]}} for many, one in _SPELLINGS.items()},
-            },
-        },
-    },
+    "properties": {"seed": {"type": "integer"}, "experiments": {"type": "array", "items": _EXPERIMENT}},
 }
-
-# built once: jsonschema.validate would re-check the schema itself on every run
-_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 
 def _kind_of(exp: dict) -> Kind:
@@ -421,9 +473,14 @@ def run(config_path, output_dir, seed: int | None = None, tuple_budget: int = DE
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    error = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(config))
-    if error is not None:
-        print(f"config schema violation: {error.message} (at {list(error.absolute_path)})", file=sys.stderr)
+    try:
+        _check(config, _CONFIG, [])
+        for i, exp in enumerate(config["experiments"]):
+            for many, one in _SPELLINGS.items():
+                if one in exp and many in exp:
+                    raise _Violation(f"{one!r} and {many!r} are both given", ["experiments", i], False)
+    except _Violation as exc:
+        print(f"config schema violation: {exc.args[0]} (at {exc.args[1]})", file=sys.stderr)
         return 2
     if tuple_budget < 1:
         print(f"config error: the tuple budget must be >= 1, got {tuple_budget}", file=sys.stderr)
@@ -524,14 +581,16 @@ def run(config_path, output_dir, seed: int | None = None, tuple_budget: int = DE
     return 0
 
 
-def print_bounds(m: int, p: float, q: float, r: float | None = None) -> None:
-    """Print every applicable bound with its branch label and validity."""
+def print_bounds(m: int, p: float, q: float, r: float | None = None) -> list:
+    """Print every applicable bound with its branch label and validity; returns the bound table."""
     print(f"bounds at m = {m}, p = {p:g}, q = {q:g}" + (f", r = {r:g}" if r is not None else ""))
-    for entry in bound_table(m, p, q, r):
+    table = bound_table(m, p, q, r)
+    for entry in table:
         if entry.valid:
             print(f"  {entry.kind:<22} {entry.branch:<36} = {entry.value:.12g}")
         else:
             print(f"  {entry.kind:<22} {entry.branch:<36} n/a (out of range)")
+    return table
 
 
 def main(argv=None) -> int:
@@ -555,7 +614,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         return run(args.config, args.out, seed=args.seed, tuple_budget=args.tuple_budget)
-    print_bounds(args.m, args.p, args.q, args.r)
+    table = print_bounds(args.m, args.p, args.q, args.r)
+    # as in a bounds experiment, whose results.json cannot hold a bound beyond the float range
+    overflowed = [f"{e.kind} ({e.branch})" for e in table if e.valid and not math.isfinite(e.value)]
+    if overflowed:
+        print(f"result error: bounds beyond the float range: {', '.join(overflowed)}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -155,8 +155,8 @@ class WitnessBody:
             raise StructuralError("witness coefficients must be a flat nonnegative array")
         if fv.ndim != 2 or fv.shape[0] != av.shape[0]:
             raise StructuralError("witness functionals must be one row per coefficient")
-        if self.p <= 0:
-            raise DomainError(f"witness exponent must be positive, got {self.p}")
+        if not self.p > 0:  # written so that NaN fails it
+            raise DomainError(f"witness exponent p must be positive, got {self.p}")
         arrays = {"a": av, "functionals": fv, "weights": frozen_array(av ** (1.0 / self.p), "witness weights")}
         if self.targets is not None:
             tv = frozen_array(self.targets, "witness targets")
@@ -404,7 +404,7 @@ def mixed_power_sum(
     all n^m terms go into one exact sum, rounded once, so neither the
     chunking nor the row order changes a bit of the value.
     """
-    if p <= 0:
+    if not p > 0:  # written so that NaN fails it
         raise DomainError(f"power sum requires p > 0, got {p}")
     families = list(families)
     n = _check_families(t, families)
@@ -442,7 +442,7 @@ def poly_power_sum(
     tuple_budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> float:
     """( sum_k ||P(x_k)||^p )^(1/p) over the n family members."""
-    if p <= 0:
+    if not p > 0:  # written so that NaN fails it
         raise DomainError(f"power sum requires p > 0, got {p}")
     if family.space != p_map.domain:
         raise StructuralError(f"family in {family.space} does not match domain {p_map.domain}")

@@ -52,7 +52,7 @@ class CheckReport:
 
 def brute_force_mixed_sum(t: MultilinearMap, families, p: float) -> float:
     """Reference mixed power sum: one serial loop, naive accumulation."""
-    if p <= 0:
+    if not p > 0:  # written so that NaN fails it
         raise DomainError(f"power sum requires p > 0, got {p}")
     families = list(families)
     n = families[0].n
@@ -72,7 +72,7 @@ def brute_force_weak_norm(family: VectorFamily, q: float, resolution: int = 10**
     Powers are taken on the family times the power of two that brings
     its largest |entry| into [1, 2), and the value is scaled back.
     """
-    if q <= 0:
+    if not q > 0:  # written so that NaN fails it
         raise DomainError(f"weak norm requires q > 0, got {q}")
     d = family.space.dimension
     if d > _SAMPLER_DIM_CAP:
@@ -160,8 +160,8 @@ def identity_cap_check(p: float, d: int, budget: SearchBudget = DEFAULT_BUDGET) 
     uniform functional maximizes the q-sum on the Euclidean sphere by
     the power-mean comparison) and 1 for p >= 2.
     """
-    if p <= 0:
-        raise DomainError(f"requires p > 0, got {p}")
+    if not p > 0:  # written so that NaN fails it
+        raise DomainError(f"cap check requires p > 0, got {p}")
     if d > CAP_CHECK_MAX_D:
         raise DomainError(f"cap check is sized for d <= {CAP_CHECK_MAX_D}, got {d}")
     cap = power_cap(d, upper_bound_mult(1, p, p), DEFAULT_CAP_SLACK)

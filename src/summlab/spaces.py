@@ -92,7 +92,7 @@ def dual_exponent(p: float) -> float:
     if p == INF:
         return 1.0
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:  # written so that NaN fails it
         raise DomainError(f"conjugacy is undefined for p < 1 (got {p})")
     if p == 1.0:
         return INF

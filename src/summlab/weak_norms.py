@@ -393,7 +393,7 @@ def weak_norm_search(family: VectorFamily, q: float, budget: SearchBudget = DEFA
     dual sphere.  The search runs on the canonical rows, so a permuted
     family gets the bit-identical result.
     """
-    if q <= 0.0:
+    if not q > 0.0:  # written so that NaN fails it
         raise DomainError(f"weak norm requires q > 0, got {q}")
     xc = canonical_rows(family.matrix)
     x, e = _rescaled(xc)
@@ -402,7 +402,7 @@ def weak_norm_search(family: VectorFamily, q: float, budget: SearchBudget = DEFA
 
 def weak_norm(family: VectorFamily, q: float, budget: SearchBudget = DEFAULT_BUDGET) -> WeakNormResult:
     """Weak l_q norm of a family: exact on fast paths, else a search lower bound."""
-    if q <= 0.0:
+    if not q > 0.0:  # written so that NaN fails it
         raise DomainError(f"weak norm requires q > 0, got {q}")
     space = family.space
     xc = canonical_rows(family.matrix)
@@ -435,7 +435,7 @@ def weak_norm_vertex_oracle(family: VectorFamily, q: float) -> float:
     d = space.dimension
     if d > _VERTEX_MAX_DIM:
         raise BudgetError(f"vertex oracle enumerates 2^d vertices; d = {d} exceeds {_VERTEX_MAX_DIM}")
-    if q <= 0.0:
+    if not q > 0.0:  # written so that NaN fails it
         raise DomainError(f"weak norm requires q > 0, got {q}")
     x, e = _rescaled(family.matrix)
     best = 0.0

@@ -10,7 +10,6 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +18,6 @@ from hypothesis import strategies as st
 import summlab
 from summlab.cli import (
     ASSERT_KEYS,
-    CONFIG_SCHEMA,
     EXPERIMENT_KINDS,
     MAP_KINDS,
     ORACLE_CHECKS,
@@ -79,11 +77,6 @@ def test_bit_reproducibility(tmp_path):
         assert run(_bundled("diagonal_growth.json"), tmp_path / name, seed=7) == 0
     assert (tmp_path / "a" / "results.json").read_bytes() == (tmp_path / "b" / "results.json").read_bytes()
     assert (tmp_path / "a" / "slopes.csv").read_bytes() == (tmp_path / "b" / "slopes.csv").read_bytes()
-
-
-def test_config_schema_is_a_valid_schema():
-    # run() validates with a prebuilt validator, which does not check the schema itself
-    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
 
 
 def test_schema_violation_exit_2(tmp_path, capsys):
@@ -179,6 +172,17 @@ _VALID = {**_SLOPE, "map": {"kind": "tensor", "m": 1}, "random_starts": 0, "swee
         ({**_VALID, "strategies": ["basis"]}, "('strategies' was unexpected)"),
         ({**_VALID, "p": 0.5, "map": {"kind": "cotype", "witness_p": 0.5}}, "('witness_p' was unexpected)"),
         ({**_VALID, "p": 0.5, "map": {"kind": "real_even", "witness_p": 0.5}}, "('witness_p' was unexpected)"),
+        # a kind or a check that is not a string names no row
+        ({**_VALID, "kind": []}, "[] is not one of ['slope', 'bounds', 'oracle']"),
+        ({**_VALID, "kind": {}}, "config schema violation"),
+        ({**_VALID, "kind": 3}, "config schema violation"),
+        ({**_VALID, "map": {"kind": []}}, "config schema violation"),
+        ({"kind": "oracle", "check": []}, "config schema violation"),
+        ({"kind": "oracle", "check": 1}, "config schema violation"),
+        # true and false are no numbers
+        ({**_VALID, "p": True}, "True is not of type 'number'"),
+        ({**_VALID, "map": {"kind": "identity", "space": {"family": "lp", "p": 2, "dim": "m"}}}, "config schema violation"),
+        ({**_VALID, "map": {"kind": "identity", "space": {"family": "lp", "dim": 2}}}, "'p' is a required property"),
     ]] + [
         (_VALID, "config error", ("--tuple-budget", "0")),
         (_VALID, "config error", ("--tuple-budget", "-5")),
@@ -227,6 +231,15 @@ _VALID = {**_SLOPE, "map": {"kind": "tensor", "m": 1}, "random_starts": 0, "swee
         "slope-with-strategies",
         "cotype-with-witness-p",
         "real-even-with-witness-p",
+        "kind-list",
+        "kind-dict",
+        "kind-number",
+        "map-kind-list",
+        "check-list",
+        "check-number",
+        "p-true",
+        "space-dim-m",
+        "lp-space-without-p",
         "tuple-budget-zero",
         "tuple-budget-negative",
     ],
@@ -240,6 +253,29 @@ def test_malformed_experiment_exit_2(tmp_path, capsys, experiment, message, opti
     assert message in capsys.readouterr().err
     # ingest and build errors stop the run before the output directory, or any experiment, exists
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config, code",
+    [
+        ([], 2),
+        ({"experiments": {}}, 2),
+        ({"seed": 1.5, "experiments": []}, 2),
+        # JSON Schema's integers include a float such as 2.0
+        ({"experiments": [{**_VALID, "map": {"kind": "tensor", "m": 2.0}}]}, 0),
+        ({"experiments": [{"kind": "oracle", "check": "hilbert_identity", "d": [4.0]}]}, 0),
+        ({"experiments": [{**_VALID, "map": {"kind": "identity", "space": {"family": "lp", "p": 1, "dim": 4.0}}}]}, 0),
+        ({"seed": 2.0, "experiments": []}, 0),
+        # unknown keys are refused inside experiments, not at the top level
+        ({"experiments": [], "comment": "x"}, 0),
+    ],
+    ids=["top-level-list", "experiments-object", "seed-1.5", "m-2.0", "d-4.0", "dim-4.0", "seed-2.0", "top-level-extra-key"],
+)
+def test_config_validation_edges(tmp_path, capsys, config, code):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+    assert ("config schema violation" in capsys.readouterr().err) == (code == 2)
 
 
 _QUIET = {"random_starts": 0, "sweeps": 0}
@@ -674,6 +710,19 @@ def test_bounds_arguments_outside_the_bounds_experiment_ranges_exit_2(capsys, ar
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert "usage:" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--m", "2", "--p", "5e-324", "--q", "1"], ["--m", str(int(1.7e308)), "--p", "1", "--q", "3"]],
+    ids=["p-tiny", "m-huge"],
+)
+def test_bounds_beyond_the_float_range_exit_2(capsys, argv):
+    # as the same parameters in a bounds experiment do (test_non_finite_result_exits_2)
+    assert main(["bounds", *argv]) == 2
+    captured = capsys.readouterr()
+    assert "mult_upper" in captured.out and "= inf" in captured.out
+    assert "result error" in captured.err and "mult_upper" in captured.err
 
 
 def test_print_bounds_output(capsys):

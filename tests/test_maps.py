@@ -565,3 +565,40 @@ def test_contract_plans_each_path_once_with_the_same_bits(rng, monkeypatch):
     for got, repeat, case in zip(cached, again, cases):
         want = maps._contract(*case)
         assert np.array_equal(got, want) and np.array_equal(repeat, want)
+
+
+_BASIS = sl.VectorFamily.basis(_l2(3), 3)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda x: sl.weak_norm(_BASIS, x), "q"),
+        (lambda x: sl.weak_norm_search(_BASIS, x), "q"),
+        (lambda x: sl.weak_norm_vertex_oracle(sl.VectorFamily.basis(sl.lp(1, 3), 3), x), "q"),
+        (lambda x: sl.brute_force_weak_norm(_BASIS, x), "q"),
+        (lambda x: sl.mixed_power_sum(sl.identity_witness(_l2(3)), [_BASIS], x), "p"),
+        (lambda x: sl.brute_force_mixed_sum(sl.identity_witness(_l2(3)), [_BASIS], x), "p"),
+        (lambda x: sl.poly_power_sum(sl.real_even_witness(2, 0.5, _l2(3), 3)[0], _BASIS, x), "p"),
+        (lambda x: sl.WitnessBody(np.array([1.0]), np.array([[1.0, 0.0]]), x), "p"),
+        (lambda x: sl.identity_cap_check(x, 2), "p"),
+        (sl.dual_exponent, "p"),
+    ],
+    ids=[
+        "weak-norm",
+        "weak-norm-search",
+        "vertex-oracle",
+        "sampled-weak-norm",
+        "mixed-power-sum",
+        "brute-force-sum",
+        "poly-power-sum",
+        "witness-body",
+        "cap-check",
+        "dual-exponent",
+    ],
+)
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+def test_exponent_guards_name_the_exponent(call, name, value):
+    # NaN fails every comparison, so a guard written q <= 0 let it through to a search or a root
+    with pytest.raises(DomainError, match=rf"\b{name}\b.*got {value}\b"):
+        call(value)
