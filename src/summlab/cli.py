@@ -74,12 +74,14 @@ class _Violation(Exception):
     """A config value that breaks its schema: (message, the value's path in the config, whether it has its schema's type)."""
 
 
-def _check(value, schema: dict, path: list) -> None:
-    """Raise _Violation unless ``value``, at ``path`` in a config, is valid under ``schema``.
+def _check(value, schema: dict, path: list):
+    """``value``, at ``path`` in a config, with every integral float its schema types as integer made an int.
 
-    ``schema`` uses the JSON Schema keywords that the tables use, with
-    jsonschema's messages, and ``_tagged``'s "tag" and "rows".  An
-    object's keys are checked before its values.
+    Raises _Violation unless ``value`` is valid under ``schema``, which
+    uses the JSON Schema keywords that the tables use, with jsonschema's
+    messages, and ``_tagged``'s "tag" and "rows".  An object's keys are
+    checked before its values.  Arrays and objects are converted in
+    place, so a config echoed into the results reads 2 where it said 2.0.
     """
 
     def fail(message: str, *at) -> None:
@@ -95,7 +97,7 @@ def _check(value, schema: dict, path: list) -> None:
     if "minItems" in schema and len(value) < schema["minItems"]:
         fail(f"{value!r} " + ("should be non-empty" if schema["minItems"] == 1 else "is too short"))
     for i, item in enumerate(value if "items" in schema else ()):
-        _check(item, schema["items"], [*path, i])
+        value[i] = _check(item, schema["items"], [*path, i])
     extras = sorted(value.keys() - schema["properties"].keys()) if schema.get("additionalProperties") is False else []
     if extras:
         verb = "was" if len(extras) == 1 else "were"
@@ -107,12 +109,12 @@ def _check(value, schema: dict, path: list) -> None:
         name, rows = value[schema["tag"]], schema["rows"]
         if not (isinstance(name, str) and name in rows):  # a list or a dict names no row, and has no hash
             fail(f"{name!r} is not one of {list(rows)!r}", schema["tag"])
-        _check(value, rows[name], path)
+        value = _check(value, rows[name], path)
     if "anyOf" in schema:
         errors = []
         for branch in schema["anyOf"]:
             try:
-                _check(value, branch, path)
+                value = _check(value, branch, path)
                 break
             except _Violation as exc:
                 errors.append(exc)
@@ -125,7 +127,8 @@ def _check(value, schema: dict, path: list) -> None:
             raise errors[ranks.index(min(ranks))]
     for key, item in schema.get("properties", {}).items():
         if key in value:
-            _check(value[key], item, [*path, key])
+            value[key] = _check(value[key], item, [*path, key])
+    return int(value) if schema.get("type") == "integer" else value
 
 
 def _tagged(rows: dict, tag: str = "kind", *outer: str) -> dict:

@@ -24,7 +24,13 @@ over tuples factorises into a product of per-slot sums.  Dense bodies
 enumerate all n^m argument tuples in chunks of the leading index, each
 of about 2^16 output entries, so a chunk's temporaries stay in cache.
 From arity 2 on a chunk is laid out output axis first, and each tuple's
-norm is a reduction along that long, contiguous axis.  Every term goes
+norm is a reduction along that long, contiguous axis.  At arity 2 a
+chunk is two plain matmuls: its rows' partial sums
+xa[o, u, b] = sum_a x_ua c_abo, then xa times the second family.  Those
+are the products einsum's planned path takes whenever it contracts the
+first family first, as it does for domains of one dimension, so the
+bits are einsum's; otherwise, and from arity 3 on, a chunk is an
+einsum.  Every term goes
 into one exact sum, rounded once: below 2^12 terms ``math.fsum`` over a
 list, from there on a binned sum of the terms' mantissas by exponent,
 which runs at array speed.  So the result depends neither on the
@@ -254,6 +260,16 @@ def _contract(
     return np.einsum(subscripts, *operands, optimize=_einsum_path(subscripts, tuple(op.shape for op in operands)))
 
 
+def _first_slot_first(rows: int, n: int, shape: tuple[int, ...]) -> bool:
+    """Whether einsum's path for an arity-2 chunk of ``rows`` x n tuples contracts the first family first.
+
+    It does when both domains have one dimension; otherwise the greedy
+    planner picks the order from the shapes, and the chunk keeps
+    ``_contract`` so that its bits do not change.
+    """
+    return _einsum_path("ua,vb,abo->ouv", ((rows, shape[0]), (n, shape[1]), shape))[1] == (0, 2)
+
+
 def eval_multilinear(t: MultilinearMap, args) -> Vector:
     """Pointwise evaluation T(x^(1), ..., x^(m))."""
     args = list(args)
@@ -418,16 +434,23 @@ def mixed_power_sum(
         return _root(p, n, lambda: [[v] for v in norms])
 
     mats = [fam.matrix for fam in families]
-    block_rows = max(1, _CHUNK_ELEMS // max(1, n ** (m - 1) * t.codomain.dimension))
+    c = t.body.coefficients
+    d_out = t.codomain.dimension
+    block_rows = max(1, _CHUNK_ELEMS // max(1, n ** (m - 1) * d_out))
 
     def chunk_norms():
         for lo in range(0, n, block_rows):
             if m == 1:  # one matmul
-                block = mats[0][lo : lo + block_rows] @ t.body.coefficients
+                block = mats[0][lo : lo + block_rows] @ c
                 yield coord_norm(t.codomain, block, axis=-1).ravel()
+            elif m == 2 and _first_slot_first(min(block_rows, n - lo), n, c.shape):
+                # einsum's two products as matmuls: xa[o, u, b] = sum_a x_ua c_abo, then xa times the second family
+                xa = (mats[0][lo : lo + block_rows] @ c.reshape(c.shape[0], -1)).reshape(-1, c.shape[1], d_out)
+                block = xa.transpose(2, 0, 1).reshape(-1, c.shape[1]) @ mats[1].T
+                yield coord_norm(t.codomain, block.reshape(d_out, -1), axis=0)
             else:  # output axis first, so each norm reduces along one long contiguous axis
                 rows = [mats[0][lo : lo + block_rows], *mats[1:]]
-                block = _contract(t.body.coefficients, rows, _TUP_LETTERS[:m], output_first=True)
+                block = _contract(c, rows, _TUP_LETTERS[:m], output_first=True)
                 yield coord_norm(t.codomain, block, axis=0).ravel()
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing contraction leaves a root _root refuses

@@ -13,10 +13,18 @@ so no power of an entry under- or overflows at any scale: the weak
 norm is 1-homogeneous and the certificate does not depend on scale.
 Exact fast paths cover the cases where the sup
 has a certified finite witness set (Hilbert domain at q = 2 via the top
-right singular vector, taken from one ``eigh`` of the smaller Gram
-matrix, x^T x or x x^T, at a fraction of an SVD's cost; cube dual balls
+right singular vector, the top eigenvector of the smaller Gram matrix
+G, x^T x or x x^T, at a fraction of an SVD's cost; cube dual balls
 via vertex enumeration; l_1 dual balls via +/- basis extreme points;
-single-vector families via the vector's norming functional).  On the cube at
+single-vector families via the vector's norming functional).  The top
+eigenvector costs one ``eigvalsh`` for the top eigenvalue lam and one
+solve of shifted inverse iteration, (G - sigma I) u = G[:, j] with sigma
+= lam (1 + 4 k eps) for a k x k matrix G.  The start column j is the
+last with the largest diagonal entry, so of tied top directions a basis
+family keeps its last most repeated basis vector.  u is kept when its
+Rayleigh quotient reaches lam (1 - 4 k eps); otherwise, as for a start
+with no component in the top eigenspace, one ``eigh`` gives it.  The
+value is the top singular value to rounding.  On the cube at
 q = 2 each vertex value is the quadratic form s^T G s of the Gram matrix
 G of the sorted rows.  It splits into two half-width sign tables and one
 cross-term gemm, so each of the 2^(d-1) vertices costs two additions.
@@ -71,6 +79,7 @@ from .spaces import (
 
 _VERTEX_MAX_DIM = 20
 _VERTEX_BLOCK_BITS = 11  # the q != 2 vertex path scores 2^10 low sign patterns per block
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,18 +203,52 @@ def _finish(
         raise StructuralError("weak norm exceeds the largest double") from None
 
 
-def _svd_path(x: np.ndarray) -> np.ndarray:
-    """Top right singular vector of x, from one eigendecomposition of the smaller Gram matrix.
+def _top_eigenvector(g: np.ndarray) -> np.ndarray:
+    """A unit top eigenvector of the k x k Gram matrix g, as ``_svd_path`` describes; g is shifted in place."""
+    k = g.shape[0]
+    lam = float(np.linalg.eigvalsh(g)[-1])
+    start = g[:, k - 1 - int(np.argmax(g.diagonal()[::-1]))].copy()
+    sigma = lam * (1.0 + 4.0 * k * _EPS)
+    g.flat[:: k + 1] -= sigma  # the shift does not move eigenvectors, so the fallback takes g as it is
+    try:
+        u = np.linalg.solve(g, start)
+    except np.linalg.LinAlgError:  # sigma is an exact eigenvalue of the rounded g
+        return np.linalg.eigh(g)[1][:, -1]
+    u /= math.sqrt(u @ u)
+    # u^T g u = sigma + u^T (g - sigma I) u, whose second term is small
+    if sigma + u @ (g @ u) >= lam * (1.0 - 4.0 * k * _EPS):
+        return u
+    return np.linalg.eigh(g)[1][:, -1]
 
-    ``eigh`` lists eigenvalues in ascending order and the last column is
-    taken, so of tied top directions a basis family gets e_d.  The sign
+
+def _svd_path(x: np.ndarray) -> np.ndarray:
+    """Top right singular vector of x, from the top eigenvector of the smaller Gram matrix G (k x k).
+
+    lam = ``eigvalsh(G)[-1]`` is the top eigenvalue to rounding, and
+    lam >= 1 because the rows are rescaled so that their largest |entry|
+    is at least 1.  One solve of (G - sigma I) u = G[:, j], with sigma =
+    lam (1 + 4 k eps) just above lam, multiplies the start's component
+    in the top eigenspace by 1 / (sigma - lam) and one along an
+    eigenvalue mu by 1 / (sigma - mu), so the first outgrows the second
+    by about (lam - mu) / (4 k eps lam), and u is a top eigenvector to
+    rounding unless mu lies within a few k eps of lam.  The start column
+    j is the last with the largest diagonal entry: of tied top
+    directions a basis family gets its last most repeated basis vector.
+    u is kept if its Rayleigh quotient u^T G u reaches
+    lam (1 - 4 k eps).  A start with no component in the top
+    eigenspace, such as a block-diagonal G whose largest diagonal entry
+    lies in a lower block, fails that check, and one ``eigh`` gives the
+    eigenvector instead.
+    Either way the value the caller reports, the q-sum at the unit
+    certificate, is the top singular value to rounding: within about
+    2 k eps below it, and never above it by more than rounding.  The sign
     makes the largest |entry| positive.
     """
     n, d = x.shape
     if n >= d:
-        phi = np.linalg.eigh(x.T @ x)[1][:, -1]
+        phi = _top_eigenvector(x.T @ x)
     else:  # phi = x^T u / ||x^T u|| for the top eigenvector u of x x^T
-        phi = x.T @ np.linalg.eigh(x @ x.T)[1][:, -1]
+        phi = x.T @ _top_eigenvector(x @ x.T)
         phi /= math.sqrt(phi @ phi)
     return -phi if phi[int(np.argmax(np.abs(phi)))] < 0 else phi
 

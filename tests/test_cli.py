@@ -278,7 +278,33 @@ def test_config_validation_edges(tmp_path, capsys, config, code):
     assert ("config schema violation" in capsys.readouterr().err) == (code == 2)
 
 
-_QUIET = {"random_starts": 0, "sweeps": 0}
+@pytest.mark.parametrize(
+    "whole, integral",
+    [
+        ({"seed": 2, "experiments": []}, {"seed": 2.0, "experiments": []}),
+        (
+            {"seed": 3, "experiments": [{**_VALID, "map": {"kind": "tensor", "m": 2}}]},
+            {"seed": 3, "experiments": [{**_VALID, "map": {"kind": "tensor", "m": 2.0}}]},
+        ),
+        (
+            {"experiments": [{**_VALID, "n_grid": [2, 4], "map": {"kind": "identity", "space": {**_SPACE_2, "dim": 3}}}]},
+            {"experiments": [{**_VALID, "n_grid": [2.0, 4.0], "map": {"kind": "identity", "space": {**_SPACE_2, "dim": 3.0}}}]},
+        ),
+    ],
+    ids=["seed", "map-m", "n-grid-and-dim"],
+)
+def test_integral_floats_are_written_as_integers(tmp_path, whole, integral):
+    # a value the schema types as integer is written back as one, so 2.0 and 2 give the same bytes
+    outputs = []
+    for name, config in (("whole", whole), ("integral", integral)):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name), "--threads", "1"]) == 0
+        outputs.append((tmp_path / name / "results.json").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+_QUIET ={"random_starts": 0, "sweeps": 0}
 # configs at the edge of the float range: each exits 0 or 2, never through a traceback
 _DENSE_HUGE = {"kind": "dense", "shape": [2, 2], "data": [1.7e308] * 4, "domain": [_SPACE_2], "codomain": _SPACE_2}
 _FLOAT_EDGE = {

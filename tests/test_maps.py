@@ -236,7 +236,28 @@ def test_mixed_power_sum_chunking_at_benchmark_size(rng, monkeypatch):
     assert values[0] == values[1] == values[2]
 
 
-@pytest.mark.parametrize("rows", [(2.0**53, 1.0, 1.0, 1.0), (2.0**53, 1.0, 1.0), (2.0**53,) + (1.0,) * maps._BINNED_MIN_TERMS])
+@pytest.mark.parametrize(
+    "shape, n, matmul",
+    [((16, 16, 8), 200, True), ((16, 16, 8), 100, True), ((6, 6, 4), 32, True), ((3, 3, 2), 64, True), ((5, 7, 3), 11, False)],
+)
+def test_arity_two_chunks_keep_einsum_bits(rng, monkeypatch, shape, n, matmul):
+    # a chunk taken as one matmul gives the norms of _contract's einsum bit for bit; where einsum
+    # contracts the second family first, the chunk is _contract's
+    d1, d2, d_out = shape
+    assert maps._first_slot_first(min(n, maps._CHUNK_ELEMS // (n * d_out)), n, shape) == matmul
+    fams = [random_family(rng, _l2(d1), n), random_family(rng, _l2(d2), n)]
+    coefficients = rng.standard_normal(shape) / d1
+    monkeypatch.setattr(maps, "_root", lambda p, count, factors: np.concatenate(list(factors()[0])))
+    for cod in (_l2(d_out), sl.lp(1.5, d_out), sl.sup_slice(d_out)):
+        t = sl.MultilinearMap((_l2(d1), _l2(d2)), cod, sl.DenseTensor(coefficients))
+        with monkeypatch.context() as planned:
+            planned.setattr(maps, "_first_slot_first", lambda rows, n, shape: False)
+            want = sl.mixed_power_sum(t, fams, 3.0)
+        got = sl.mixed_power_sum(t, fams, 3.0)
+        assert got.shape == (n * n,) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows",[(2.0**53, 1.0, 1.0, 1.0), (2.0**53, 1.0, 1.0), (2.0**53,) + (1.0,) * maps._BINNED_MIN_TERMS])
 def test_mixed_power_sum_is_one_correctly_rounded_sum(monkeypatch, rows):
     # rounding each chunk's sum first gives 2^53 + 2 for (2^53, 1 | 1, 1) instead of 2^53 + 4,
     # and 2^53 for 2^53 followed by 2^12 ones instead of 2^53 + 2^12

@@ -296,6 +296,49 @@ def test_hilbert_path_permutation_bit_identical(rng):
         np.testing.assert_array_equal(r1.certificate.coords, r2.certificate.coords)
 
 
+def test_hilbert_path_falls_back_when_the_start_misses_the_top_eigenspace(rng, monkeypatch):
+    # the Gram matrix, x^T x at n >= d and x x^T at n < d, is block diagonal, and its largest diagonal
+    # entry (3.61) lies in the lower block: the inverse-iteration start has no top component, and
+    # eigh gives the eigenvector
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda g: calls.append(g.shape) or eigh(g))
+    rows = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.9, 0.0]])
+    for x in (rows[:, :3], rows):
+        fam = sl.VectorFamily(sl.lp(2, x.shape[1]), x)
+        res = sl.weak_norm(fam, 2.0)
+        assert res.exact
+        assert res.value == pytest.approx(np.linalg.svd(x, compute_uv=False)[0], rel=1e-13, abs=0)
+        assert family_q_sum(fam, 2.0, res.certificate.coords) == res.value
+    assert len(calls) == 2
+    # a start with a top component needs no eigh
+    sl.weak_norm(sl.VectorFamily(sl.lp(2, 8), rng.standard_normal((20, 8))), 2.0)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n, d, index", [(4, 4, 3), (3, 8, 0), (10, 4, 1), (128, 128, 127), (1, 5, 0), (7, 3, 0)])
+def test_hilbert_path_basis_certificates(n, d, index):
+    # of tied top directions a basis or cycling-basis family keeps its last most repeated basis vector
+    res = sl.weak_norm(sl.VectorFamily.basis(sl.lp(2, d), n), 2.0)
+    assert res.certificate.coords.tolist() == np.eye(1, d, index)[0].tolist()
+    assert res.value == math.sqrt(-(-n // d))  # the most repeated basis vector's count
+
+
+@pytest.mark.parametrize("n, d", [(9, 6), (6, 9), (40, 8)])
+def test_hilbert_path_near_degenerate_top_pair(rng, n, d):
+    # sigma_1 / sigma_2 - 1 = 1e-12 is below what one solve separates at every start; the
+    # value stays within 1e-13 of the SVD's
+    k = min(n, d)
+    u = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((d, k)))[0]
+    s = np.concatenate(([1.0 + 1e-12, 1.0], np.linspace(0.7, 0.1, k - 2)))
+    x = (u * s) @ v.T
+    fam = sl.VectorFamily(sl.lp(2, d), x)
+    res = sl.weak_norm(fam, 2.0)
+    assert res.exact
+    assert res.value == pytest.approx(np.linalg.svd(x, compute_uv=False)[0], rel=1e-13, abs=0)
+    assert family_q_sum(fam, 2.0, res.certificate.coords) == res.value
+
+
 def test_random_l2_q2_vs_sampling_oracle(rng):
     fam = random_family(rng, sl.lp(2, 3), 4)
     svd = sl.weak_norm(fam, 2.0).value
