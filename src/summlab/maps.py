@@ -19,22 +19,24 @@ with vector targets y_j into a cotype-r codomain, or scalar valued
 coefficient normalization sum |a_j|^(r/p) = 1 is enforced at
 construction.
 
+Every dense contraction takes the slots in one order, the slot order,
+each slot by one matmul, so dense maps and polynomials of any order are
+accepted.  A batch of rows (a polynomial's arguments, a search's
+starts) contracts the tensor with row r of every slot's matrix.
+
 The mixed power sum of the outer-product map is a closed form: the sum
 over tuples factorises into a product of per-slot sums.  Dense bodies
-enumerate all n^m argument tuples in chunks of the leading index, each
-of about 2^16 output entries, so a chunk's temporaries stay in cache.
-From arity 2 on a chunk is laid out output axis first, and each tuple's
-norm is a reduction along that long, contiguous axis.  At arity 2 a
-chunk is two plain matmuls: its rows' partial sums
-xa[o, u, b] = sum_a x_ua c_abo, then xa times the second family.  Those
-are the products einsum's planned path takes whenever it contracts the
-first family first, as it does for domains of one dimension, so the
-bits are einsum's; otherwise, and from arity 3 on, a chunk is an
-einsum.  Every term goes
-into one exact sum, rounded once: below 2^12 terms ``math.fsum`` over a
-list, from there on a binned sum of the terms' mantissas by exponent,
-which runs at array speed.  So the result depends neither on the
-chunking nor on the row order; near the edge of the float range the
+enumerate all n^m argument tuples, at most the tuple budget, in chunks
+of the leading index, each of about 2^16 output entries, so a chunk's
+temporaries stay in cache.  A chunk is one chain in slot order: its rows
+of the first family times the tensor, each middle family broadcast over
+the tuples so far, then the last family with the output axis laid out
+first, so each tuple's norm is a reduction along that long, contiguous
+axis.  At arity 1 the one matmul keeps the output axis last.  Every term
+goes into one exact sum, rounded once: below 2^12 terms ``math.fsum``
+over a list, from there on a binned sum of the terms' mantissas by
+exponent, which runs at array speed.  So the result depends neither on
+the chunking nor on the row order; near the edge of the float range the
 norms are divided by the largest.  A linear map's operator norm is a
 weak norm.
 """
@@ -42,7 +44,6 @@ weak norm.
 from __future__ import annotations
 
 import base64
-import functools
 import json
 import math
 import struct
@@ -71,8 +72,6 @@ _CHUNK_ELEMS = 1 << 16  # output entries per dense chunk; see the module docstri
 _BINNED_MIN_TERMS = 1 << 12  # from this many terms on the binned sum beats math.fsum; both are exact
 _BIN_TERMS = 1 << 26  # a bin's float sums of mantissa halves stay exact below this many terms
 _BIN_UNIT = 1 << 1126  # a binned sum counts in units of 2^-1126: 2^-1074 is 2^52 of them
-_DOM_LETTERS = "abcdef"
-_TUP_LETTERS = "uvwxyz"
 _SMALL = math.ldexp(1.0, 53 - 1022)  # 2^53 times the smallest normal double: underflow moves a larger sum < 1 ulp
 
 
@@ -224,50 +223,28 @@ class HomogeneousPolynomial:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=256)
-def _einsum_path(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> list:
-    """The contraction path ``np.einsum(..., optimize=True)`` plans for operands of these shapes.
+def _batch_contract(coefficients: np.ndarray, mats, u: np.ndarray | None = None) -> np.ndarray:
+    """The coefficient tensor contracted with row r of each slot's (r, d_i) matrix, r over the batch.
 
-    Planning costs about as much as a small contraction, so each
-    subscripts-and-shapes pair is planned once.
+    The slots are contracted in slot order: the first by one matmul, each
+    later one by one batched matmul.  A ``None`` slot stays free: its axis
+    is moved next to the output axis first.  The result is
+    (r, [d_free,] d_out), or (r, [d_free]) when ``u`` (r x d_out)
+    contracts the output axis, which sets r when every slot is free.
     """
-    return np.einsum_path(subscripts, *(np.broadcast_to(0.0, s) for s in shapes), optimize="greedy")[0]
-
-
-def _contract(
-    coefficients: np.ndarray, mats, letters: str, u: np.ndarray | None = None, *, output_first: bool = False
-) -> np.ndarray:
-    """einsum of a coefficient tensor with one (k_i, d_i) matrix per domain axis i.
-
-    ``letters[i]`` names matrix i's row index: one shared letter gives a batch,
-    distinct letters every tuple.  A ``None`` matrix leaves its axis free;
-    ``u`` (batch x d_out) contracts the output axis.  The output axis comes
-    last, or first with ``output_first``.
-    """
-    dom = _DOM_LETTERS[: len(mats)]
-    kept = [i for i, mat in enumerate(mats) if mat is not None]
-    subs = [letters[i] + dom[i] for i in kept] + [dom + "o"]
-    operands = [mats[i] for i in kept] + [coefficients]
-    free = "".join(dom[i] for i in range(len(mats)) if mats[i] is None)
+    m = len(mats)
+    free = [i for i, x in enumerate(mats) if x is None]
+    y = np.moveaxis(coefficients, free, range(m - len(free), m))
+    tail = y.shape[m - len(free) :]
+    xs = [x for x in mats if x is not None]
+    if xs:
+        y = xs[0] @ y.reshape(xs[0].shape[1], -1)
+    for x in xs[1:]:
+        y = (x[:, None, :] @ y.reshape(len(x), x.shape[1], -1))[:, 0]
+    y = y.reshape(-1, *tail)
     if u is None:
-        out = "".join(dict.fromkeys(letters[i] for i in kept)) + free
-        out = "o" + out if output_first else out + "o"
-    else:
-        subs.append(letters[0] + "o")
-        operands.append(u)
-        out = letters[0] + free
-    subscripts = ",".join(subs) + "->" + out
-    return np.einsum(subscripts, *operands, optimize=_einsum_path(subscripts, tuple(op.shape for op in operands)))
-
-
-def _first_slot_first(rows: int, n: int, shape: tuple[int, ...]) -> bool:
-    """Whether einsum's path for an arity-2 chunk of ``rows`` x n tuples contracts the first family first.
-
-    It does when both domains have one dimension; otherwise the greedy
-    planner picks the order from the shapes, and the chunk keeps
-    ``_contract`` so that its bits do not change.
-    """
-    return _einsum_path("ua,vb,abo->ouv", ((rows, shape[0]), (n, shape[1]), shape))[1] == (0, 2)
+        return y
+    return (y.reshape(len(y), -1, u.shape[1]) @ u[:, :, None]).reshape(len(u), *tail[:-1])
 
 
 def eval_multilinear(t: MultilinearMap, args) -> Vector:
@@ -300,7 +277,7 @@ def _poly_outputs(p: HomogeneousPolynomial, rows: np.ndarray) -> np.ndarray:
     """P applied to every row of an (k, d) matrix -> (k, d_out)."""
     body = p.body
     if isinstance(body, DenseTensor):
-        return _contract(body.coefficients, [rows] * p.degree, "k" * p.degree)
+        return _batch_contract(body.coefficients, [rows] * p.degree)
     g = rows @ body.functionals.T
     terms = body.weights * g**p.degree
     if body.targets is None:
@@ -440,18 +417,17 @@ def mixed_power_sum(
 
     def chunk_norms():
         for lo in range(0, n, block_rows):
-            if m == 1:  # one matmul
-                block = mats[0][lo : lo + block_rows] @ c
-                yield coord_norm(t.codomain, block, axis=-1).ravel()
-            elif m == 2 and _first_slot_first(min(block_rows, n - lo), n, c.shape):
-                # einsum's two products as matmuls: xa[o, u, b] = sum_a x_ua c_abo, then xa times the second family
-                xa = (mats[0][lo : lo + block_rows] @ c.reshape(c.shape[0], -1)).reshape(-1, c.shape[1], d_out)
-                block = xa.transpose(2, 0, 1).reshape(-1, c.shape[1]) @ mats[1].T
-                yield coord_norm(t.codomain, block.reshape(d_out, -1), axis=0)
-            else:  # output axis first, so each norm reduces along one long contiguous axis
-                rows = [mats[0][lo : lo + block_rows], *mats[1:]]
-                block = _contract(c, rows, _TUP_LETTERS[:m], output_first=True)
-                yield coord_norm(t.codomain, block, axis=0).ravel()
+            # slot order: the chunk's rows of the first family, each middle family broadcast
+            # over the tuples so far, then the last family with the output axis laid out first
+            y = mats[0][lo : lo + block_rows] @ c.reshape(c.shape[0], -1)
+            if m == 1:
+                yield coord_norm(t.codomain, y, axis=-1)
+                continue
+            for x in mats[1:-1]:
+                y = (x @ y.reshape(len(y), x.shape[1], -1)).reshape(len(y) * n, -1)
+            last = mats[-1]
+            block = y.reshape(len(y), last.shape[1], d_out).transpose(2, 0, 1).reshape(-1, last.shape[1]) @ last.T
+            yield coord_norm(t.codomain, block.reshape(d_out, -1), axis=0)
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing contraction leaves a root _root refuses
         return _root(p, n**m, lambda: [chunk_norms()])
@@ -518,14 +494,14 @@ def _search_multilinear_norm(t: MultilinearMap, budget: SearchBudget) -> Operato
     )
 
     def objective(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = _contract(t.body.coefficients, np.hsplit(rows, cuts), "r" * m)
+        y = _batch_contract(t.body.coefficients, np.hsplit(rows, cuts))
         return coord_norm(t.codomain, y, axis=1), y
 
     def propose(rows: np.ndarray, y: np.ndarray, step: np.ndarray) -> np.ndarray:
         xs = np.hsplit(rows, cuts)
         u = norming_rows(t.codomain, y)
         for i, s in enumerate(t.domain):
-            c = _contract(t.body.coefficients, [None if j == i else xs[j] for j in range(m)], "r" * m, u)
+            c = _batch_contract(t.body.coefficients, [None if j == i else xs[j] for j in range(m)], u)
             xs[i] = norming_rows(dual(s), c)
         return np.hstack(xs)
 
@@ -539,7 +515,7 @@ def _batch_poly_gradients(p: HomogeneousPolynomial, x: np.ndarray, u: np.ndarray
     if isinstance(body, DenseTensor):
         grad = np.zeros_like(x)
         for slot in range(m):
-            grad += _contract(body.coefficients, [None if i == slot else x for i in range(m)], "r" * m, u)
+            grad += _batch_contract(body.coefficients, [None if i == slot else x for i in range(m)], u)
         return grad
     g = x @ body.functionals.T
     tau = u[:, :1] if body.targets is None else u @ body.targets.T

@@ -771,8 +771,25 @@ def test_main_entrypoint(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "1"]) == 0
 
 
+def _ones_dense(m: int, d: int) -> dict:
+    """A dense map spec of arity m with all-one coefficients on l_2^d domains and codomain."""
+    space = {"family": "lp", "p": 2, "dim": d}
+    return {"shape": [d] * (m + 1), "data": [1.0] * d ** (m + 1), "domain": [space] * m, "codomain": space}
+
+
+def test_dense_map_of_arity_seven_runs(tmp_path):
+    # dense maps of any arity run: seven l_2^1 domains, one coefficient
+    experiment = {**_SLOPE, **_QUIET, "name": "dense-m7", "map": {"kind": "dense", **_ones_dense(7, 1)}, "n_grid": [2, 3]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiments": [experiment]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--threads", "1"]) == 0
+    (record,) = json.loads((tmp_path / "out" / "results.json").read_text())["experiments"]
+    assert len(record["samples"]) == 2 and all(math.isfinite(s["quotient"]) for s in record["samples"])
+
+
 # Fuzzing the exit-code contract: map specs drawn from MAP_KINDS with dropped
-# keys, mistyped values, unknown keys and bad assert objects; and experiments
+# keys, mistyped values, unknown keys and bad assert objects, and well-formed
+# dense maps of arity 1 to 8; and experiments
 # drawn from EXPERIMENT_KINDS and ORACLE_CHECKS, with values at the edge of the float range.
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 5) | st.floats(-2, 5) | st.text(max_size=3),
@@ -783,7 +800,6 @@ _SPACES = st.fixed_dictionaries(
     {"family": st.sampled_from(["lp", "sup"])},
     optional={"p": st.sampled_from([1, 1.5, 2, 3, "inf"]), "dim": st.sampled_from(["n", 2, 4])},
 )
-_DENSE = {"shape": [2, 2], "data": [1.0, 0.5, 0.0, 1.0], "domain": [_SPACE_2], "codomain": _SPACE_2}
 _ASSERTS = st.dictionaries(st.sampled_from([*ASSERT_KEYS, "slop"]), st.floats() | _JSON, max_size=3) | _JSON
 _EXPONENTS = st.sampled_from([0.5, 1, 2, 3, 4, 1e-300, 1e300])
 _SMALL = st.sampled_from([1, 2, 3, 4])
@@ -807,9 +823,12 @@ _TYPICAL = {
 @st.composite
 def _fuzzed_maps(draw):
     name = draw(st.sampled_from(list(MAP_KINDS)))
+    dense = _ones_dense(draw(st.integers(1, 8)), draw(st.sampled_from([1, 2])))
+    if name == "dense" and draw(st.booleans()):
+        return {"kind": name, **dense}  # well formed, so that every arity reaches the numerics
     spec = {"kind": name}
     for key, (_, default) in MAP_KINDS[name].keys.items():
-        typical = [v for v in (default, _DENSE.get(key)) if v is not None]
+        typical = [v for v in (default, dense.get(key)) if v is not None]
         value = st.sampled_from(typical) if typical else st.floats(0.1, 4)
         if draw(st.booleans()):
             spec[key] = draw(st.one_of(value, st.integers(-1, 4), st.floats(-1, 4), _SPACES, _JSON))
@@ -866,6 +885,7 @@ def _exit_code(experiment: dict) -> int:
 @given(_fuzzed_slopes())
 # n ** 1e308 overflows a float
 @example({**_SLOPE, **_QUIET, "map": {"kind": "tensor"}, "assert": {"cap_exponent": 1e308}})
+@example({**_SLOPE, **_QUIET, "map": {"kind": "dense", **_ones_dense(7, 1)}, "n_grid": [2, 3]})
 def test_fuzzed_map_specs_keep_exit_contract(experiment):
     assert _exit_code(experiment) in (0, 1, 2)
 

@@ -237,24 +237,32 @@ def test_mixed_power_sum_chunking_at_benchmark_size(rng, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "shape, n, matmul",
+    "shape, n, bitwise",
     [((16, 16, 8), 200, True), ((16, 16, 8), 100, True), ((6, 6, 4), 32, True), ((3, 3, 2), 64, True), ((5, 7, 3), 11, False)],
 )
-def test_arity_two_chunks_keep_einsum_bits(rng, monkeypatch, shape, n, matmul):
-    # a chunk taken as one matmul gives the norms of _contract's einsum bit for bit; where einsum
-    # contracts the second family first, the chunk is _contract's
+def test_arity_two_chunks_keep_einsum_bits(rng, monkeypatch, shape, n, bitwise):
+    # an arity-2 chunk is two matmuls, its rows' partial sums xa[o, u, b] = sum_a x_ua c_abo and then
+    # xa times the second family: the products of einsum's greedy path wherever that path contracts
+    # the first family first, so the norms are einsum's bit for bit; at (5, 7, 3) the path contracts
+    # the second family first, and the norms agree to rounding
     d1, d2, d_out = shape
-    assert maps._first_slot_first(min(n, maps._CHUNK_ELEMS // (n * d_out)), n, shape) == matmul
     fams = [random_family(rng, _l2(d1), n), random_family(rng, _l2(d2), n)]
     coefficients = rng.standard_normal(shape) / d1
+    rows = maps._CHUNK_ELEMS // (n * d_out)
+    chunks = [
+        np.einsum("ua,vb,abo->ouv", fams[0].matrix[lo : lo + rows], fams[1].matrix, coefficients, optimize="greedy")
+        for lo in range(0, n, rows)
+    ]
     monkeypatch.setattr(maps, "_root", lambda p, count, factors: np.concatenate(list(factors()[0])))
     for cod in (_l2(d_out), sl.lp(1.5, d_out), sl.sup_slice(d_out)):
         t = sl.MultilinearMap((_l2(d1), _l2(d2)), cod, sl.DenseTensor(coefficients))
-        with monkeypatch.context() as planned:
-            planned.setattr(maps, "_first_slot_first", lambda rows, n, shape: False)
-            want = sl.mixed_power_sum(t, fams, 3.0)
+        want = np.concatenate([coord_norm(cod, chunk, axis=0).ravel() for chunk in chunks])
         got = sl.mixed_power_sum(t, fams, 3.0)
-        assert got.shape == (n * n,) and got.tobytes() == want.tobytes()
+        assert got.shape == (n * n,)
+        if bitwise:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("rows",[(2.0**53, 1.0, 1.0, 1.0), (2.0**53, 1.0, 1.0), (2.0**53,) + (1.0,) * maps._BINNED_MIN_TERMS])
@@ -304,17 +312,27 @@ def test_power_total_of_a_non_finite_block():
 
 
 @pytest.mark.parametrize("m", [2, 3])
-def test_output_major_norms_match_row_major_norms(rng, m):
-    # a norm along the output axis laid out first sums in order; along the last axis numpy sums
-    # 8 entries or more pairwise, so those norms agree to rounding only
-    letters = "uvw"[:m]
+def test_output_major_norms_match_row_major_norms(rng, monkeypatch, m):
+    # a chunk lays the output axis out first, and a norm along it sums in order; along the last
+    # axis numpy sums 8 entries or more pairwise, so those norms agree to rounding only
+    blocks = []
+
+    def recorded(space, block, axis):
+        blocks.append(block)
+        return coord_norm(space, block, axis=axis)
+
+    monkeypatch.setattr(maps, "coord_norm", recorded)
     for cod_p in (1.0, 2.0, 3.0, math.inf):
         for d_out in range(1, 17):
             cod = sl.lp(cod_p, d_out)
-            coefficients = rng.standard_normal((3,) * m + (d_out,))
-            mats = [rng.standard_normal((int(rng.integers(1, 6)), 3)) for _ in range(m)]
-            rows = coord_norm(cod, maps._contract(coefficients, mats, letters), axis=-1)
-            cols = coord_norm(cod, maps._contract(coefficients, mats, letters, output_first=True), axis=0)
+            t = sl.MultilinearMap((_l2(3),) * m, cod, sl.DenseTensor(rng.standard_normal((3,) * m + (d_out,))))
+            n = int(rng.integers(1, 6))
+            blocks.clear()
+            sl.mixed_power_sum(t, [random_family(rng, _l2(3), n) for _ in range(m)], 2.0)
+            (block,) = blocks
+            assert block.shape == (d_out, n**m) and block.flags.c_contiguous
+            cols = coord_norm(cod, block, axis=0)
+            rows = coord_norm(cod, np.ascontiguousarray(block.T), axis=-1)
             if d_out < 8 or cod.is_sup:
                 assert rows.tobytes() == cols.tobytes()
             else:
@@ -524,6 +542,45 @@ def test_operator_norm_certificates_feasible(rng):
     assert out.norm() == pytest.approx(res.value, rel=1e-9)
 
 
+def test_degree_seven_dense_polynomial(rng):
+    # slot-order matmuls bound neither the degree nor the arity: the diagonal of the same
+    # tensor through eval_multilinear's tensordot loop is the reference
+    space, cod = _l2(2), sl.lp(1.5, 2)
+    coefficients = rng.standard_normal((2,) * 7 + (2,))
+    poly = sl.HomogeneousPolynomial(7, space, cod, sl.DenseTensor(coefficients))
+    t = sl.MultilinearMap((space,) * 7, cod, sl.DenseTensor(coefficients))
+    fam = random_family(rng, space, 6)
+    want = [sl.eval_multilinear(t, [_vec(space, x)] * 7) for x in fam.matrix]
+    for x, w in zip(fam.matrix, want):
+        np.testing.assert_allclose(sl.eval_polynomial(poly, _vec(space, x)).coords, w.coords, rtol=1e-12, atol=1e-12)
+    expected = math.fsum(w.norm() ** 2.5 for w in want) ** (1 / 2.5)
+    assert sl.poly_power_sum(poly, fam, 2.5) == pytest.approx(expected, rel=1e-12)
+    res = sl.operator_norm(poly)
+    best_basis = max(sl.eval_polynomial(poly, _vec(space, e)).norm() for e in np.eye(2))
+    assert not res.exact and res.value >= best_basis
+    assert sl.eval_polynomial(poly, res.certificate[0]).norm() == pytest.approx(res.value, rel=1e-12)
+
+
+def test_arity_seven_dense_map(rng, monkeypatch):
+    dims = (2, 1, 2, 2, 1, 2, 2)
+    domain = tuple(_l2(d) for d in dims)
+    coefficients = rng.standard_normal(dims + (3,))
+    t = sl.MultilinearMap(domain, _l2(3), sl.DenseTensor(coefficients))
+    fams = [random_family(rng, s, 3) for s in domain]
+    want = sl.brute_force_mixed_sum(t, fams, 3.0)
+    got = sl.mixed_power_sum(t, fams, 3.0)
+    assert got == pytest.approx(want, rel=1e-12)
+    monkeypatch.setattr(maps, "_CHUNK_ELEMS", 7)  # one row per chunk: the same exact sum
+    assert sl.mixed_power_sum(t, fams, 3.0) == got
+    res = sl.operator_norm(t)
+    basis_tuples = itertools.product(*(np.eye(d) for d in dims))
+    best_basis = max(sl.eval_multilinear(t, [_vec(s, e) for s, e in zip(domain, es)]).norm() for es in basis_tuples)
+    assert not res.exact and res.value >= best_basis
+    # on l_2 domains and codomain the Hilbert-Schmidt norm of the coefficients bounds the operator norm
+    assert res.value <= np.linalg.norm(coefficients) * (1 + 1e-12)
+    assert sl.eval_multilinear(t, list(res.certificate)).norm() == pytest.approx(res.value, rel=1e-12)
+
+
 def test_block_step_on_sup_domains_with_zero_slices(rng, small_budget):
     # on sup^d the block step's slot maximiser is sign(c), with 0 where c is 0;
     # the cube's sign vertices (at most 2^8 tuples here) give the exact norm
@@ -561,31 +618,6 @@ def test_dense_container_roundtrip(tmp_path, rng):
     np.testing.assert_array_equal(load_dense_container(path), arr)
     with pytest.raises(StructuralError):
         dense_container_to_array({"shape": [2, 2], "data": [1.0]})
-
-
-def test_contract_plans_each_path_once_with_the_same_bits(rng, monkeypatch):
-    # the cached path is the one optimize=True plans on every call, so the bits agree
-    c2 = rng.standard_normal((3, 4, 2))
-    c3 = rng.standard_normal((3, 4, 5, 2))
-    a, b, c = rng.standard_normal((6, 3)), rng.standard_normal((6, 4)), rng.standard_normal((6, 5))
-    u = rng.standard_normal((6, 2))
-    cases = [
-        (c2, [a, b], "uv", None),
-        (c2, [a, b], "rr", None),
-        (c2, [None, b], "rr", u),
-        (c3, [a, b, c], "uvw", None),
-        (c3, [a, b, c], "rrr", None),
-        (c3, [a, None, c], "rrr", u),
-        (c3, [a[:2], b, c], "uvw", None),
-    ]
-    maps._einsum_path.cache_clear()
-    cached = [maps._contract(*case) for case in cases]
-    again = [maps._contract(*case) for case in cases]
-    assert maps._einsum_path.cache_info().hits == len(cases)
-    monkeypatch.setattr(maps, "_einsum_path", lambda subscripts, shapes: True)
-    for got, repeat, case in zip(cached, again, cases):
-        want = maps._contract(*case)
-        assert np.array_equal(got, want) and np.array_equal(repeat, want)
 
 
 _BASIS = sl.VectorFamily.basis(_l2(3), 3)
