@@ -66,6 +66,7 @@ from .index_lab import (
     Provenance,
     QuotientSample,
     WEAK2_GROWTH_CONSTANT,
+    bound_refs,
     bound_table,
     estimate_index,
     exact_index,

@@ -42,6 +42,7 @@ from .index_lab import (
     DEFAULT_RANDOM_STARTS,
     DEFAULT_SWEEPS,
     MIN_DISTINCT_N,
+    bound_refs,
     bound_table,
     estimate_index,
     exact_cap_violations,
@@ -302,7 +303,6 @@ def _run_slope_experiment(exp: dict, grid: list, budget: SearchBudget, tuple_bud
             over = exact_cap_violations(trace, cap)
             if over:
                 cap_violation = {"n": n, "quotient": over[-1].quotient, "cap": cap}
-    map_order = map_obj.degree if hasattr(map_obj, "degree") else map_obj.arity
     estimate = estimate_index(samples) if len(set(n_grid)) >= MIN_DISTINCT_N else None
 
     assert_rows = []
@@ -320,18 +320,14 @@ def _run_slope_experiment(exp: dict, grid: list, budget: SearchBudget, tuple_bud
     if cap_exp is not None:
         add_assert("quotient_cap", cap_violation is None, f"n^{cap_exp}*(1+{cap_slack})", cap_violation)
 
-    bound_refs = [
-        {"kind": e.kind, "branch": e.branch, "value": e.value}
-        for e in bound_table(int(map_order), p, q)
-        if e.valid
-    ]
     record = {
         "kind": "slope",
         "name": exp["name"],
         "map": exp["map"],
         "p": p,
         "q": q,
-        "bound_refs": bound_refs,
+        # the bounds whose hypotheses the map meets; every grid point's map has the same facts
+        "bound_refs": [{"kind": e.kind, "branch": e.branch, "value": e.value} for e in bound_refs(map_obj, p, q)],
         "samples": [
             {
                 "n": s.n,

@@ -8,17 +8,23 @@ length n:
             prod_i  weak-q norm of the i-th family
 
 (for polynomials the denominator is the weak norm raised to the
-degree).  Growth of the best quotient in n is what the piecewise bound
-tables cap from above and the witness constructions push from below;
+degree).  Growth of the best quotient in n is what the closed-form
+bounds cap from above and the witness constructions push from below;
 the regressed log-log slope is reported as an empirical growth
 exponent, never as a converged index.
+
+The bounds form one table, BOUNDS.  A row is listed at some (m, p, q, r),
+claims a value at some of them (its value function raises ValidityError
+or DomainError elsewhere) and needs some facts of a map, its hypotheses:
+bound_refs cites for a map only the rows whose needs the map meets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,6 +33,7 @@ from .maps import (
     DEFAULT_TUPLE_BUDGET,
     HomogeneousPolynomial,
     MultilinearMap,
+    WitnessBody,
     mixed_power_sum,
     poly_power_sum,
 )
@@ -282,27 +289,15 @@ def estimate_index(samples) -> IndexEstimate:
 
 
 # ---------------------------------------------------------------------------
-# closed-form bound tables
+# closed-form bound formulas
 # ---------------------------------------------------------------------------
 
 
 def _check_mpq(m: int, p: float, q: float) -> None:
-    if m < 1 or int(m) != m:
+    if m is None or not (m >= 1 and m % 1 == 0):  # each guard is written so that NaN fails it
         raise DomainError(f"order m must be a positive integer, got {m}")
-    if not (p > 0 and q > 0):  # written so that NaN fails it
+    if p is None or not (p > 0 and q > 0):
         raise DomainError(f"exponents must be positive, got p = {p}, q = {q}")
-
-
-# (branch label, value function); the function raises where the bound makes no claim
-_Selection = tuple[str, Callable[[], float]]
-
-
-def _mult_upper(m: int, p: float, q: float) -> _Selection:
-    if q <= 2.0:
-        return "q<=2: m/p", lambda: mult_upper_branch(m, p, q, "low_q")
-    if p >= q:
-        return "q>=2, p>=q: mq/(2p)", lambda: mult_upper_branch(m, p, q, "p_ge_q")
-    return "q>=2, p<q: m(qp-2p+2q)/(2qp)", lambda: mult_upper_branch(m, p, q, "p_lt_q")
 
 
 def upper_bound_mult(m: int, p: float, q: float) -> float:
@@ -312,7 +307,7 @@ def upper_bound_mult(m: int, p: float, q: float) -> float:
     m(qp - 2p + 2q)/(2qp) for q >= 2 and p < q.  Continuous at p = q
     and at q = 2.
     """
-    return _mult_upper(m, p, q)[1]()
+    return BOUNDS["mult_upper"].at(m, p, q, None)[1]()
 
 
 def mult_upper_branch(m: int, p: float, q: float, which: str) -> float:
@@ -370,50 +365,34 @@ def pol_cotype_branch_value(branch: str, m: int, p: float, q: float, r: float) -
     raise StructuralError(f"unknown branch {branch!r}")
 
 
-_COTYPE_LABELS = {
-    "a": "(a) m/2",
-    "b": "(b) (mp+2)/(2p) - (mr+q)/(rq)",
-    "c": "(c) m/2",
-    "d": "(d) (r-p)/(pr)",
-}
-_REAL_EVEN_LABELS = {
-    "a": "(a) m/2",
-    "b": "(b) (mp+2)/(2p) - (m+q)/q",
-    "c": "(c) m/2",
-    "d": "(d) (1-p)/p",
-}
-
-
-def _pol_lower(m: int, p: float, q: float, r: float | None) -> _Selection:
-    """The cotype lower-bound table at r; ``r = None`` is the scalar even-degree table, the same table at r = 1."""
-    r_table = 1.0 if r is None else r
+def _pol_lower_at(m: int, p: float, q: float, r: float | None, labels: tuple[str, ...]):
+    """A lower-bound row's (label of p's branch, of ``labels`` for a-d; value function); r = None: the table at r = 1."""
     try:
-        p_low, p_high = cotype_seam_points(m, q, r_table)
+        p_low, p_high = cotype_seam_points(m, q, 1.0 if r is None else r)
     except ZeroDivisionError:  # only off the domain, which the value function reports
         p_low = p_high = math.nan
-    if q >= 2.0:
-        branch = "c" if p <= p_high else "d"
-    else:
-        branch = "a" if p <= p_low else "b"
+    branch = ("c" if p <= p_high else "d") if q >= 2.0 else ("a" if p <= p_low else "b")
+    return labels["abcd".index(branch)], partial(_pol_lower, branch, m, p, q, r)
 
-    def value() -> float:
-        _check_mpq(m, p, q)
-        if r is None:
-            if m % 2 != 0:
-                raise DomainError(f"even degree required, got m = {m}")
-        elif not r >= 2.0:  # each guard is written so that NaN fails it
-            raise DomainError(f"cotype parameter must satisfy r >= 2, got {r}")
-        elif not p < r:
-            raise DomainError(f"requires p < r, got p = {p}, r = {r}")
-        if q < 1.0:
-            raise ValidityError(f"no claim for q < 1 (q = {q})")
-        if branch == "b" and p > p_high:
-            raise ValidityError(f"no claim for q < 2 and p > 2r/(mr+2) = {p_high} (p = {p}, r = {r_table})")
-        if branch == "d" and p >= r_table:
-            raise ValidityError(f"no claim for q >= 2 and p >= r (p = {p}, r = {r_table})")
-        return pol_cotype_branch_value(branch, m, p, q, r_table)
 
-    return (_REAL_EVEN_LABELS if r is None else _COTYPE_LABELS)[branch], value
+def _pol_lower(branch: str, m: int, p: float, q: float, r: float | None) -> float:
+    _check_mpq(m, p, q)
+    if r is None:
+        if m % 2 != 0:
+            raise DomainError(f"even degree required, got m = {m}")
+    elif not r >= 2.0:
+        raise DomainError(f"cotype parameter must satisfy r >= 2, got {r}")
+    elif not p < r:
+        raise DomainError(f"requires p < r, got p = {p}, r = {r}")
+    if q < 1.0:
+        raise ValidityError(f"no claim for q < 1 (q = {q})")
+    r_table = 1.0 if r is None else r
+    p_high = cotype_seam_points(m, q, r_table)[1]
+    if branch == "b" and p > p_high:
+        raise ValidityError(f"no claim for q < 2 and p > 2r/(mr+2) = {p_high} (p = {p}, r = {r_table})")
+    if branch == "d" and p >= r_table:
+        raise ValidityError(f"no claim for q >= 2 and p >= r (p = {p}, r = {r_table})")
+    return pol_cotype_branch_value(branch, m, p, q, r_table)
 
 
 def lower_bound_pol_cotype(m: int, p: float, q: float, r: float) -> float:
@@ -424,7 +403,7 @@ def lower_bound_pol_cotype(m: int, p: float, q: float, r: float) -> float:
     p <= 2r/(mr+2): m/2; (d) q >= 2, 2r/(mr+2) < p < r: (r-p)/(pr).
     Adjacent branches agree at the breakpoints.
     """
-    return _pol_lower(m, p, q, float(r))[1]()  # float: r = None would select the scalar table
+    return BOUNDS["pol_lower_cotype"].at(m, p, q, float(r))[1]()  # float: r = None would list no row
 
 
 def lower_bound_pol_real_even(m: int, p: float, q: float) -> float:
@@ -434,7 +413,7 @@ def lower_bound_pol_real_even(m: int, p: float, q: float) -> float:
     (b) q in [1,2], q/(m+q) <= p <= 2/(m+2): (mp+2)/(2p) - (m+q)/q;
     (c) q >= 2, p <= 2/(m+2): m/2; (d) q >= 2, 2/(m+2) < p < 1: (1-p)/p.
     """
-    return _pol_lower(m, p, q, None)[1]()
+    return BOUNDS["pol_lower_real_even"].at(m, p, q, None)[1]()
 
 
 def seam_continuity_gaps(m: int, q: float, r: float | None = None) -> dict[str, float]:
@@ -480,16 +459,14 @@ def exact_index(case_id: str, *, m: int | None = None, p: float | None = None, r
     l2_to_c0: the order-m diagonal family at (2, 2) gives exactly m/2.
     l1_to_l2: degree-m polynomials at (p, 1) give 1/p - (m+1)/2 for
     2/(2m+1) <= p < 2/(m+1).  sup_to_cotype: linear maps from sup-norm
-    spaces into a cotype-r target at (p, 2) give 1/p - 1/r for
-    2r/(r+2) < p < r.
+    spaces into a target of finite cotype r at (p, 2) give 1/p - 1/r
+    for 2r/(r+2) < p < r.
     """
     if case_id == "l2_to_c0":
-        if m is None or m < 1:
-            raise DomainError("l2_to_c0 needs the order m >= 1")
+        _check_mpq(m, 2.0, 2.0)
         return ExactIndex(case_id, m / 2.0, None, "holds at (p, q) = (2, 2) for every order m")
     if case_id == "l1_to_l2":
-        if m is None or m < 1 or p is None:
-            raise DomainError("l1_to_l2 needs the degree m >= 1 and p")
+        _check_mpq(m, p, 1.0)
         lo, hi = 2.0 / (2.0 * m + 1.0), 2.0 / (m + 1.0)
         if not (lo <= p < hi):
             raise ValidityError(f"l1_to_l2 is exact only for {lo} <= p < {hi}, got p = {p}")
@@ -497,8 +474,8 @@ def exact_index(case_id: str, *, m: int | None = None, p: float | None = None, r
     if case_id == "sup_to_cotype":
         if p is None or r is None:
             raise DomainError("sup_to_cotype needs p and the target cotype r")
-        if r < 2.0:
-            raise DomainError(f"target cotype must satisfy r >= 2, got {r}")
+        if not 2.0 <= r < math.inf:  # written so that NaN fails it
+            raise DomainError(f"target cotype must be a finite r >= 2, got {r}")
         lo, hi = 2.0 * r / (r + 2.0), r
         if not (lo < p < hi):
             raise ValidityError(f"sup_to_cotype is exact only for {lo} < p < {hi}, got p = {p}")
@@ -539,8 +516,36 @@ def weak2_growth_exponent(q: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# assembled bound table
+# the bound table
 # ---------------------------------------------------------------------------
+
+
+class Bound(NamedTuple):
+    """A row of BOUNDS: its entries' kind, the facts it needs, and at(m, p, q, r): None or (branch label, value function)."""
+
+    kind: str
+    needs: frozenset
+    at: Callable
+
+
+BOUNDS = {
+    "mult_upper": Bound("mult_upper", frozenset(), lambda m, p, q, r: (
+        ("q<=2: m/p", partial(mult_upper_branch, m, p, q, "low_q")) if q <= 2.0
+        else ("q>=2, p>=q: mq/(2p)", partial(mult_upper_branch, m, p, q, "p_ge_q")) if p >= q
+        else ("q>=2, p<q: m(qp-2p+2q)/(2qp)", partial(mult_upper_branch, m, p, q, "p_lt_q")))),
+    "pol_upper": Bound("pol_upper", frozenset({"polynomial"}), lambda m, p, q, r: (
+        "1/p" if q <= 2 else "1/p + m(q-2)/(2q)", partial(upper_bound_pol, m, p, q))),
+    "pol_lower_cotype": Bound("pol_lower_cotype", frozenset({"polynomial", "vector codomain"}), lambda m, p, q, r: (
+        None if r is None else _pol_lower_at(m, p, q, r, ("(a) m/2", "(b) (mp+2)/(2p) - (mr+q)/(rq)", "(c) m/2", "(d) (r-p)/(pr)")))),
+    "pol_lower_real_even": Bound("pol_lower_real_even", frozenset({"polynomial", "scalar"}), lambda m, p, q, r: (
+        _pol_lower_at(m, p, q, None, ("(a) m/2", "(b) (mp+2)/(2p) - (m+q)/q", "(c) m/2", "(d) (1-p)/p")))),
+    "l2_to_c0": Bound("exact", frozenset({"multilinear", "l_2 domain", "sup codomain"}), lambda m, p, q, r: (
+        ("l2_to_c0: m/2", lambda: exact_index("l2_to_c0", m=m).value) if p == 2.0 and q == 2.0 else None)),
+    "l1_to_l2": Bound("exact", frozenset({"polynomial", "l_1 domain", "cotype 2 codomain"}), lambda m, p, q, r: (
+        ("l1_to_l2: 1/p - (m+1)/2", lambda: exact_index("l1_to_l2", m=m, p=p).value) if q == 1.0 else None)),
+    "sup_to_cotype": Bound("exact", frozenset({"sup domain", "cotype r codomain"}), lambda m, p, q, r: (
+        None if q != 2.0 or m != 1 or r is None else ("sup_to_cotype: 1/p - 1/r", lambda: exact_index("sup_to_cotype", p=p, r=r).value))),
+}
 
 
 @dataclass(frozen=True)
@@ -556,27 +561,38 @@ class BoundEntry:
     note: str = ""
 
 
+def _entries(m: int, p: float, q: float, r: float | None):
+    """(row, entry) for each row of BOUNDS listed at (m, p, q, r), in table order."""
+    for row in BOUNDS.values():
+        if (listed := row.at(m, p, q, r)) is not None:
+            try:
+                yield row, BoundEntry(row.kind, m, p, q, r, listed[0], float(listed[1]()), True)
+            except (ValidityError, DomainError) as exc:
+                yield row, BoundEntry(row.kind, m, p, q, r, listed[0], None, False, str(exc))
+
+
 def bound_table(m: int, p: float, q: float, r: float | None = None) -> list[BoundEntry]:
-    """Every applicable bound at (m, p, q[, r]), with validity flags."""
-    entries: list[BoundEntry] = []
+    """Every row of BOUNDS listed at (m, p, q[, r]), with validity flags, whatever the map."""
+    return [entry for _, entry in _entries(m, p, q, r)]
 
-    def attempt(kind: str, branch: str, fn, note: str = "") -> None:
-        try:
-            value = fn()
-        except (ValidityError, DomainError) as exc:
-            entries.append(BoundEntry(kind, m, p, q, r, branch, None, False, str(exc)))
-            return
-        entries.append(BoundEntry(kind, m, p, q, r, branch, float(value), True, note))
 
-    attempt("mult_upper", *_mult_upper(m, p, q))
-    attempt("pol_upper", "1/p" if q <= 2 else "1/p + m(q-2)/(2q)", lambda: upper_bound_pol(m, p, q))
-    if r is not None:
-        attempt("pol_lower_cotype", *_pol_lower(m, p, q, r))
-    attempt("pol_lower_real_even", *_pol_lower(m, p, q, None))
-    if p == 2.0 and q == 2.0:
-        attempt("exact", "l2_to_c0: m/2", lambda: exact_index("l2_to_c0", m=m).value)
-    if q == 1.0:
-        attempt("exact", "l1_to_l2: 1/p - (m+1)/2", lambda: exact_index("l1_to_l2", m=m, p=p).value)
-    if q == 2.0 and m == 1 and r is not None:
-        attempt("exact", "sup_to_cotype: 1/p - 1/r", lambda: exact_index("sup_to_cotype", p=p, r=r).value)
-    return entries
+def bound_refs(map_obj, p: float, q: float) -> list[BoundEntry]:
+    """The valid :func:`bound_table` entries at (p, q) of the rows whose needs ``map_obj`` meets.
+
+    m is the map's degree or arity; r is its codomain's cotype, if finite
+    and the map is not scalar valued (a witness without targets).  Needs:
+    mult_upper none; pol_upper polynomial; pol_lower_cotype polynomial,
+    vector codomain; pol_lower_real_even polynomial, scalar; l2_to_c0
+    multilinear, l_2 domain (every slot), sup codomain; l1_to_l2 polynomial,
+    l_1 domain, cotype 2 codomain; sup_to_cotype sup domain, cotype r codomain.
+    """
+    poly = isinstance(map_obj, HomogeneousPolynomial)
+    scalar = isinstance(map_obj.body, WitnessBody) and map_obj.body.targets is None
+    r = None if scalar or map_obj.codomain.is_sup else map_obj.codomain.cotype  # a sup slice's cotype is inf
+    slots = {"sup" if s.is_sup else f"l_{s.exponent:g}" for s in ([map_obj.domain] if poly else map_obj.domain)}
+    facts = {"polynomial" if poly else "multilinear", "scalar" if scalar else "vector codomain"}
+    facts |= {f"{slots.pop()} domain"} if len(slots) == 1 else set()
+    facts |= {"sup codomain"} if map_obj.codomain.is_sup else set()
+    facts |= set() if r is None else {"cotype r codomain", f"cotype {r:g} codomain"}
+    m = map_obj.degree if poly else map_obj.arity
+    return [entry for row, entry in _entries(m, p, q, r) if entry.valid and row.needs <= facts]

@@ -657,6 +657,102 @@ def test_bounds_experiment_csv(tmp_path):
     assert any(line.startswith("mult_upper,2,2.0,2.0") for line in lines)
 
 
+# large.json's bounds sweep, copied here so that the pinned bytes do not follow edits of that file
+_BOUNDS_SWEEP = {
+    "name": "bounds-sweep",
+    "kind": "bounds",
+    "m": [1, 2, 3],
+    "p_values": [0.5, 1, 1.5, 2, 3, 4],
+    "q_values": [1, 1.5, 2, 3, 4],
+    "r": [2, 3],
+}
+
+
+@pytest.mark.parametrize("pinned", ["bound_table.csv", "bounds_sweep.csv"])
+def test_bounds_csv_keeps_its_bytes(tmp_path, pinned):
+    # the bound table's listing conditions, labels and values, as the bundled bound-table
+    # experiment and large.json's bounds sweep wrote them before the table became one list of rows
+    bundled = json.loads(_bundled("identity_growth.json").read_text())["experiments"]
+    experiment = {"bound_table.csv": next(e for e in bundled if e["name"] == "bound-table"), "bounds_sweep.csv": _BOUNDS_SWEEP}[pinned]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiments": [experiment]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "bounds.csv").read_bytes() == (Path(__file__).parent / "data" / pinned).read_bytes()
+
+
+def _n_space(family: str, p=None) -> dict:
+    return {"family": family, "dim": "n", **({} if p is None else {"p": p})}
+
+
+_MULT = ("mult_upper", "q<=2: m/p")
+# name: (map spec, p, q, the (kind, branch) of each bound_refs entry), one slope experiment each
+_BOUND_REF_CASES = {
+    "tensor-l2": ({"kind": "tensor", "m": 2}, 2, 2, [_MULT, ("exact", "l2_to_c0: m/2")]),
+    # l2_to_c0 needs a sup codomain, sup_to_cotype a codomain of finite cotype
+    "identity-l1": ({"kind": "identity", "space": _n_space("lp", 1)}, 2, 2, [_MULT]),
+    "identity-l2": ({"kind": "identity", "space": _n_space("lp", 2)}, 2, 2, [_MULT]),
+    "identity-sup": ({"kind": "identity", "space": _n_space("sup")}, 2, 2, [_MULT]),
+    # l2_to_c0 needs l_2 domains
+    "outer-product-l1": ({"kind": "outer_product", "m": 2, "space": _n_space("lp", 1)}, 2, 2, [_MULT]),
+    # into l_3: the cotype table at r = 3, not the scalar table
+    "cotype-r3": (
+        {"kind": "cotype", "m": 2, "target_r": 3},
+        0.5,
+        2,
+        [_MULT, ("pol_upper", "1/p"), ("pol_lower_cotype", "(c) m/2")],
+    ),
+    "cotype-l1-r2": (
+        {"kind": "cotype", "m": 2, "target_r": 2, "space": _n_space("lp", 1)},
+        0.5,
+        1,
+        [_MULT, ("pol_lower_cotype", "(b) (mp+2)/(2p) - (mr+q)/(rq)"), ("exact", "l1_to_l2: 1/p - (m+1)/2")],
+    ),
+    "real-even": (
+        {"kind": "real_even", "m": 2},
+        0.5,
+        1.5,
+        [_MULT, ("pol_upper", "1/p"), ("pol_lower_real_even", "(b) (mp+2)/(2p) - (m+q)/q")],
+    ),
+    "dense-l1-l3": (
+        {
+            "kind": "dense",
+            "shape": [2, 2, 2],
+            "data": [1, 0, 0, 1, 0, 1, 1, 0],
+            "domain": [{"family": "lp", "p": 1, "dim": 2}, {"family": "lp", "p": 3, "dim": 2}],
+            "codomain": {"family": "lp", "p": 2, "dim": 2},
+        },
+        2,
+        2,
+        [_MULT],
+    ),
+    "dense-sup-l3": (
+        {
+            "kind": "dense",
+            "shape": [2, 2],
+            "data": [1, 0, 0, 1],
+            "domain": [{"family": "sup", "dim": 2}],
+            "codomain": {"family": "lp", "p": 3, "dim": 2},
+        },
+        2,
+        2,
+        [_MULT, ("exact", "sup_to_cotype: 1/p - 1/r")],
+    ),
+}
+
+
+def test_bound_refs_cite_only_bounds_whose_hypotheses_the_map_meets(tmp_path):
+    experiments = [
+        {"name": name, "kind": "slope", "map": spec, "p": p, "q": q, "n_grid": [2], "random_starts": 0, "sweeps": 0}
+        for name, (spec, p, q, _) in _BOUND_REF_CASES.items()
+    ]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 42, "experiments": experiments}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    records = json.loads((tmp_path / "out" / "results.json").read_text())["experiments"]
+    got = {rec["name"]: [(ref["kind"], ref["branch"]) for ref in rec["bound_refs"]] for rec in records}
+    assert got == {name: case[3] for name, case in _BOUND_REF_CASES.items()}
+
+
 def test_bounds_at_huge_p_and_q_are_finite(tmp_path):
     # q * p overflows; m(qp - 2p + 2q)/(2qp) gave NaN here, m(1/2 - 1/q + 1/p) is 1
     cfg = tmp_path / "cfg.json"

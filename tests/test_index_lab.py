@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import summlab as sl
 from summlab.errors import DegenerateInputError, DomainError, StructuralError, ValidityError
 from summlab.index_lab import (
+    BOUNDS,
     cotype_seam_points,
     exact_cap_violations,
     mult_upper_branch,
@@ -420,6 +421,29 @@ def test_exact_cases_match_lower_bound_branches(rng):
         assert got == pytest.approx(sl.index_shift(p2, r, 0.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("m", [1.5, 2.5, math.nan, 0, None])
+def test_exact_cases_refuse_an_order_that_is_not_a_positive_integer(m):
+    # as every other bound does; l2_to_c0 gave m/2 and l1_to_l2 its formula at a fractional m
+    with pytest.raises(DomainError, match="order m must be a positive integer"):
+        sl.exact_index("l2_to_c0", m=m)
+    with pytest.raises(DomainError, match="order m must be a positive integer"):
+        sl.exact_index("l1_to_l2", m=m, p=0.5)
+
+
+@pytest.mark.parametrize("r", [math.inf, math.nan, 1.5])
+def test_sup_to_cotype_refuses_a_target_cotype_that_is_not_finite_and_at_least_2(r):
+    # at r = inf the range check read "exact only for nan < p < inf"
+    with pytest.raises(DomainError, match="target cotype must be a finite r >= 2"):
+        sl.exact_index("sup_to_cotype", p=1.5, r=r)
+
+
+@pytest.mark.parametrize("args", [(2.5, 0.5, 1.0), (1.5, 2.0, 2.0)])
+def test_bound_table_has_no_valid_entry_at_a_fractional_order(args):
+    # the exact cases listed l1_to_l2 = 0.25 and l2_to_c0 = 0.75 as valid here
+    entries = sl.bound_table(*args)
+    assert entries and not any(e.valid for e in entries)
+
+
 def test_index_shift():
     assert sl.index_shift(0.8, 1.0, 0.0) == pytest.approx(0.25, rel=1e-12)
     eps = 1e-6
@@ -535,3 +559,62 @@ def test_bound_table_values_follow_their_branch_labels():
                         assert e.value == raw, (e.kind, e.branch, m, p, q, r)
                         seen.add((e.kind, e.branch))
     assert len(seen) == 3 + 4 + 4  # every branch of the three tables was hit
+
+
+def _dense(domain, codomain):
+    shape = tuple(space.dimension for space in (*domain, codomain))
+    return sl.MultilinearMap(tuple(domain), codomain, sl.DenseTensor(np.ones(shape)))
+
+
+# maps of every kind with their order m, target cotype r and facts, each written out by hand
+_MAPS_WITH_FACTS = [
+    (sl.tensor_witness(2, 3), 2, None, {"multilinear", "vector codomain", "l_2 domain", "sup codomain"}),
+    (sl.identity_witness(sl.lp(1, 3)), 1, 2.0, {"multilinear", "vector codomain", "l_1 domain", "cotype r codomain", "cotype 2 codomain"}),
+    (sl.identity_witness(sl.sup_slice(3)), 1, None, {"multilinear", "vector codomain", "sup domain", "sup codomain"}),
+    (sl.diagonal_product_map(2, 3, sl.lp(1, 3)), 2, None, {"multilinear", "vector codomain", "l_1 domain", "sup codomain"}),
+    (
+        sl.cotype_witness(2, 0.5, sl.lp(2, 3), 3.0, 3)[0],
+        2,
+        3.0,
+        {"polynomial", "vector codomain", "l_2 domain", "cotype r codomain", "cotype 3 codomain"},
+    ),
+    (
+        sl.cotype_witness(2, 0.5, sl.lp(1, 3), 2.0, 3)[0],
+        2,
+        2.0,
+        {"polynomial", "vector codomain", "l_1 domain", "cotype r codomain", "cotype 2 codomain"},
+    ),
+    (sl.real_even_witness(2, 0.5, sl.lp(1.5, 3), 3)[0], 2, None, {"polynomial", "scalar", "l_1.5 domain"}),
+    (_dense([sl.lp(1, 2), sl.lp(3, 2)], sl.lp(2, 2)), 2, 2.0, {"multilinear", "vector codomain", "cotype r codomain", "cotype 2 codomain"}),
+    (_dense([sl.sup_slice(2)], sl.lp(3, 2)), 1, 3.0, {"multilinear", "vector codomain", "sup domain", "cotype r codomain", "cotype 3 codomain"}),
+]
+
+
+def test_bound_refs_are_the_valid_entries_of_the_rows_whose_needs_hold():
+    # each row's hypotheses, as README's bound-reference table states them
+    assert {name: set(row.needs) for name, row in BOUNDS.items()} == {
+        "mult_upper": set(),
+        "pol_upper": {"polynomial"},
+        "pol_lower_cotype": {"polynomial", "vector codomain"},
+        "pol_lower_real_even": {"polynomial", "scalar"},
+        "l2_to_c0": {"multilinear", "l_2 domain", "sup codomain"},
+        "l1_to_l2": {"polynomial", "l_1 domain", "cotype 2 codomain"},
+        "sup_to_cotype": {"sup domain", "cotype r codomain"},
+    }
+    cited = set()
+    for map_obj, m, r, facts in _MAPS_WITH_FACTS:
+        for p in (0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 2.5, 4.0):
+            for q in (1.0, 1.5, 2.0, 3.0):
+                entries = iter(sl.bound_table(m, p, q, r))
+                want = []
+                for name, row in BOUNDS.items():
+                    if row.at(m, p, q, r) is None:
+                        continue
+                    entry = next(entries)  # the table lists its rows in BOUNDS order
+                    assert (entry.kind, entry.branch) == (row.kind, row.at(m, p, q, r)[0])
+                    if entry.valid and row.needs <= facts:
+                        want.append(entry)
+                        cited.add(name)
+                assert next(entries, None) is None
+                assert sl.bound_refs(map_obj, p, q) == want, (map_obj, p, q)
+    assert cited == set(BOUNDS)  # every row is cited by some map

@@ -18,3 +18,4 @@ def test_quickstart_prints_what_it_promises():
     lines = out.getvalue().splitlines()
     assert lines[0] == "3.0 basis"
     assert lines[1] == "1.0"
+    assert lines[-1] == "['mult_upper', 'pol_upper', 'pol_lower_cotype']"
