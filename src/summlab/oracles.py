@@ -72,8 +72,8 @@ def brute_force_weak_norm(family: VectorFamily, q: float, resolution: int = 10**
     Powers are taken on the family times the power of two that brings
     its largest |entry| into [1, 2), and the value is scaled back.
     """
-    if not q > 0:  # written so that NaN fails it
-        raise DomainError(f"weak norm requires q > 0, got {q}")
+    if not 0.0 < q < math.inf:  # written so that NaN fails it
+        raise DomainError(f"weak norm requires 0 < q < inf, got {q}")
     d = family.space.dimension
     if d > _SAMPLER_DIM_CAP:
         raise BudgetError(f"sampling oracle is limited to dimension {_SAMPLER_DIM_CAP}, got {d}")

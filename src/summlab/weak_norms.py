@@ -1,30 +1,26 @@
 """Weak l_q norms of vector families.
 
-For a family x_1, ..., x_n in a space E and q > 0, the weak norm is
+For a family x_1, ..., x_n in a space E and finite q > 0, the weak norm is
 
     sup over phi in the unit ball of E* of ( sum_k |<phi, x_k>|^q )^(1/q),
 
 equivalently the operator norm of the n x d coordinate matrix from the
 dual E* = ``dual(E)`` into l_q^n.  Every result carries its certificate,
-a unit vector of the dual space at which the sum is attained.  Every
-path works on the family's sorted rows times a power of two that brings
-the largest |entry| into [1, 2), and scales the value back at the end,
-so no power of an entry under- or overflows at any scale: the weak
-norm is 1-homogeneous and the certificate does not depend on scale.
+a unit vector of the dual space, and its value is the q-sum that the
+certificate attains, computed in ``_finish`` on every path, searched or
+exact, so ``family_q_sum`` at the certificate reproduces it bit for bit.
+Every path works on the family's sorted rows times a power of two that
+brings the largest |entry| into [1, 2), and scales the value back at
+the end, so no power of an entry under- or overflows at any scale: the
+weak norm is 1-homogeneous and the certificate does not depend on scale.
+A large q still overflows the power of a pairing above 1, and the weak
+norm is then refused as not finite: at q = 1e20 any such pairing, at
+q = 1000 the pairing 3 of three copies of (1, 1, 1) in l_1^3.
 Exact fast paths cover the cases where the sup
 has a certified finite witness set (Hilbert domain at q = 2 via the top
-right singular vector, the top eigenvector of the smaller Gram matrix
-G, x^T x or x x^T, at a fraction of an SVD's cost; cube dual balls
+right singular vector, as ``_svd_path`` describes; cube dual balls
 via vertex enumeration; l_1 dual balls via +/- basis extreme points;
-single-vector families via the vector's norming functional).  The top
-eigenvector costs one ``eigvalsh`` for the top eigenvalue lam and one
-solve of shifted inverse iteration, (G - sigma I) u = G[:, j] with sigma
-= lam (1 + 4 k eps) for a k x k matrix G.  The start column j is the
-last with the largest diagonal entry, so of tied top directions a basis
-family keeps its last most repeated basis vector.  u is kept when its
-Rayleigh quotient reaches lam (1 - 4 k eps); otherwise, as for a start
-with no component in the top eigenspace, one ``eigh`` gives it.  The
-value is the top singular value to rounding.  On the cube at
+single-vector families via the vector's norming functional).  On the cube at
 q = 2 each vertex value is the quadratic form s^T G s of the Gram matrix
 G of the sorted rows.  It splits into two half-width sign tables and one
 cross-term gemm, so each of the 2^(d-1) vertices costs two additions.
@@ -34,18 +30,17 @@ its first min(d, 11) signs and the rest: one gemm scores the low sign
 patterns against the rows and one the high patterns, and each high row
 is added to the low scores in one reused buffer of 2^10 x n doubles
 that stays in cache.  Powers there are products and square roots at
-q in {1, 1.5, 3, 4} and ``np.power`` otherwise.  On every exact path
-the reported value is recomputed from the sorted rows at the chosen
-certificate, so it is attained: on the Hilbert path it is
-the top singular value to rounding and never above it.  Everything else
-falls back to a multistart search from norming, spectral and seeded
-Gaussian start directions.  For q >= 1 the objective is convex, and
+q in {1, 1.5, 3, 4} and ``np.power`` otherwise.  On the Hilbert path
+the value is the top singular value to rounding and never above it.
+Everything else falls back to a multistart search from norming,
+spectral (``_svd_path``'s direction) and seeded Gaussian start
+directions.  For q >= 1 the objective is convex, and
 each row climbs by Boyd's power iteration: the next row is the linear
 argmax over the dual ball of the current (sub)gradient, so the value
 never falls and a row that stops improving sits at a fixed point.
 For q < 1, the only non-convex case, rows take normalised gradient
-steps back onto the dual sphere.  The result is a certified lower bound
-and is labeled exact=False.
+steps back onto the dual sphere.  The result, the q-sum at the best
+row, is a certified lower bound and is labeled exact=False.
 """
 
 from __future__ import annotations
@@ -160,44 +155,40 @@ def _q_sum(x: np.ndarray, q: float, phi: np.ndarray) -> float:
     return math.pow(np.add.reduce(np.abs(x @ phi) ** q), 1.0 / q)
 
 
+def _prepared(family: VectorFamily, q: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """(xc, x, e): the family's canonical rows xc and their rescaled copy x = xc * 2^-e, for a finite q > 0."""
+    if not 0.0 < q < math.inf:  # written so that NaN fails it
+        raise DomainError(f"weak norm requires 0 < q < inf, got {q}")
+    xc = canonical_rows(family.matrix)
+    return (xc, *_rescaled(xc))
+
+
 def family_q_sum(family: VectorFamily, q: float, phi: np.ndarray) -> float:
     """( sum_k |<phi, x_k>|^q )^(1/q) for raw functional coordinates phi.
 
     It is summed over the sorted, rescaled rows, as ``weak_norm`` sums
-    it, so it reproduces an exact path's value bit for bit.
+    it, so at a result's certificate it reproduces the result's value
+    bit for bit, searched or exact.
     """
-    x, e = _rescaled(canonical_rows(family.matrix))
+    _, x, e = _prepared(family, q)
     return math.ldexp(_q_sum(x, q, np.asarray(phi, dtype=float)), e)
 
 
 def _finish(
-    space: SpaceDescriptor,
-    x: np.ndarray,
-    e: int,
-    q: float,
-    value: float | None,
-    phi: np.ndarray,
-    exact: bool,
-    unit: bool = False,
+    space: SpaceDescriptor, x: np.ndarray, e: int, q: float, phi: np.ndarray, exact: bool, unit: bool = False
 ) -> WeakNormResult:
-    """The result for the family with rows x * 2^e, from its value and certificate on the rows x.
+    """The result for the family with rows x * 2^e at the certificate phi on the rows x: its q-sum there.
 
-    A value of None stands for the certificate's own q-sum, which is what
-    every exact path reports.  ``unit`` marks a certificate of
-    dual norm 1 by construction, a sign vector or a basis vector, whose
-    norm is not taken again.
+    ``unit`` marks a certificate of dual norm 1 by construction, a sign
+    vector or a basis vector, whose norm is not taken again.
     """
     cert = Vector(dual(space), phi)
     if not unit and cert.norm() > 1.0 + 1e-9:
         raise StructuralError("weak-norm certificate escaped the dual unit ball")
     try:
-        attained = _q_sum(x, q, phi)
-        if value is None:
-            value = attained
+        value = _q_sum(x, q, phi)
         if not math.isfinite(value):
             raise StructuralError(f"weak norm is not finite ({value})")
-        if abs(attained - value) > 1e-9 * max(1.0, value):
-            raise StructuralError("weak-norm certificate does not reproduce the reported value")
         return WeakNormResult(math.ldexp(value, e), cert, exact)
     except OverflowError:
         raise StructuralError("weak norm exceeds the largest double") from None
@@ -385,9 +376,10 @@ def _search(
     seed = derive_seed(budget.seed, "weak_norm", repr(space), float(q), xc)
 
     members = norming(x[x.any(axis=1)])
-    _, _, vh = np.linalg.svd(x, full_matrices=False)
+    # the Hilbert path's direction; an all-zero family, whose every value is 0, starts at e_1
+    spectral = _svd_path(x) if members.size else np.eye(1, space.dimension)[0]
     fill = max(0, budget.restarts - members.shape[0] - 1)
-    others = unit_rows(ball, np.vstack((vh[:1], quasi_random_directions(fill, space.dimension, seed))))
+    others = unit_rows(ball, np.vstack((spectral, quasi_random_directions(fill, space.dimension, seed))))
 
     # With y = <phi, x_k>, a row's data are the weights w = sign(y) |y|^(q-1),
     # so its gradient is w @ x up to a factor, and its value is
@@ -418,7 +410,8 @@ def _search(
 
     starts = np.vstack((members, others))
     with np.errstate(over="ignore", invalid="ignore"):  # a value beyond the float range is inf or nan; _finish refuses it
-        return _finish(space, x, e, q, *multistart_ascent(starts, objective, propose, budget), exact=False)
+        _, phi = multistart_ascent(starts, objective, propose, budget)
+        return _finish(space, x, e, q, phi, exact=False)
 
 
 def weak_norm_search(family: VectorFamily, q: float, budget: SearchBudget = DEFAULT_BUDGET) -> WeakNormResult:
@@ -426,7 +419,8 @@ def weak_norm_search(family: VectorFamily, q: float, budget: SearchBudget = DEFA
 
     Restarts seed from the norming functionals of every family member
     (which guarantees the result is at least max_k ||x_k||), one
-    spectral start, and seeded Gaussian directions (the seed is derived
+    spectral start (the Hilbert path's ``_svd_path`` direction), and
+    seeded Gaussian directions (the seed is derived
     from the canonical rows, so it is permutation-invariant).  Each
     restart climbs in :func:`~summlab.search.multistart_ascent`.  For
     q >= 1 a step is Boyd's power iteration: the row moves to
@@ -434,22 +428,16 @@ def weak_norm_search(family: VectorFamily, q: float, budget: SearchBudget = DEFA
     over the dual ball, which never lowers the convex objective.  For
     q < 1 a step is a normalised gradient step projected back onto the
     dual sphere.  The search runs on the canonical rows, so a permuted
-    family gets the bit-identical result.
+    family gets the bit-identical result, and its value is the q-sum at
+    the best row, as on every exact path.
     """
-    if not q > 0.0:  # written so that NaN fails it
-        raise DomainError(f"weak norm requires q > 0, got {q}")
-    xc = canonical_rows(family.matrix)
-    x, e = _rescaled(xc)
-    return _search(family.space, xc, x, e, q, budget)
+    return _search(family.space, *_prepared(family, q), q, budget)
 
 
 def weak_norm(family: VectorFamily, q: float, budget: SearchBudget = DEFAULT_BUDGET) -> WeakNormResult:
     """Weak l_q norm of a family: exact on fast paths, else a search lower bound."""
-    if not q > 0.0:  # written so that NaN fails it
-        raise DomainError(f"weak norm requires q > 0, got {q}")
     space = family.space
-    xc = canonical_rows(family.matrix)
-    x, e = _rescaled(xc)
+    xc, x, e = _prepared(family, q)
     # unit: phi is a basis or sign vector
     if not x.any():
         phi, unit = np.eye(1, space.dimension)[0], True
@@ -463,7 +451,7 @@ def weak_norm(family: VectorFamily, q: float, budget: SearchBudget = DEFAULT_BUD
         phi, unit = _column_path(x, q), True
     else:
         return _search(space, xc, x, e, q, budget)
-    return _finish(space, x, e, q, None, phi, exact=True, unit=unit)
+    return _finish(space, x, e, q, phi, exact=True, unit=unit)
 
 
 def weak_norm_vertex_oracle(family: VectorFamily, q: float) -> float:
@@ -478,8 +466,8 @@ def weak_norm_vertex_oracle(family: VectorFamily, q: float) -> float:
     d = space.dimension
     if d > _VERTEX_MAX_DIM:
         raise BudgetError(f"vertex oracle enumerates 2^d vertices; d = {d} exceeds {_VERTEX_MAX_DIM}")
-    if not q > 0.0:  # written so that NaN fails it
-        raise DomainError(f"weak norm requires q > 0, got {q}")
+    if not 0.0 < q < math.inf:  # written so that NaN fails it
+        raise DomainError(f"weak norm requires 0 < q < inf, got {q}")
     x, e = _rescaled(family.matrix)
     best = 0.0
     for start in range(0, 1 << d, 1 << 16):

@@ -21,10 +21,12 @@ from summlab.cli import (
     EXPERIMENT_KINDS,
     MAP_KINDS,
     ORACLE_CHECKS,
+    _build_grid,
     main,
     print_bounds,
     run,
 )
+from summlab.weak_norms import family_q_sum
 
 
 def _bundled(name):
@@ -751,6 +753,33 @@ def test_bound_refs_cite_only_bounds_whose_hypotheses_the_map_meets(tmp_path):
     records = json.loads((tmp_path / "out" / "results.json").read_text())["experiments"]
     got = {rec["name"]: [(ref["kind"], ref["branch"]) for ref in rec["bound_refs"]] for rec in records}
     assert got == {name: case[3] for name, case in _BOUND_REF_CASES.items()}
+
+
+def test_basis_samples_replay_from_the_certificates_in_results_json(tmp_path):
+    # a searched weak norm is the q-sum its certificate attains, so the written certificates
+    # give back each basis sample's quotient bit for bit; ROADMAP direction 1 extends the
+    # same replay to every trace sample
+    exp = {
+        "name": "real-even",
+        "kind": "slope",
+        "map": {"kind": "real_even", "m": 2, "space": {"family": "lp", "p": 1.5, "dim": "n"}},
+        "p": 0.5,
+        "q": 1.5,
+        "n_grid": [4, 8, 16],
+        "random_starts": 0,
+        "sweeps": 0,
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 42, "experiments": [exp]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    results = json.loads((tmp_path / "out" / "results.json").read_text())
+    samples = results["experiments"][0]["samples"]
+    assert [s["strategy"] for s in samples] == ["basis"] * 3
+    for (poly, _), sample in zip(_build_grid(exp, tmp_path), samples):
+        fam = summlab.VectorFamily.basis(poly.domain, sample["n"])
+        (cert,) = sample["certificates"]
+        numerator = summlab.poly_power_sum(poly, fam, 0.5, tuple_budget=results["tuple_budget"])
+        assert numerator / family_q_sum(fam, 1.5, np.array(cert)) ** 2 == sample["quotient"]
 
 
 def test_bounds_at_huge_p_and_q_are_finite(tmp_path):

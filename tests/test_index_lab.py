@@ -17,6 +17,7 @@ from summlab.index_lab import (
     pol_cotype_branch_value,
     power_cap,
 )
+from summlab.weak_norms import family_q_sum
 
 
 def _basis(n):
@@ -59,6 +60,34 @@ def test_polynomial_quotient_matches_direct_evaluation():
 
     zero = sl.HomogeneousPolynomial(2, sl.lp(2, 3), sl.lp(2, 1), sl.DenseTensor(np.zeros((3, 3, 1))))
     assert sl.polynomial_quotient(zero, _basis(3), 2, 2).quotient == 0.0
+
+
+def _replayed(numerator, families, q, certificates, power=1):
+    """A quotient recomputed from its families: numerator over the product of their q-sums at the certificates."""
+    denom = 1.0
+    for fam, cert in zip(families, certificates):
+        denom *= family_q_sum(fam, q, cert)
+    return numerator / denom**power
+
+
+def test_quotient_samples_replay_bit_for_bit_from_their_families(rng, small_budget):
+    # every weak norm, searched or exact, is the q-sum its certificate attains, so each sample
+    # replays from its families; ROADMAP direction 1 extends the same replay to every trace sample
+    cases = [(sl.lp(2, 4), 2.0, 1.5), (sl.lp(2, 4), 1.0, 3.0), (sl.lp(1.5, 5), 2.0, 2.0), (sl.lp(1.5, 5), 3.0, 0.7)]
+    for space, p, q in cases:
+        ident = sl.identity_witness(space)
+        for n in (2, 5, 8):
+            fam = sl.VectorFamily(space, rng.standard_normal((n, space.dimension)))
+            sample = sl.summing_quotient(ident, [fam], p, q, small_budget)
+            numerator = sl.mixed_power_sum(ident, [fam], p)
+            assert _replayed(numerator, [fam], q, sample.family_descriptor.certificates) == sample.quotient
+    for n, q in ((3, 1.5), (4, 2.0), (6, 1.0)):
+        poly, _ = sl.real_even_witness(2, 0.5, sl.lp(1.5, n), n)
+        fam = sl.VectorFamily(poly.domain, rng.standard_normal((n + 1, n)))
+        sample = sl.polynomial_quotient(poly, fam, 0.5, q, small_budget)
+        numerator = sl.poly_power_sum(poly, fam, 0.5)
+        assert _replayed(numerator, [fam], q, sample.family_descriptor.certificates, 2) == sample.quotient
+        assert sample.family_descriptor.conservative
 
 
 def test_quotients_of_scaled_families_do_not_underflow():

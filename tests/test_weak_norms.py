@@ -203,7 +203,7 @@ def test_vertex_and_column_certificates_are_unit_by_construction(rng):
             res = sl.weak_norm(fam, q)
             assert res.exact and res.certificate.norm() == 1.0
             x, e = _rescaled(canonical_rows(fam.matrix))
-            checked = _finish(space, x, e, q, None, res.certificate.coords, exact=True)
+            checked = _finish(space, x, e, q, res.certificate.coords, exact=True)
             assert checked.value == res.value
             assert checked.certificate.coords.tobytes() == res.certificate.coords.tobytes()
 
@@ -510,16 +510,54 @@ def test_weak_norm_never_returns_a_non_finite_value():
     phi = np.array([1.0, 0.0])
     for value in (np.inf, np.nan):
         with pytest.raises(StructuralError, match="not finite"):
-            _finish(sl.lp(2, 2), np.eye(2), 0, 2.0, value, phi, exact=True)
+            _finish(sl.lp(2, 2), np.array([[value, 0.0]]), 0, 2.0, phi, exact=True)
 
 
 def test_q_sum_beyond_the_float_range_is_a_structural_error():
     # eight pairings of 1 at q = 0.001: the q-sum 8^1000 overflows before any value is reported
     with pytest.raises(StructuralError, match="largest double"):
-        _finish(sl.lp(2, 2), np.ones((8, 2)), 0, 0.001, None, np.array([1.0, 0.0]), exact=True)
+        _finish(sl.lp(2, 2), np.ones((8, 2)), 0, 0.001, np.array([1.0, 0.0]), exact=True)
 
 
 def test_searched_weak_norm_beyond_the_float_range_is_a_structural_error():
     # at q = 0.001 the search objective 8^1000 overflows while climbing; the suite turns that warning into an error
     with pytest.raises(StructuralError, match="largest double"):
         sl.weak_norm(sl.VectorFamily.basis(sl.lp(2, 8), 8), 0.001)
+
+
+def test_weak_norms_refuse_an_infinite_q():
+    # the q-sum pow(sum |y|^inf, 1/inf) is 1, so at q = inf rows whose weak inf-norm is 3 read 2
+    rows = np.array([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    l2 = sl.lp(2, 3)
+    calls = [sl.weak_norm, sl.weak_norm_search, lambda fam, q: family_q_sum(fam, q, np.eye(1, 3)[0])]
+    for space in (sl.lp(1, 3), sl.sup_slice(3), l2, sl.lp(1.5, 3)):
+        for call in calls:
+            with pytest.raises(DomainError, match=r"0 < q < inf, got inf"):
+                call(sl.VectorFamily(space, rows), math.inf)
+    with pytest.raises(DomainError, match=r"0 < q < inf, got inf"):
+        sl.weak_norm_vertex_oracle(sl.VectorFamily(sl.lp(1, 3), rows), math.inf)
+    with pytest.raises(DomainError, match=r"0 < q < inf, got inf"):
+        sl.brute_force_weak_norm(sl.VectorFamily(l2, rows), math.inf)
+    ident = sl.identity_witness(l2)
+    with pytest.raises(DomainError, match=r"0 < q < inf, got inf"):
+        sl.summing_quotient(ident, [sl.VectorFamily(l2, rows)], 2.0, math.inf)
+    with pytest.raises(DomainError, match=r"0 < q < inf, got inf"):
+        sl.maximize_quotient(ident, 2, 2.0, math.inf, random_starts=1, sweeps=1)
+
+
+def test_every_weak_norm_is_the_q_sum_its_certificate_attains(rng, small_budget):
+    # the value of every result, searched or exact, is replayed bit for bit by family_q_sum at its certificate
+    for r, q, n in itertools.product((1.0, 1.5, 2.0, 3.0, math.inf), (0.7, 1.0, 1.5, 2.0, 3.0), range(1, 9)):
+        fam = random_family(rng, sl.lp(r, int(rng.integers(1, 6))), n)
+        for res in (sl.weak_norm(fam, q, small_budget), sl.weak_norm_search(fam, q, small_budget)):
+            assert family_q_sum(fam, q, res.certificate.coords) == res.value
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("space", [sl.lp(2, 3), sl.lp(1.5, 3), sl.sup_slice(3)], ids=str)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_forced_search_of_an_all_zero_family_is_zero_at_e1(space, n):
+    # n < d, n = d and n > d: the spectral start has no top direction to take, so every start reads 0
+    res = sl.weak_norm_search(sl.VectorFamily(space, np.zeros((n, 3))), 1.5)
+    assert res.value == 0.0 and not res.exact
+    assert res.certificate.coords.tolist() == [1.0, 0.0, 0.0]
