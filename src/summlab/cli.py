@@ -13,8 +13,10 @@ holds each key's schema and default and the kind's runner, and a run
 validates its config by walking it through the rows.
 
 Exit codes: 0 all declared assertions pass; 1 assertion failure;
-2 config/schema violation, misconfigured experiment, or a value beyond
-the float range.
+2 config/schema violation, misconfigured experiment, a value beyond
+the float range, or an output directory or file that cannot be made or
+written.  Every output is rendered to text first and then written in
+one loop.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import io
 import itertools
 import json
 import math
@@ -464,6 +467,13 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", text).strip("-") or "experiment"
 
 
+def _csv(header: list, rows: list) -> str:
+    """The CSV text of a header and its rows: csv writes None as an empty cell and a float as its repr."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows([header, *rows])
+    return buffer.getvalue()
+
+
 def run(config_path, output_dir, seed: int | None = None, tuple_budget: int = DEFAULT_TUPLE_BUDGET) -> int:
     """Execute a config serially; returns the process exit code."""
     try:
@@ -506,6 +516,9 @@ def run(config_path, output_dir, seed: int | None = None, tuple_budget: int = DE
     except SummLabError as exc:
         print(f"experiment configuration error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # from the two mkdir calls: the maps' builders turn theirs into SummLabError
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
     results = {"seed": seed, "tuple_budget": tuple_budget, "experiments": records}
     metadata = {
@@ -515,55 +528,32 @@ def run(config_path, output_dir, seed: int | None = None, tuple_budget: int = DE
         "config": str(config_path),
     }
     try:  # NaN and Infinity are not JSON: refuse them rather than write a file no JSON parser accepts
-        texts = {
+        files = {
             name: json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
             for name, document in (("results.json", results), ("metadata.json", metadata))
         }
     except ValueError as exc:
         print(f"result error: a non-finite number cannot be written as JSON ({exc})", file=sys.stderr)
         return 2
-    for name, text in texts.items():
-        (out / name).write_text(text, encoding="utf-8")
-
-    with open(out / "bounds.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "m", "p", "q", "r", "branch", "value"])
-        for record in records:
-            if record["kind"] != "bounds":
-                continue
-            for row in record["rows"]:
-                writer.writerow(
-                    [
-                        row["kind"],
-                        row["m"],
-                        row["p"],
-                        row["q"],
-                        "" if row["r"] is None else row["r"],
-                        row["branch"],
-                        "" if row["value"] is None else repr(row["value"]),
-                    ]
-                )
-
-    with open(out / "slopes.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "p", "q", "slope", "intercept", "residual"])
-        for record in records:
-            if record["kind"] == "slope" and "estimate" in record:
-                est = record["estimate"]
-                writer.writerow(
-                    [record["name"], record["p"], record["q"], repr(est["slope"]), repr(est["intercept"]), repr(est["residual"])]
-                )
-
-    for i, record in enumerate(records):
-        if record["kind"] != "slope":
-            continue
-        lines = [
-            f"{math.log(s['n'])!r} {math.log(s['quotient'])!r}"
-            for s in record["samples"]
-            if s["quotient"] > 0
-        ]
-        path = out / "plotdata" / f"{i:02d}_{_slug(record['name'])}.dat"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    bounds = ["kind", "m", "p", "q", "r", "branch", "value"]
+    files["bounds.csv"] = _csv(
+        bounds, [[row[k] for k in bounds] for rec in records if rec["kind"] == "bounds" for row in rec["rows"]]
+    )
+    fit = ["slope", "intercept", "residual"]
+    files["slopes.csv"] = _csv(
+        ["name", "p", "q", *fit],
+        [[rec["name"], rec["p"], rec["q"], *(rec["estimate"][k] for k in fit)] for rec in records if "estimate" in rec],
+    )
+    for i, rec in enumerate(records):
+        if rec["kind"] == "slope":
+            lines = [f"{math.log(s['n'])!r} {math.log(s['quotient'])!r}" for s in rec["samples"] if s["quotient"] > 0]
+            files[f"plotdata/{i:02d}_{_slug(rec['name'])}.dat"] = "\n".join(lines) + "\n"
+    try:
+        for name, text in files.items():
+            (out / name).write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
     failures = [r for r in records if not r.get("passed", True)]
     if failures:

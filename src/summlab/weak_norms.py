@@ -168,10 +168,11 @@ def family_q_sum(family: VectorFamily, q: float, phi: np.ndarray) -> float:
 
     It is summed over the sorted, rescaled rows, as ``weak_norm`` sums
     it, so at a result's certificate it reproduces the result's value
-    bit for bit, searched or exact.
+    bit for bit, searched or exact.  A phi that is not ``dimension``
+    finite coordinates raises StructuralError, as a ``Vector`` does.
     """
     _, x, e = _prepared(family, q)
-    return math.ldexp(_q_sum(x, q, np.asarray(phi, dtype=float)), e)
+    return math.ldexp(_q_sum(x, q, Vector(dual(family.space), phi).coords), e)
 
 
 def _finish(

@@ -682,6 +682,42 @@ def test_bounds_csv_keeps_its_bytes(tmp_path, pinned):
     assert (tmp_path / "out" / "bounds.csv").read_bytes() == (Path(__file__).parent / "data" / pinned).read_bytes()
 
 
+def test_diagonal_growth_outputs_keep_their_bytes(tmp_path):
+    # slopes.csv and plotdata/ of the bundled diagonal_growth.json, as written before every output
+    # was rendered into one table of files; comparing two runs of one tree cannot see a formatting
+    # change that both runs make, such as line endings or str against repr
+    pinned = Path(__file__).parent / "data" / "diagonal_growth"
+    plotdata = [f"{i:02d}_diagonal-m{i + 1}.dat" for i in range(3)]
+    assert run(_bundled("diagonal_growth.json"), tmp_path / "out") == 0
+    assert sorted(os.listdir(tmp_path / "out" / "plotdata")) == plotdata
+    for name in ["slopes.csv", *(f"plotdata/{dat}" for dat in plotdata)]:
+        assert (tmp_path / "out" / name).read_bytes() == (pinned / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "out, blocker, is_dir",
+    [("out", "out", False), ("file/out", "file", False), ("out", "out/plotdata", False), ("out", "out/results.json", True)],
+    ids=["out-is-a-file", "out-below-a-file", "plotdata-is-a-file", "results-json-is-a-directory"],
+)
+def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys, out, blocker, is_dir):
+    # each of these left through a FileExistsError, NotADirectoryError or IsADirectoryError traceback
+    path = tmp_path / blocker
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if is_dir:
+        path.mkdir()
+    else:
+        path.write_text("in the way")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiments": [_VALID]}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and "Traceback" not in err
+    if is_dir:
+        assert path.is_dir() and not any(path.iterdir())
+    else:
+        assert path.read_text() == "in the way"
+
+
 def _n_space(family: str, p=None) -> dict:
     return {"family": family, "dim": "n", **({} if p is None else {"p": p})}
 

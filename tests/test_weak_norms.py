@@ -120,6 +120,14 @@ def test_gram_vertex_path_at_max_dim(rng):
     assert not sl.weak_norm(wide, 2.0).exact
 
 
+@pytest.mark.parametrize("phi", [[math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], [1.0, 0.0]], ids=["nan", "inf", "length-2"])
+def test_family_q_sum_refuses_a_malformed_certificate(phi):
+    # a NaN coordinate gave NaN and a short phi numpy's ValueError from matmul
+    fam = sl.VectorFamily(sl.lp(1.5, 3), np.eye(3))
+    with pytest.raises(StructuralError):
+        family_q_sum(fam, 1.5, phi)
+
+
 def _first_max_vertex(x, q):
     """Lowest vertex number (bit j sets s_(j+1) = +1, s_0 = +1) whose q-sum is the max.
 
