@@ -463,6 +463,10 @@ def _number(kind: type, test: Callable = lambda x: True) -> Callable[[str], floa
     return parse
 
 
+# the name of a slope record's plot file, plotdata/NN_slug.dat
+_PLOT_FILE = re.compile(r"\d{2,}_[A-Za-z0-9._-]+\.dat")
+
+
 def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", text).strip("-") or "experiment"
 
@@ -549,6 +553,10 @@ def run(config_path, output_dir, seed: int | None = None, tuple_budget: int = DE
             lines = [f"{math.log(s['n'])!r} {math.log(s['quotient'])!r}" for s in rec["samples"] if s["quotient"] > 0]
             files[f"plotdata/{i:02d}_{_slug(rec['name'])}.dat"] = "\n".join(lines) + "\n"
     try:
+        # an earlier run's plot files that this run does not write would sit beside the new ones
+        for path in (out / "plotdata").iterdir():
+            if _PLOT_FILE.fullmatch(path.name) and f"plotdata/{path.name}" not in files:
+                path.unlink()
         for name, text in files.items():
             (out / name).write_text(text, encoding="utf-8", newline="")
     except OSError as exc:

@@ -13,9 +13,10 @@ Every path works on the family's sorted rows times a power of two that
 brings the largest |entry| into [1, 2), and scales the value back at
 the end, so no power of an entry under- or overflows at any scale: the
 weak norm is 1-homogeneous and the certificate does not depend on scale.
-A large q still overflows the power of a pairing above 1, and the weak
-norm is then refused as not finite: at q = 1e20 any such pairing, at
-q = 1000 the pairing 3 of three copies of (1, 1, 1) in l_1^3.
+Where a power of the largest pairing could overflow, at a large q, the
+exact paths' scores and the q-sum take the powers of the pairings over
+the largest one.  The search's objective does not: where it overflows,
+the searched weak norm is refused as not finite.
 Exact fast paths cover the cases where the sup
 has a certified finite witness set (Hilbert domain at q = 2 via the top
 right singular vector, as ``_svd_path`` describes; cube dual balls
@@ -151,8 +152,21 @@ def _rescaled(matrix: np.ndarray) -> tuple[np.ndarray, int]:
     return (np.ldexp(matrix, -e) if e else matrix), e
 
 
+def _power_scale(top: float, q: float) -> float:
+    """top where top^q may overflow, else 1; a caller powers its values over this scale.
+
+    The guard is ``maps._power_total``'s: below it no power of a value up
+    to top overflows, nor does a sum of up to 2^63 of them.  Division by
+    1 is exact, so below the guard the powers keep their bits.
+    """
+    return top if 1.0 < top < math.inf and not q * math.log2(top) < 960.0 else 1.0
+
+
 def _q_sum(x: np.ndarray, q: float, phi: np.ndarray) -> float:
-    return math.pow(np.add.reduce(np.abs(x @ phi) ** q), 1.0 / q)
+    """t ( sum_k (|<phi, x_k>| / t)^q )^(1/q), with t the ``_power_scale`` of the largest pairing."""
+    y = np.abs(x @ phi)
+    t = _power_scale(float(y.max()), q)
+    return t * math.pow(np.add.reduce((y / t) ** q), 1.0 / q)
 
 
 def _prepared(family: VectorFamily, q: float) -> tuple[np.ndarray, np.ndarray, int]:
@@ -198,8 +212,14 @@ def _finish(
 def _top_eigenvector(g: np.ndarray) -> np.ndarray:
     """A unit top eigenvector of the k x k Gram matrix g, as ``_svd_path`` describes; g is shifted in place."""
     k = g.shape[0]
+    j = k - 1 - int(np.argmax(g.diagonal()[::-1]))
+    if np.count_nonzero(g) == np.count_nonzero(g.diagonal()):
+        # a diagonal g: the solve below gives g_jj / (g_ii - sigma) = -0.0 off j, so u = -e_j
+        u = np.full(k, -0.0)
+        u[j] = -1.0
+        return u
     lam = float(np.linalg.eigvalsh(g)[-1])
-    start = g[:, k - 1 - int(np.argmax(g.diagonal()[::-1]))].copy()
+    start = g[:, j].copy()
     sigma = lam * (1.0 + 4.0 * k * _EPS)
     g.flat[:: k + 1] -= sigma  # the shift does not move eigenvectors, so the fallback takes g as it is
     try:
@@ -283,6 +303,7 @@ def _vertex_path(xc: np.ndarray, q: float) -> np.ndarray:
     # low_l . x_k[:b] + high_h . x_k[b:].  Each high row h adds its part to
     # the low parts in one reused cache-sized buffer; h outside and l inside
     # is vertex order, so the first strict maximum is the lowest vertex.
+    xc = xc / _power_scale(float(np.abs(xc).sum(axis=1).max()), q)  # no pairing's power overflows
     d = xc.shape[1]
     b = min(d, _VERTEX_BLOCK_BITS)
     low = _vertex_table(b)
@@ -325,7 +346,9 @@ def _gram_vertex(xc: np.ndarray) -> np.ndarray:
 def _column_path(xc: np.ndarray, q: float) -> np.ndarray:
     # Dual ball of a sup slice is the l_1 ball whose extreme points are
     # +/- e_i; for q >= 1 the convex objective peaks at one of them.
-    colvals = np.ones(xc.shape[0]) @ _powered(np.abs(xc), q)
+    a = np.abs(xc)
+    a /= _power_scale(float(a.max()), q)
+    colvals = np.ones(xc.shape[0]) @ _powered(a, q)
     phi = np.zeros(xc.shape[1])
     phi[int(np.argmax(colvals))] = 1.0
     return phi
@@ -410,9 +433,12 @@ def _search(
             return gradient_step(ball, phis, w @ x, step)
 
     starts = np.vstack((members, others))
-    with np.errstate(over="ignore", invalid="ignore"):  # a value beyond the float range is inf or nan; _finish refuses it
-        _, phi = multistart_ascent(starts, objective, propose, budget)
-        return _finish(space, x, e, q, phi, exact=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # a value beyond the float range is inf or nan; it is refused
+        best, phi = multistart_ascent(starts, objective, propose, budget)
+        result = _finish(space, x, e, q, phi, exact=False)
+    if not math.isfinite(best):  # the rows climbed on powers beyond the float range, though their q-sum is finite
+        raise StructuralError(f"weak norm is not finite ({best})")
+    return result
 
 
 def weak_norm_search(family: VectorFamily, q: float, budget: SearchBudget = DEFAULT_BUDGET) -> WeakNormResult:

@@ -718,6 +718,22 @@ def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys, out, blocker
         assert path.read_text() == "in the way"
 
 
+def test_a_reused_out_keeps_only_the_plot_files_of_the_new_run(tmp_path, capsys):
+    # a two-slope run and then a one-slope run into one --out left 00_a.dat and 01_b.dat beside 00_c.dat
+    out = tmp_path / "out"
+    for names in (["a", "b"], ["c"]):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiments": [{**_VALID, "name": name} for name in names]}))
+        (out / "plotdata").mkdir(parents=True, exist_ok=True)
+        (out / "plotdata" / "notes.txt").write_text("not a plot file")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out / "plotdata")) == ["00_c.dat", "notes.txt"]
+    # a stale plot name that cannot be removed is an output error
+    (out / "plotdata" / "07_d.dat").mkdir()
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("output error: ")
+
+
 def _n_space(family: str, p=None) -> dict:
     return {"family": family, "dim": "n", **({} if p is None else {"p": p})}
 

@@ -180,6 +180,22 @@ def test_maximize_quotient_tensor_witness_cap():
     assert all(s.quotient <= cap for s in trace)
 
 
+def test_trace_samples_have_no_dicts_and_share_one_ascent_label_per_start():
+    # a trace keeps one sample and one provenance per evaluated quotient
+    poly, anchors = sl.real_even_witness(2, 0.5, sl.lp(2, 2), 2)
+    _, trace = sl.maximize_quotient(
+        poly, anchors.n, 0.5, 2.0, anchor_families=anchors, random_starts=2, sweeps=3, return_trace=True
+    )
+    for sample in trace:
+        assert not hasattr(sample, "__dict__") and not hasattr(sample.family_descriptor, "__dict__")
+    labels = [sample.family_descriptor.strategy for sample in trace]
+    assert labels[:3] == ["basis", "anchor", "random[0]"]
+    assert set(labels) == {"basis", "anchor", "random[0]", "random[0]+ascent", "random[1]", "random[1]+ascent"}
+    for start in range(2):
+        ascent = [label for label in labels if label == f"random[{start}]+ascent"]
+        assert len(ascent) > 1 and all(label is ascent[0] for label in ascent)
+
+
 def test_maximize_quotient_single_point():
     poly, anchors = sl.real_even_witness(2, 0.5, sl.lp(2, 2), 2)
     best = sl.maximize_quotient(poly, 1, 0.5, 2.0, anchor_families=anchors.permuted([0]), random_starts=1, sweeps=4)
