@@ -59,10 +59,8 @@ class Provenance:
     ``conservative`` is True when any weak norm in the denominator came
     from search (a lower bound), in which case the quotient may
     overestimate; :func:`exact_cap_violations` therefore lets only
-    non-conservative samples fail a cap.  Slotted, as is
-    :class:`QuotientSample`: a trace keeps one of each per evaluated
-    quotient, and without per-instance dicts a trace sample takes about
-    235 B rather than 374 B, its certificate arrays aside.
+    non-conservative samples fail a cap.  It and :class:`QuotientSample`
+    are slotted because a trace keeps one of each per evaluated quotient.
     """
 
     strategy: str
@@ -76,8 +74,6 @@ class Provenance:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class QuotientSample:
-    """A quotient at family length n and its provenance; slotted, as is :class:`Provenance`."""
-
     n: int
     quotient: float
     family_descriptor: Provenance

@@ -212,14 +212,8 @@ def _finish(
 def _top_eigenvector(g: np.ndarray) -> np.ndarray:
     """A unit top eigenvector of the k x k Gram matrix g, as ``_svd_path`` describes; g is shifted in place."""
     k = g.shape[0]
-    j = k - 1 - int(np.argmax(g.diagonal()[::-1]))
-    if np.count_nonzero(g) == np.count_nonzero(g.diagonal()):
-        # a diagonal g: the solve below gives g_jj / (g_ii - sigma) = -0.0 off j, so u = -e_j
-        u = np.full(k, -0.0)
-        u[j] = -1.0
-        return u
     lam = float(np.linalg.eigvalsh(g)[-1])
-    start = g[:, j].copy()
+    start = g[:, k - 1 - int(np.argmax(g.diagonal()[::-1]))].copy()
     sigma = lam * (1.0 + 4.0 * k * _EPS)
     g.flat[:: k + 1] -= sigma  # the shift does not move eigenvectors, so the fallback takes g as it is
     try:
@@ -303,20 +297,33 @@ def _vertex_path(xc: np.ndarray, q: float) -> np.ndarray:
     # low_l . x_k[:b] + high_h . x_k[b:].  Each high row h adds its part to
     # the low parts in one reused cache-sized buffer; h outside and l inside
     # is vertex order, so the first strict maximum is the lowest vertex.
-    xc = xc / _power_scale(float(np.abs(xc).sum(axis=1).max()), q)  # no pairing's power overflows
+    # Every pairing is the largest row l_1 norm at most, to a rounding of
+    # the d-term sums on either side.  Where a power of that could
+    # overflow, the scores power the |pairings| over their largest as
+    # computed, which becomes exactly 1: none overflows, and the best
+    # vertex does not underflow to a score of 0.
     d = xc.shape[1]
+    huge = _power_scale(float(np.abs(xc).sum(axis=1).max()) * (1.0 + 4.0 * d * _EPS), q) != 1.0
     b = min(d, _VERTEX_BLOCK_BITS)
     low = _vertex_table(b)
     lowpart = low @ xc[:, :b].T
     ones = np.ones(xc.shape[0])
     if b == d:
-        return low[int(np.argmax(_powered(np.abs(lowpart, out=lowpart), q) @ ones))]
+        a = np.abs(lowpart, out=lowpart)
+        if huge:
+            a /= a.max()
+        return low[int(np.argmax(_powered(a, q) @ ones))]
     buf, tmp = np.empty_like(lowpart), np.empty_like(lowpart)
     high = _vertex_table(d - b + 1)[:, 1:]
+    highparts = high @ xc[:, b:].T
+    if huge:  # a first pass for the largest |pairing|
+        top = max(float(np.abs(np.add(lowpart, highpart, out=buf), out=buf).max()) for highpart in highparts)
     best, ih, il = -np.inf, 0, 0
-    for h, highpart in enumerate(high @ xc[:, b:].T):
-        np.add(lowpart, highpart, out=buf)
-        vals = _powered(np.abs(buf, out=buf), q, tmp) @ ones
+    for h, highpart in enumerate(highparts):
+        a = np.abs(np.add(lowpart, highpart, out=buf), out=buf)
+        if huge:
+            a /= top
+        vals = _powered(a, q, tmp) @ ones
         j = int(np.argmax(vals))
         if vals[j] > best:
             best, ih, il = vals[j], h, j

@@ -331,37 +331,6 @@ def test_hilbert_path_basis_certificates(n, d, index):
     assert res.value == math.sqrt(-(-n // d))  # the most repeated basis vector's count
 
 
-_DIAGONAL_GRAM = {
-    "basis-n<d": (sl.VectorFamily.basis(sl.lp(2, 3), 2), [1.0, -0.0, -0.0], 1.0),
-    "basis-n=d": (sl.VectorFamily.basis(sl.lp(2, 3), 3), [0.0, 0.0, 1.0], 1.0),
-    "cycling-basis": (sl.VectorFamily.basis(sl.lp(2, 3), 7), [1.0, 0.0, 0.0], 1.7320508075688772),
-    "disjoint-rows-n>d": (
-        sl.VectorFamily(sl.lp(2, 3), np.array([[0, -2.5, 0], [0.5, 0, 0], [0, 0, 1.5], [0, 4.0, 0]])),
-        [0.0, 1.0, 0.0],
-        4.716990566028302,
-    ),
-    "disjoint-rows-n<d": (sl.VectorFamily(sl.lp(2, 4), np.array([[0, 0, -2.0, 0], [0.5, 0, 0, 0]])), [0.0, 0.0, 1.0, 0.0], 2.0),
-    "orthogonal-rows-n<d": (
-        sl.VectorFamily(sl.lp(2, 4), np.array([[1.0, 0, 1.0, 0], [0, -3.0, 0, 0.5]])),
-        [0.0, 0.9863939238321437, 0.0, -0.1643989873053573],
-        3.04138126514911,
-    ),
-}
-
-
-@pytest.mark.parametrize("case", list(_DIAGONAL_GRAM))
-def test_hilbert_path_on_a_diagonal_gram_matrix_takes_no_eigensolver(monkeypatch, case):
-    # orthogonal rows or columns: the certificate is the one the shifted solve gave, signed zeros
-    # included (results.json keeps them), and LAPACK is not called
-    fam, cert, value = _DIAGONAL_GRAM[case]
-    for name in ("eigvalsh", "eigh", "solve"):
-        monkeypatch.setattr(np.linalg, name, lambda *args, name=name: pytest.fail(f"{name} called on a diagonal Gram matrix"))
-    res = sl.weak_norm(fam, 2.0)
-    assert res.exact
-    assert res.certificate.coords.tobytes() == np.array(cert).tobytes()
-    assert res.value == value
-
-
 @pytest.mark.parametrize("n, d", [(9, 6), (6, 9), (40, 8)])
 def test_hilbert_path_near_degenerate_top_pair(rng, n, d):
     # sigma_1 / sigma_2 - 1 = 1e-12 is below what one solve separates at every start; the
@@ -559,12 +528,22 @@ def test_weak_norm_never_returns_a_non_finite_value():
         (sl.sup_slice(3), np.full((3, 3), 1.5), 3000.0, 1.5 * 3.0 ** (1 / 3000)),
         # rescaled into [1, 2), the entries 0.1 become 1.6 and the pairings 4.8
         (sl.lp(1, 3), np.full((3, 3), 0.1), 1000.0, 0.3 * 3.0 ** (1 / 1000)),
+        # at q = 1e20 the weak norm on l_1^d is the largest row l_1 norm times a count^(1/q)
+        # that rounds to 1; d = 14 > _VERTEX_BLOCK_BITS scores the vertices in blocks
+        *[
+            (sl.lp(1, d), rows, 1e20, float(np.abs(rows).sum(axis=1).max()))
+            for d in (10, 14)
+            for rows in (np.ones((2, d)), np.full((3, d), 0.1), np.random.default_rng(d).standard_normal((5, d)))
+        ],
     ],
-    ids=["vertex-ones", "column", "vertex-tenths"],
+    ids=["vertex-ones", "column", "vertex-tenths"]
+    + [f"vertex-{kind}-huge-q-d{d}" for d in (10, 14) for kind in ("ones", "tenths", "gaussian")],
 )
 def test_exact_paths_at_a_large_q_return_the_finite_weak_norm(space, rows, q, want):
-    # each of these overflowed a pairing's q-th power and was refused as not finite; a
-    # RuntimeWarning is an error in the suite, so none is raised on the way
+    # Each of these overflowed a pairing's q-th power and was refused as not finite; a
+    # RuntimeWarning is an error in the suite, so none is raised on the way.  At q = 1e20,
+    # vertex scores powered over a rounded l_1 norm put the pairings at 1 +- ulp, whose
+    # powers overflowed or all underflowed to 0, and vertex 0 was reported as exact.
     fam = sl.VectorFamily(space, rows)
     res = sl.weak_norm(fam, q)
     assert res.exact
