@@ -15,13 +15,14 @@ validates its config by walking it through the rows.
 Exit codes: 0 all declared assertions pass; 1 assertion failure;
 2 config/schema violation, misconfigured experiment, a value beyond
 the float range, or an output directory or file that cannot be made or
-written.  Every output is rendered to text first and then written in
-one loop.
+written.  Every output is rendered to text first, written under a
+temporary name, and moved into place once all are written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import datetime
@@ -552,14 +553,25 @@ def run(config_path, output_dir, seed: int | None = None, tuple_budget: int = DE
         if rec["kind"] == "slope":
             lines = [f"{math.log(s['n'])!r} {math.log(s['quotient'])!r}" for s in rec["samples"] if s["quotient"] > 0]
             files[f"plotdata/{i:02d}_{_slug(rec['name'])}.dat"] = "\n".join(lines) + "\n"
+    # Every file is written under a temporary name beside its target and replaces it only once
+    # all are written, so an output error leaves the earlier run's files as they were.  An
+    # earlier run's plot files that this run does not write would sit beside the new ones.
+    staged = {out / name: (out / name).with_name(f".{Path(name).name}.tmp") for name in files}
     try:
-        # an earlier run's plot files that this run does not write would sit beside the new ones
+        for target in staged:
+            if target.exists() and not target.is_file():
+                raise OSError(f"{target} is not a regular file")
+        for (target, temp), text in zip(staged.items(), files.values()):
+            temp.write_text(text, encoding="utf-8", newline="")
+        for target, temp in staged.items():
+            temp.replace(target)
         for path in (out / "plotdata").iterdir():
-            if _PLOT_FILE.fullmatch(path.name) and f"plotdata/{path.name}" not in files:
+            if _PLOT_FILE.fullmatch(path.name) and path not in staged:
                 path.unlink()
-        for name, text in files.items():
-            (out / name).write_text(text, encoding="utf-8", newline="")
     except OSError as exc:
+        for temp in staged.values():
+            with contextlib.suppress(OSError):
+                temp.unlink(missing_ok=True)
         print(f"output error: {exc}", file=sys.stderr)
         return 2
 

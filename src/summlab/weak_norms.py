@@ -13,10 +13,10 @@ Every path works on the family's sorted rows times a power of two that
 brings the largest |entry| into [1, 2), and scales the value back at
 the end, so no power of an entry under- or overflows at any scale: the
 weak norm is 1-homogeneous and the certificate does not depend on scale.
-Where a power of the largest pairing could overflow, at a large q, the
-exact paths' scores and the q-sum take the powers of the pairings over
-the largest one.  The search's objective does not: where it overflows,
-the searched weak norm is refused as not finite.
+Where the q-th power of the largest pairing could leave the float range,
+at a large q, every path, the search included, powers the pairings over
+the largest one (``_power_scale`` is the one rule), so the weak norm
+tends to the largest member norm as q grows.
 Exact fast paths cover the cases where the sup
 has a certified finite witness set (Hilbert domain at q = 2 via the top
 right singular vector, as ``_svd_path`` describes; cube dual balls
@@ -30,9 +30,8 @@ vertex about d^2 eps of relative value.  At q != 2 a vertex splits into
 its first min(d, 11) signs and the rest: one gemm scores the low sign
 patterns against the rows and one the high patterns, and each high row
 is added to the low scores in one reused buffer of 2^10 x n doubles
-that stays in cache.  Powers there are products and square roots at
-q in {1, 1.5, 3, 4} and ``np.power`` otherwise.  On the Hilbert path
-the value is the top singular value to rounding and never above it.
+that stays in cache (``_powered`` takes the powers).  On the Hilbert
+path the value is the top singular value to rounding and never above it.
 Everything else falls back to a multistart search from norming,
 spectral (``_svd_path``'s direction) and seeded Gaussian start
 directions.  For q >= 1 the objective is convex, and
@@ -153,13 +152,14 @@ def _rescaled(matrix: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _power_scale(top: float, q: float) -> float:
-    """top where top^q may overflow, else 1; a caller powers its values over this scale.
+    """top where top^q may leave [2^-960, 2^960], else 1; a caller powers its values over this scale.
 
-    The guard is ``maps._power_total``'s: below it no power of a value up
-    to top overflows, nor does a sum of up to 2^63 of them.  Division by
-    1 is exact, so below the guard the powers keep their bits.
+    Inside, no power of a value up to top overflows, nor a sum of 2^63 of
+    them (``maps._power_total``'s guard), and the largest is a normal
+    double, so powers lost to underflow move no sum past its rounding.
+    Division by 1 is exact, so there the powers keep their bits.
     """
-    return top if 1.0 < top < math.inf and not q * math.log2(top) < 960.0 else 1.0
+    return top if 0.0 < top < math.inf and not abs(q * math.log2(top)) < 960.0 else 1.0
 
 
 def _q_sum(x: np.ndarray, q: float, phi: np.ndarray) -> float:
@@ -294,35 +294,26 @@ def _vertex_path(xc: np.ndarray, q: float) -> np.ndarray:
     if q == 2.0:
         return _gram_vertex(xc)
     # A vertex splits as s = (l, h), l = s[:b] holding s_0, so <s, x_k> is
-    # low_l . x_k[:b] + high_h . x_k[b:].  Each high row h adds its part to
-    # the low parts in one reused cache-sized buffer; h outside and l inside
-    # is vertex order, so the first strict maximum is the lowest vertex.
-    # Every pairing is the largest row l_1 norm at most, to a rounding of
-    # the d-term sums on either side.  Where a power of that could
-    # overflow, the scores power the |pairings| over their largest as
-    # computed, which becomes exactly 1: none overflows, and the best
-    # vertex does not underflow to a score of 0.
+    # low_l . x_k[:b] + high_h . x_k[b:], and at d <= 11 the high part is
+    # empty.  Each high row h adds its part to the low parts in one reused
+    # cache-sized buffer; h outside and l inside is vertex order, so the
+    # first strict maximum is the lowest vertex.  No pairing exceeds the
+    # largest row l_1 norm, to rounding: where that trips ``_power_scale``,
+    # the scores power the |pairings| over the scale of their largest as
+    # computed, in a first pass, so none overflows nor the best underflows.
     d = xc.shape[1]
-    huge = _power_scale(float(np.abs(xc).sum(axis=1).max()) * (1.0 + 4.0 * d * _EPS), q) != 1.0
     b = min(d, _VERTEX_BLOCK_BITS)
-    low = _vertex_table(b)
-    lowpart = low @ xc[:, :b].T
-    ones = np.ones(xc.shape[0])
-    if b == d:
-        a = np.abs(lowpart, out=lowpart)
-        if huge:
-            a /= a.max()
-        return low[int(np.argmax(_powered(a, q) @ ones))]
+    low, high = _vertex_table(b), _vertex_table(d - b + 1)[:, 1:]
+    lowpart, highparts = low @ xc[:, :b].T, high @ xc[:, b:].T
     buf, tmp = np.empty_like(lowpart), np.empty_like(lowpart)
-    high = _vertex_table(d - b + 1)[:, 1:]
-    highparts = high @ xc[:, b:].T
-    if huge:  # a first pass for the largest |pairing|
-        top = max(float(np.abs(np.add(lowpart, highpart, out=buf), out=buf).max()) for highpart in highparts)
+    blocks = lambda: (np.abs(np.add(lowpart, highpart, out=buf), out=buf) for highpart in highparts)  # noqa: E731
+    bound = float(np.abs(xc).sum(axis=1).max()) * (1.0 + 4.0 * d * _EPS)
+    t = _power_scale(max(float(a.max()) for a in blocks()), q) if _power_scale(bound, q) != 1.0 else 1.0
+    ones = np.ones(xc.shape[0])
     best, ih, il = -np.inf, 0, 0
-    for h, highpart in enumerate(highparts):
-        a = np.abs(np.add(lowpart, highpart, out=buf), out=buf)
-        if huge:
-            a /= top
+    for h, a in enumerate(blocks()):
+        if t != 1.0:
+            a /= t
         vals = _powered(a, q, tmp) @ ones
         j = int(np.argmax(vals))
         if vals[j] > best:
@@ -366,21 +357,30 @@ def _norming_map(space: SpaceDescriptor) -> Callable[[np.ndarray], np.ndarray]:
 
     Row g goes to the unit vector phi of dual(space) that maximises
     <phi, g>: g / ||g||_2 on l_2 and sign(g) |g|^(p-1) / ||g||_p^(p-1)
-    on l_p, 1 < p < inf.  A batch with a zero row (whose image is e_1)
-    goes to ``norming_rows`` itself.  Row sums are products with a ones
-    vector: a reduction along short rows costs more than the
-    matrix-vector product.  On l_1 and sup slices, ``norming_rows`` is
-    the step.
+    on l_p, 1 < p < inf.  A batch with a row whose sum of |g_i|^p leaves
+    [2^-960, 2^960], as the search's (q-1)-th power weights can at a large
+    q, or is 0 (whose image is e_1), goes to ``norming_rows``, each row
+    first times a power of two, which is exact, so its norm is normal.
+    Row sums are products with a ones vector: a reduction along short
+    rows costs more than the matrix-vector product.  On l_1 and sup
+    slices, ``norming_rows`` is the step.
     """
     p = space.exponent
     if p == 1.0 or space.is_sup:
         return functools.partial(norming_rows, space)
     ones = np.ones(space.dimension)
+
+    def in_range(total: np.ndarray) -> bool:
+        return not total.size or 2.0**-960 <= total[total.argmin()] and total[total.argmax()] < 2.0**960
+
+    def rescaled(g: np.ndarray) -> np.ndarray:
+        return norming_rows(space, np.ldexp(g, -np.frexp(np.abs(g).max(axis=1))[1][:, None]))
+
     if p == 2.0:
 
         def step(g: np.ndarray) -> np.ndarray:
-            nrm = np.sqrt(np.square(g) @ ones)
-            return g / nrm[:, None] if nrm.all() else norming_rows(space, g)
+            total = np.square(g) @ ones
+            return g / np.sqrt(total)[:, None] if in_range(total) else rescaled(g)
 
     else:
 
@@ -388,8 +388,8 @@ def _norming_map(space: SpaceDescriptor) -> Callable[[np.ndarray], np.ndarray]:
             a = np.abs(g)
             a1 = a ** (p - 1.0)
             total = (a1 * a) @ ones
-            if not total.all():
-                return norming_rows(space, g)
+            if not in_range(total):
+                return rescaled(g)
             return np.copysign(a1 / (total ** ((p - 1.0) / p))[:, None], g)
 
     return step
@@ -421,13 +421,22 @@ def _search(
     else:
         power = lambda a: np.power(a, q - 1.0, out=np.zeros_like(a), where=a > 0.0)  # noqa: E731
 
-    ones = np.ones(x.shape[0])
+    # No unit row's pairing exceeds the largest member norm, to rounding.  Where
+    # that trips ``_power_scale``, each row powers its pairings over its largest
+    # and scales its value back: its weights change by one factor, which moves
+    # neither step, and an all-zero row keeps the value 0.
+    top = float(coord_norm(space, x, axis=1).max()) * (1.0 + 4.0 * space.dimension * _EPS)
+    scaled, ones = _power_scale(top, q) != 1.0, np.ones(x.shape[0])
 
     def objective(phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = phis @ x.T
         a = np.abs(y)
+        if scaled:
+            t = a.max(axis=1)
+            a /= np.where(t > 0.0, t, 1.0)[:, None]
         w = power(a)
-        return ((w * a) @ ones) ** (1.0 / q), np.copysign(w, y)
+        value = ((w * a) @ ones) ** (1.0 / q)
+        return (t * value if scaled else value), np.copysign(w, y)
 
     if q >= 1.0:
 
@@ -440,30 +449,21 @@ def _search(
             return gradient_step(ball, phis, w @ x, step)
 
     starts = np.vstack((members, others))
-    with np.errstate(over="ignore", invalid="ignore"):  # a value beyond the float range is inf or nan; it is refused
-        best, phi = multistart_ascent(starts, objective, propose, budget)
-        result = _finish(space, x, e, q, phi, exact=False)
-    if not math.isfinite(best):  # the rows climbed on powers beyond the float range, though their q-sum is finite
-        raise StructuralError(f"weak norm is not finite ({best})")
-    return result
+    # a step's power sum can overflow at a large q (it then rescales), a row's root at q < 1 (_finish refuses it)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = multistart_ascent(starts, objective, propose, budget)[1]
+        return _finish(space, x, e, q, phi, exact=False)
 
 
 def weak_norm_search(family: VectorFamily, q: float, budget: SearchBudget = DEFAULT_BUDGET) -> WeakNormResult:
-    """Multistart ascent over the dual unit ball (lower bound).
+    """Multistart ascent over the dual unit ball, as the module docstring describes (a lower bound).
 
-    Restarts seed from the norming functionals of every family member
-    (which guarantees the result is at least max_k ||x_k||), one
-    spectral start (the Hilbert path's ``_svd_path`` direction), and
-    seeded Gaussian directions (the seed is derived
-    from the canonical rows, so it is permutation-invariant).  Each
-    restart climbs in :func:`~summlab.search.multistart_ascent`.  For
-    q >= 1 a step is Boyd's power iteration: the row moves to
-    ``norming_rows(space, g)``, the linear argmax of the (sub)gradient g
-    over the dual ball, which never lowers the convex objective.  For
-    q < 1 a step is a normalised gradient step projected back onto the
-    dual sphere.  The search runs on the canonical rows, so a permuted
-    family gets the bit-identical result, and its value is the q-sum at
-    the best row, as on every exact path.
+    Every member's norming functional is a start, so the result is at
+    least max_k ||x_k||; so are the Hilbert path's ``_svd_path`` direction
+    and Gaussian directions seeded from the canonical rows.  Each start
+    climbs in :func:`~summlab.search.multistart_ascent`.  The search runs
+    on the canonical rows, so a permuted family gets the bit-identical
+    result, and its value is the q-sum at the best row, as on every path.
     """
     return _search(family.space, *_prepared(family, q), q, budget)
 

@@ -315,7 +315,7 @@ _FLOAT_EDGE = {
     "dense-overflow": {**_SLOPE, **_QUIET, "map": _DENSE_HUGE, "n_grid": [2]},
     # the power sum is finite: it tends to the largest norm as p grows
     "identity-huge-p": {**_SLOPE, "map": {"kind": "identity"}, "p": 1e300, "n_grid": [2], "random_starts": 2, "sweeps": 8},
-    # refused, though the weak norm is finite: the search overflows
+    # the weak norms tend to the largest member norm as q grows
     "identity-huge-q": {**_SLOPE, "map": {"kind": "identity"}, "q": 1e300, "n_grid": [2], "random_starts": 1, "sweeps": 0},
     "cap-huge-p": {**_CAP, "p": 1e300, "d": [4]},
 }
@@ -343,15 +343,30 @@ def _run_warnings_as_errors(tmp_path, experiment: dict) -> subprocess.CompletedP
         ({**_SLOPE, **_QUIET, "map": {"kind": "identity"}, "q": 0.001, "n_grid": [8]}, "largest double"),
         (_FLOAT_EDGE["cap-tiny-p"], "largest double"),
         (_FLOAT_EDGE["dense-overflow"], "largest double"),
-        (_FLOAT_EDGE["identity-huge-q"], "weak norm is not finite"),
-        (_FLOAT_EDGE["cap-huge-p"], "weak norm is not finite"),
     ],
-    ids=["tensor-root", "real-even-root", "cotype-root", "identity-weak-norm", "cap-tiny-p", "dense-overflow", "identity-huge-q", "cap-huge-p"],
+    ids=["tensor-root", "real-even-root", "cotype-root", "identity-weak-norm", "cap-tiny-p", "dense-overflow"],
 )
 def test_value_beyond_the_float_range_exits_2(tmp_path, experiment, message):
     proc = _run_warnings_as_errors(tmp_path, experiment)
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["identity-huge-q", "cap-huge-p"])
+def test_weak_norm_at_a_huge_q_exits_0(tmp_path, name):
+    # at q = 1e300 every weak norm, searched or exact, is finite: the largest member norm to rounding
+    proc = _run_warnings_as_errors(tmp_path, _FLOAT_EDGE[name])
+    assert proc.returncode == 0, proc.stderr
+    (record,) = json.loads((tmp_path / "out" / "results.json").read_text())["experiments"]
+    if name == "identity-huge-q":
+        # the identity on l_2^2: the basis family's quotient 2^(1/2) / 1 is the best
+        (sample,) = record["samples"]
+        assert (sample["strategy"], sample["quotient"]) == ("basis", math.sqrt(2.0))
+    else:
+        (report,) = record["reports"]
+        assert report["passed"]
+        assert report["details"]["cap"] == 2.000002
+        assert (report["details"]["exact_path_quotients"], report["details"]["quotients_seen"]) == (67, 134)
 
 
 def test_power_sum_at_a_huge_p_exits_0(tmp_path):
@@ -732,6 +747,25 @@ def test_a_reused_out_keeps_only_the_plot_files_of_the_new_run(tmp_path, capsys)
     (out / "plotdata" / "07_d.dat").mkdir()
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("output error: ")
+
+
+def test_an_output_error_leaves_the_earlier_run_whole(tmp_path, capsys):
+    # slopes.csv, written fourth, could not be replaced: results.json and metadata.json were
+    # already the new run's, so --out matched neither run
+    out = tmp_path / "out"
+    for i, names in enumerate((["a", "b"], ["c"])):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps({"experiments": [{**_VALID, "name": name} for name in names]}))
+    assert main(["run", "--config", str(tmp_path / "cfg0.json"), "--out", str(out)]) == 0
+    (out / "slopes.csv").unlink()
+    (out / "slopes.csv").mkdir()
+    before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    assert main(["run", "--config", str(tmp_path / "cfg1.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("output error: ")
+    assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
+    assert sorted(path.relative_to(out).as_posix() for path in before) == [
+        "bounds.csv", "metadata.json", "plotdata/00_a.dat", "plotdata/01_b.dat", "results.json"
+    ]
 
 
 def _n_space(family: str, p=None) -> dict:

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import summlab as sl
 from summlab.errors import BudgetError, DomainError, StructuralError
 from summlab.search import canonical_rows
-from summlab.spaces import norming_rows
+from summlab.spaces import coord_norm, norming_rows
 from summlab.weak_norms import _finish, _norming_map, _rescaled, family_q_sum
 
 from conftest import random_family, random_space
@@ -549,6 +551,54 @@ def test_exact_paths_at_a_large_q_return_the_finite_weak_norm(space, rows, q, wa
     assert res.exact
     assert res.value == pytest.approx(want, rel=1e-15, abs=0)
     assert family_q_sum(fam, q, res.certificate.coords) == res.value
+
+
+@st.composite
+def _large_q_families(draw):
+    """A Gaussian family on l_1.5, l_2 or l_3 of dimension <= 6, or on l_1^24, at any scale."""
+    space = draw(st.sampled_from([sl.lp(1.5, 1), sl.lp(2, 1), sl.lp(3, 1), sl.lp(1, 24)]))
+    if space.dimension == 1:
+        space = sl.lp(space.exponent, draw(st.integers(1, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = 10.0 ** draw(st.integers(-8, 8)) * rng.standard_normal((draw(st.integers(1, 6)), space.dimension))
+    return sl.VectorFamily(space, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_large_q_families())
+def test_searched_weak_norm_at_a_large_q_tends_to_the_largest_member_norm(fam):
+    # At such a q most powers of pairings overflow or underflow to 0.  The weak norm lies between
+    # the largest member norm and n^(1/q) times it.  A search row is a unit vector up to the
+    # rounding of the Boyd step's s ** ((p - 1) / p), whose rounded exponent costs up to
+    # 2^-53 |ln s| of relative norm: under 1e-13 for a power sum s in [2^-960, 2^960].  The
+    # search reports a finite value there, which its certificate replays bit for bit.
+    top = float(fam.norms().max())
+    for q in (1000.0, 1e5, 1e300):
+        res = sl.weak_norm_search(fam, q)
+        assert top * (1.0 - 1e-13) <= res.value <= fam.n ** (1.0 / q) * top * (1.0 + 1e-13)
+        assert family_q_sum(fam, q, res.certificate.coords) == res.value
+
+
+@pytest.mark.parametrize("phi, q", [((0.5, 0.0), 1e20), ((0.5, 0.25), 2000.0)])
+def test_q_sum_below_1_at_a_large_q_is_the_largest_pairing(phi, q):
+    # the powers of pairings below 1 underflow at such a q, so they are taken over the largest
+    fam = sl.VectorFamily.basis(sl.lp(2, 2), 2)
+    assert family_q_sum(fam, q, np.array(phi)) == pytest.approx(0.5, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("space", [sl.lp(1.5, 6), sl.lp(2, 6), sl.lp(3, 6)])
+@pytest.mark.parametrize("k", [-1060, -540, 500, 1000])
+def test_search_step_of_rows_past_the_float_range_is_a_unit_row(rng, space, k):
+    # The search's weights are (q-1)-th powers: at a large q a gradient's norm, or its p-th
+    # power sum, can fall out of the normal doubles, where dividing by it leaves no unit row.
+    # The search takes its steps with overflow warnings off, as here.  Powers of a sum near
+    # 2^+-800 by (p - 1) / p, which rounds, cost the l_1.5 and l_3 steps more than the 1e-15
+    # of test_search_step_matches_norming_rows.
+    g = np.ldexp(rng.standard_normal((64, space.dimension)), k)
+    with np.errstate(over="ignore"):
+        phi = _norming_map(space)(g)
+    np.testing.assert_allclose(phi, norming_rows(space, np.ldexp(g, -k)), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(coord_norm(sl.dual(space), phi, axis=1), 1.0, rtol=1e-13)
 
 
 def test_q_sum_beyond_the_float_range_is_a_structural_error():
