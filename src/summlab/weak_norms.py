@@ -39,8 +39,11 @@ each row climbs by Boyd's power iteration: the next row is the linear
 argmax over the dual ball of the current (sub)gradient, so the value
 never falls and a row that stops improving sits at a fixed point.
 For q < 1, the only non-convex case, rows take normalised gradient
-steps back onto the dual sphere.  The result, the q-sum at the best
-row, is a certified lower bound and is labeled exact=False.
+steps back onto the dual sphere.  The result is the q-sum at the best
+row scaled into the dual unit ball, which the rounded exponent of
+Boyd's step can leave by up to 2^-53 |ln s| for a power sum s, so it is
+a certified lower bound that exceeds the supremum by rounding only, and
+is labeled exact=False.
 """
 
 from __future__ import annotations
@@ -452,7 +455,9 @@ def _search(
     # a step's power sum can overflow at a large q (it then rescales), a row's root at q < 1 (_finish refuses it)
     with np.errstate(over="ignore", invalid="ignore"):
         phi = multistart_ascent(starts, objective, propose, budget)[1]
-        return _finish(space, x, e, q, phi, exact=False)
+        # the step's rounded exponent can leave a row up to 2^-53 |ln s| off the sphere: one outside comes back in
+        norm = coord_norm(ball, phi)
+        return _finish(space, x, e, q, phi / norm if norm > 1.0 else phi, exact=False)
 
 
 def weak_norm_search(family: VectorFamily, q: float, budget: SearchBudget = DEFAULT_BUDGET) -> WeakNormResult:

@@ -185,6 +185,15 @@ _VALID = {**_SLOPE, "map": {"kind": "tensor", "m": 1}, "random_starts": 0, "swee
         ({**_VALID, "p": True}, "True is not of type 'number'"),
         ({**_VALID, "map": {"kind": "identity", "space": {"family": "lp", "p": 2, "dim": "m"}}}, "config schema violation"),
         ({**_VALID, "map": {"kind": "identity", "space": {"family": "lp", "dim": 2}}}, "'p' is a required property"),
+        # the value's JSON type picks the alternative; a value of no listed type gets the first one's complaint
+        ({"kind": "bounds", "m": "x"}, "'x' is not of type 'integer'"),
+        ({**_VALID, "map": {"kind": "identity", "space": {"family": "lp", "p": "x"}}}, "'inf' was expected"),
+        ({**_VALID, "map": {"kind": "identity", "space": {"family": "lp", "p": 2, "dim": "m"}}}, "'n' was expected"),
+        # the builder refuses a dense map without coefficients
+        (
+            {**_SLOPE, "map": {"kind": "dense", "shape": [2, 2], "domain": [_SPACE_2], "codomain": _SPACE_2}},
+            "dense container needs 'data' or 'data_b64'",
+        ),
     ]] + [
         (_VALID, "config error", ("--tuple-budget", "0")),
         (_VALID, "config error", ("--tuple-budget", "-5")),
@@ -242,6 +251,10 @@ _VALID = {**_SLOPE, "map": {"kind": "tensor", "m": 1}, "random_starts": 0, "swee
         "p-true",
         "space-dim-m",
         "lp-space-without-p",
+        "bounds-m-string",
+        "space-p-string",
+        "space-dim-m-message",
+        "dense-shape-without-data",
         "tuple-budget-zero",
         "tuple-budget-negative",
     ],
